@@ -5,10 +5,15 @@ derived diagnostics (consensus gap, influence samples, condition checks,
 convergence times, disagreement structure), and the replica-parallel Monte
 Carlo harness around them.  Replica i of a run with master seed m draws
 from the stream seeded by seeding.replica_seed(m, i).
+
+_products is the single place where draws are multiplied into a running
+product and where its rows are renormalized; every product scan in the
+package reads X^(t) from it and keeps only its own observations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,13 +152,35 @@ class SkeletonEquivalenceReport:
 # --- core dynamics -----------------------------------------------------------
 
 
+def _products(state: GeneratorState, t_max: int, renorm_every: int = 64):
+    """Yield the left products X^(t) = X_t ... X_1 for t = 1..t_max.
+
+    Rows are renormalized to sum to 1 after every ``renorm_every``-th step
+    (0: never), which holds roundoff below 1e-9 over desk-scale horizons.
+    A draw is made only when the next product is requested, so a consumer
+    that stops early leaves the stream exactly after its last step.
+    """
+    prod = np.eye(state.spec.n)
+    for t in range(1, t_max + 1):
+        prod = state.next_array() @ prod
+        if renorm_every and t % renorm_every == 0:
+            prod = prod / prod.sum(axis=1, keepdims=True)
+        yield prod
+
+
+def _final_product(state: GeneratorState, t_max: int, renorm_every: int) -> np.ndarray:
+    """Row-renormalized X^(t_max); the identity when t_max is 0."""
+    prod = np.eye(state.spec.n)
+    for prod in _products(state, t_max, renorm_every):
+        pass
+    return prod / prod.sum(axis=1, keepdims=True)
+
+
 def _scan(state: GeneratorState, t_max: int, gap_tol: float,
-          stop_when_converged: bool = False, renorm_every: int = 64):
-    """Accumulate the left product step by step on raw arrays.
+          stop_when_converged: bool = False):
+    """Observe the consensus gap and positivity of every X^(t).
 
     Returns (product, t, gap, strict_positive_seen, consensus_time).
-    Row sums are renormalized periodically to hold roundoff below 1e-9
-    over desk-scale horizons.
     """
     n = state.spec.n
     prod = np.eye(n)
@@ -161,17 +188,13 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
     consensus_time = None
     gap = 1.0 if n > 1 else 0.0
     t_done = 0
-    for t in range(1, t_max + 1):
-        prod = state.next_array() @ prod
-        if t % renorm_every == 0:
-            prod = prod / prod.sum(axis=1, keepdims=True)
+    for t_done, prod in enumerate(_products(state, t_max), 1):
         mn = prod.min(axis=0)
         gap = float((prod.max(axis=0) - mn).max())
         if not strict_seen and mn.min() > ZERO_TOL:
             strict_seen = True
-        t_done = t
         if consensus_time is None and gap <= gap_tol:
-            consensus_time = t
+            consensus_time = t_done
             if stop_when_converged:
                 break
     prod = prod / prod.sum(axis=1, keepdims=True)
@@ -305,6 +328,8 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     try:
         desc = spec.support()
     except Unsupported:
@@ -323,11 +348,8 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     c_sqsums = np.zeros(horizon)
     for i in range(replicas):
         state = spec.start_state(replica_seed(seed, i))
-        prod = np.eye(spec.n)
         positive = False
-        for t in range(horizon):
-            prod = state.next_array() @ prod
-            prod = prod / prod.sum(axis=1, keepdims=True)
+        for t, prod in enumerate(_products(state, horizon, renorm_every=1)):
             if not positive and prod.min() > ZERO_TOL:
                 positive = True
             c = dobrushin_coefficient(StochasticMatrix._trusted(prod))
@@ -415,6 +437,8 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
         raise DimensionMismatch("convergence_time_2x2 requires n = 2")
     if not 0.0 < phi < 1.0:
         raise ValueError("phi must lie in (0,1)")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     if t_cap is None:
         t_cap = default_t_cap(phi)
     samples = []
@@ -528,15 +552,13 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
     Averages (1/t) log of the spectral norm over replicas and exponentiates;
     a generator without contraction reports 1, exact rank-one products 0.
     """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
     slopes = []
     for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
-        prod = np.eye(n)
-        for _ in range(t_max):
-            prod = state.next_array() @ prod
-        prod = prod / prod.sum(axis=1, keepdims=True)
+        prod = _final_product(spec.start_state(replica_seed(seed, i)), t_max, renorm_every=0)
         norm = float(np.linalg.norm(prod - flat, 2))
         slopes.append(math.log(norm) / t_max if norm > 0.0 else -math.inf)
     avg = float(np.mean(slopes))
@@ -562,13 +584,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     counts: list[int] = []
     overflow = False
     for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
-        prod = np.eye(spec.n)
-        for t in range(t_max):
-            prod = state.next_array() @ prod
-            if (t + 1) % 64 == 0:
-                prod = prod / prod.sum(axis=1, keepdims=True)
-        prod = prod / prod.sum(axis=1, keepdims=True)
+        prod = _final_product(spec.start_state(replica_seed(seed, i)), t_max, renorm_every=64)
         r = numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank
         rank_counts[r] = rank_counts.get(r, 0) + 1
         if overflow:
@@ -618,7 +634,7 @@ def cyclicity_check(support, zero_tol: float = ZERO_TOL):
         return frozenset(out)
 
     for size in range(1, n + 1):
-        for first in _subsets_of_size(n, size):
+        for first in itertools.combinations(range(n), size):
             a1 = frozenset(first)
             for m in range(2, n + 1):
                 blocks = [a1]
@@ -635,12 +651,6 @@ def cyclicity_check(support, zero_tol: float = ZERO_TOL):
                     witness = [sorted(b) for b in blocks]
                     return {"cyclic": True, "witness_partition": witness}
     return {"cyclic": False, "witness_partition": None}
-
-
-def _subsets_of_size(n, size):
-    import itertools
-
-    return itertools.combinations(range(n), size)
 
 
 def skeleton_equivalence_test(spec_a: GeneratorSpec, spec_b: GeneratorSpec,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _products
 from .errors import (
     DimensionMismatch,
     InsufficientEvents,
@@ -22,7 +23,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
-from .matrices import StochasticMatrix
+from .matrices import StochasticMatrix, _connected
 from .seeding import replica_seed
 
 PROB_TOL = 1e-12
@@ -156,22 +157,6 @@ def accumulation_graph(graphs) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     return _connected(g.adjacency)
-
-
-def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
 
 
 def _rate(p):
@@ -366,6 +351,8 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     """
     if not 0.0 < epsilon <= 1.0:
         raise InvalidProbability("epsilon must lie in (0,1]")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     t_grid = sorted(set(int(t) for t in t_grid))
     if not t_grid or t_grid[0] < 1:
         raise ValueError("t_grid must contain positive times")
@@ -386,10 +373,8 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     counts = np.zeros(len(t_grid), dtype=int)
     for i in range(replicas):
         state = spec.start_state(replica_seed(seed, i))
-        prod = np.eye(n)
         crossing = None
-        for t in range(1, t_max + 1):
-            prod = state.next_array() @ prod
+        for t, prod in enumerate(_products(state, t_max, renorm_every=0), 1):
             if np.linalg.norm(prod - flat, 2) < epsilon:
                 crossing = t
                 break

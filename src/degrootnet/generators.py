@@ -21,7 +21,7 @@ from .errors import (
     NotStrictlyPositive,
     Unsupported,
 )
-from .matrices import StochasticMatrix, SkeletonMask, ZERO_TOL, is_strictly_positive
+from .matrices import StochasticMatrix, SkeletonMask, ZERO_TOL, _connected, is_strictly_positive
 
 PROB_TOL = 1e-12
 BALANCE_TOL = 1e-9
@@ -50,19 +50,16 @@ class GeneratorState:
     states with distinct derived seeds (see seeding.replica_seed).
     """
 
-    __slots__ = ("spec", "rng", "last", "aux", "t")
+    __slots__ = ("spec", "rng", "last", "aux")
 
     def __init__(self, spec, seed):
         self.spec = spec
         self.rng = np.random.default_rng(seed)
         self.last = None      # previous matrix, for AR dependence
         self.aux = None       # previous support index, for Markov dependence
-        self.t = 0
 
     def next_array(self) -> np.ndarray:
-        arr = self.spec._draw(self)
-        self.t += 1
-        return arr
+        return self.spec._draw(self)
 
 
 def sample_next(state: GeneratorState) -> StochasticMatrix:
@@ -494,7 +491,7 @@ class UndirectedDegree(GeneratorSpec):
                 raise DimensionMismatch("adjacency matrices must be square")
             if not np.array_equal(adj, adj.T) or adj.diagonal().any():
                 raise InvalidProbability("adjacency must be symmetric with a zero diagonal")
-            if not _adjacency_connected(adj):
+            if not _connected(adj):
                 raise InvalidProbability("every graph must be connected")
             deg = adj.sum(axis=1)
             if deg_ref is None:
@@ -794,20 +791,6 @@ def _graph_to_row_weights(adj: np.ndarray) -> np.ndarray:
         a[np.ix_(isolated, isolated)] = np.eye(int(isolated.sum()))
         deg = a.sum(axis=1)
     return a / deg[:, None]
-
-
-def _adjacency_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
 
 
 def _left_unit_eigenvector(T: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> np.ndarray:

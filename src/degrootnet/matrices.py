@@ -211,6 +211,23 @@ def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool
     return bool(power.all())
 
 
+def _connected(adj: np.ndarray) -> bool:
+    """Depth-first connectivity of a symmetric boolean adjacency matrix."""
+    n = adj.shape[0]
+    if n <= 1:
+        return True
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(adj[u]):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
 def boolean_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product: (ab)[i,j] = OR_k (a[i,k] AND b[k,j])."""
     return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0

@@ -127,6 +127,8 @@ class WisdomConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise InvalidProbability("all sizes must be >= 2")
         if not 0.0 <= self.gamma <= 1.0:
@@ -303,6 +305,8 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     average: singular values below a few multiples of 1/sqrt(replicas)
     are statistically indistinguishable from zero.
     """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(1e-8, 4.0 / math.sqrt(replicas))
     acc = None

@@ -41,6 +41,27 @@ class TestExitCodes:
                     "--tmax", "50", "--seed", "1"])
         assert code == EXIT_NO_CONVERGENCE
 
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["check-c", "speed2x2", "rate", "wisdom"])
+    def test_replicas_below_one_is_usage_error(self, tmp_path, command, replicas):
+        # sticky weights over a 3-cycle reach the Monte Carlo branch of check-c
+        cycle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        spec = tmp_path / "ar1_cycle.json"
+        spec.write_text(json.dumps({"model": "ar1_mixture", "xi": 0.5, "t0": cycle,
+                                    "source": {"model": "fixed", "matrix": cycle}}))
+        k4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+        dist = tmp_path / "k4.json"
+        dist.write_text(json.dumps({"n": 4, "atoms": [{"adjacency": k4, "prob": 1.0}]}))
+        argv = {
+            "check-c": ["check-c", "--spec", str(spec)],
+            "speed2x2": ["speed2x2"],
+            "rate": ["rate", "--dist", str(dist)],
+            "wisdom": ["wisdom", "--sizes", "3"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--replicas", replicas, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
         code = run(["energy", "--mu", "uniform-indep", "--out", str(out)])

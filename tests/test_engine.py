@@ -11,10 +11,13 @@ from degrootnet import (
     DirichletRows,
     FiniteMixture,
     Fixed,
+    UniformSignal,
+    WisdomConfig,
     accumulate,
     check_condition_c,
     convergence_time_2x2,
     cyclicity_check,
+    decay_rate_estimate,
     disagreement_degree,
     dobrushin_coefficient,
     encounter_2x2,
@@ -23,6 +26,7 @@ from degrootnet import (
     log_energy,
     lyapunov_exponent,
     make_stochastic,
+    mean_rank_one_test,
     mixing_identity_mixture,
     multiply,
     ring_uniform_self,
@@ -497,3 +501,21 @@ class TestSkeletonEquivalence:
         ar1 = Ar1Mixture(0.5, flat(2), ring_uniform_self(2))
         with pytest.raises(NotIid):
             skeleton_equivalence_test(ar1, ring_uniform_self(2))
+
+
+MONTE_CARLO_ENTRY_POINTS = {
+    "check_condition_c": lambda r: check_condition_c(ring_uniform_self(3), replicas=r),
+    "convergence_time_2x2": lambda r: convergence_time_2x2(encounter_2x2(0.3, 0.5), 0.1, replicas=r),
+    "lyapunov_exponent": lambda r: lyapunov_exponent(ring_uniform_self(3), t_max=10, replicas=r),
+    "decay_rate_estimate": lambda r: decay_rate_estimate(encounter_2x2(0.3, 0.5), 0.5, [1, 2], replicas=r),
+    "mean_rank_one_test": lambda r: mean_rank_one_test(ring_uniform_self(3), replicas=r, t_max=10),
+    "WisdomConfig": lambda r: WisdomConfig(family=ring_uniform_self, sizes=(3,), gamma=0.5,
+                                           signal_law=UniformSignal(0.5), replicas=r, t_max=10),
+}
+
+
+@pytest.mark.parametrize("replicas", [0, -3])
+@pytest.mark.parametrize("entry", sorted(MONTE_CARLO_ENTRY_POINTS))
+def test_monte_carlo_entry_points_reject_empty_runs(entry, replicas):
+    with pytest.raises(ValueError, match="replicas must be >= 1"):
+        MONTE_CARLO_ENTRY_POINTS[entry](replicas)

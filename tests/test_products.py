@@ -1,0 +1,145 @@
+"""The product accumulator engine._products and the scans built on it.
+
+The property test compares _products bitwise with a plain reference loop
+across renormalization schedules and generator kinds.  The pinned values
+below were recorded before the scans were routed through _products; they
+cover outputs that no benchmark hash fixes, so any change in the order of
+floating-point operations shows up here.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degrootnet import (
+    Ar1Mixture,
+    DirichletRows,
+    Islands,
+    accumulate,
+    disagreement_degree,
+    encounter_2x2,
+    lyapunov_exponent,
+    make_stochastic,
+    mean_rank_one_test,
+    ring_uniform_self,
+    two_point_swap,
+)
+from degrootnet.engine import _products
+
+
+def reference_products(state, t_max, renorm_every):
+    out = []
+    prod = np.eye(state.spec.n)
+    for t in range(1, t_max + 1):
+        prod = state.next_array() @ prod
+        if renorm_every and t % renorm_every == 0:
+            prod = prod / prod.sum(axis=1, keepdims=True)
+        out.append(prod)
+    return out
+
+
+@st.composite
+def dirichlet_rows(draw):
+    n = draw(st.integers(2, 4))
+    alpha = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                   min_size=n * n, max_size=n * n))).reshape(n, n)
+    alpha[np.arange(n), np.arange(n)] += 1.0  # every row needs a positive entry
+    return DirichletRows(alpha)
+
+
+@st.composite
+def markov_mixture(draw):
+    a = draw(st.floats(0.05, 0.95))
+    b = draw(st.floats(0.05, 0.95))
+    eps = draw(st.floats(0.05, 0.95))
+    return encounter_2x2(eps, a / (a + b), transition=((1 - a, a), (b, 1 - b)))
+
+
+@st.composite
+def islands(draw):
+    return Islands(draw(st.integers(2, 3)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def ar1(draw):
+    n = draw(st.integers(2, 3))
+    return Ar1Mixture(draw(st.floats(0.0, 1.0)), make_stochastic(np.full((n, n), 1.0 / n)),
+                      DirichletRows(np.ones((n, n))))
+
+
+SPECS = st.one_of(dirichlet_rows(), markov_mixture(), islands(), ar1())
+
+
+class TestProducts:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=SPECS, t_max=st.integers(0, 140), renorm_every=st.sampled_from([0, 1, 64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_loop_bitwise(self, spec, t_max, renorm_every, seed):
+        state = spec.start_state(seed)
+        ref_state = spec.start_state(seed)
+        got = list(_products(state, t_max, renorm_every))
+        want = reference_products(ref_state, t_max, renorm_every)
+        assert len(got) == t_max
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        # both streams stand at the same position afterwards
+        assert state.next_array().tobytes() == ref_state.next_array().tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=SPECS, stop=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_early_stop_makes_no_extra_draw(self, spec, stop, seed):
+        state = spec.start_state(seed)
+        ref_state = spec.start_state(seed)
+        for t, _prod in enumerate(_products(state, 100), 1):
+            if t == stop:
+                break
+        reference_products(ref_state, stop, 64)
+        assert state.next_array().tobytes() == ref_state.next_array().tobytes()
+
+
+class TestPinnedValues:
+    def test_lyapunov_exponent(self):
+        assert lyapunov_exponent(ring_uniform_self(3), t_max=40, replicas=6, seed=11) == 0.9791714358733685
+        assert lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=30, replicas=5, seed=2) == 0.6560660975440377
+
+    def test_mean_rank_one_test(self):
+        res = mean_rank_one_test(ring_uniform_self(3), replicas=40, t_max=130, seed=3, rank_rel_tol=1e-3)
+        assert res["rank"] == 1
+        row = [0.35800595101455546, 0.31396069794298903, 0.32803335104245557]
+        assert res["mean_limit"].entries.tolist() == [row, row, row]
+        res = mean_rank_one_test(two_point_swap(0.5), replicas=30, t_max=70, seed=4, allow_no_positive=True)
+        assert res["rank"] == 1
+        assert res["mean_limit"].entries.tolist() == [[0.5333333333333333, 0.4666666666666667],
+                                                      [0.4666666666666667, 0.5333333333333333]]
+
+    def test_accumulate_past_renormalizations(self):
+        t0 = make_stochastic([[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 0.9]])
+        acc = accumulate(Ar1Mixture(0.5, t0, ring_uniform_self(3)).start_state(5), t_max=150, gap_tol=1e-30)
+        assert (acc.t, acc.strict_positive_seen, acc.consensus_time) == (150, True, 69)
+        assert acc.consensus_gap == 1.6653345369377348e-16
+        assert acc.product.entries.ravel().tolist() == [
+            0.29690871135703795, 0.20690972227893215, 0.4961815663640299,
+            0.29690871135703795, 0.20690972227893217, 0.4961815663640299,
+            0.29690871135703795, 0.20690972227893215, 0.49618156636402994,
+        ]
+
+    def test_accumulate_stops_at_consensus(self):
+        acc = accumulate(ring_uniform_self(4).start_state(9), t_max=5000, gap_tol=1e-8,
+                         stop_when_converged=True)
+        assert (acc.t, acc.strict_positive_seen, acc.consensus_time) == (69, True, 69)
+        assert acc.consensus_gap == 8.317438515703657e-09
+        assert acc.product.entries.ravel().tolist() == [
+            0.2535580687588877, 0.24847536533749878, 0.26080726786045744, 0.2371592980431561,
+            0.2535580685579481, 0.24847536579719262, 0.2608072682570901, 0.23715929738776922,
+            0.25355807108257, 0.24847535997269696, 0.2608072632395252, 0.2371593057052078,
+            0.2535580704570364, 0.2484753614194126, 0.260807264485239, 0.23715930363831206,
+        ]
+
+    def test_disagreement_without_steps_keeps_identity(self):
+        rep = disagreement_degree(ring_uniform_self(4), replicas=100, t_max=0)
+        assert rep.eta_estimate == 4
+        assert rep.rank_histogram == {4: 1.0}
+        ((atom, freq),) = rep.support_atoms
+        assert atom.entries.tolist() == np.eye(4).tolist()
+        assert freq == 1.0
+
