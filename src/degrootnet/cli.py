@@ -1,10 +1,13 @@
 """Command-line simulator: deterministic experiments, plot-ready output.
 
-Every subcommand accepts either flags or ``--config file.json`` holding the
-same parameters; results go to ``--out`` as CSV or JSON with floats printed
-at 17 significant digits, which round-trips doubles exactly.  Replica i of
-master seed m uses the stream documented in seeding.replica_seed, so output
-bytes are identical for any worker count.
+Every subcommand accepts flags, ``--config file.json`` holding the same
+parameters, or both: a flag on the command line beats the config value,
+which beats the default stated in ``make_parser``.  ``_MODELS`` maps each
+``--model`` name to its constructor and the flags it reads.  Results go to
+``--out`` as CSV or JSON with floats printed at 17 significant digits,
+which round-trips doubles exactly.  Replica i of master seed m uses the
+stream documented in seeding.replica_seed and replicas run in index order;
+``--workers`` is accepted for compatibility and changes nothing.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 when a run ends
 in a NoConvergence-class outcome (reported, not crashed).
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -97,7 +99,49 @@ def emit(rows_or_doc, fmt: str, path: str, header=None) -> None:
 # --- model construction from flags/config ------------------------------------
 
 
+class _UsageError(Exception):
+    pass
+
+
+# Each --model name: its constructor and the parameters it takes, in order.
+# The wisdom --family names are the entries that take a size n (and zeta).
+_MODELS = {
+    "encounter2x2": (generators.encounter_2x2, ("eps", "pmeet")),
+    "two-point-swap": (generators.two_point_swap, ("a",)),
+    "bernoulli2x2": (generators.bernoulli_2x2, ("x", "pa", "pb")),
+    "ring": (generators.ring_uniform_self, ("n",)),
+    "leader-follower": (generators.leader_follower, ("n",)),
+    "beta2x2": (lambda alpha: generators.DirichletRows(np.full((2, 2), float(alpha))), ("alpha",)),
+    "dirichlet": (lambda alpha_matrix: generators.DirichletRows(np.asarray(alpha_matrix, dtype=float)),
+                  ("alpha_matrix",)),
+    "perturbed": (lambda matrix, eps: generators.perturbed_fixed(StochasticMatrix(matrix), eps),
+                  ("matrix", "eps")),
+    "islands": (generators.islands_graphs, ("g", "ps", "pd")),
+    "fixed": (lambda matrix: generators.Fixed(StochasticMatrix(matrix)), ("matrix",)),
+    "fixed-ring": (lambda n: generators.Fixed(StochasticMatrix(np.roll(np.eye(n), 1, axis=1))), ("n",)),
+    "mix-identity": (generators.mixing_identity_mixture, ("n", "zeta")),
+}
+
+# Each Beta-marginal --mu name of speed2x2 and energy: the (a, b) of both weights.
+_BETA_MARGINALS = {
+    "uniform-indep": lambda params: (1.0, 1.0),
+    "arcsine-indep": lambda params: (0.5, 0.5),
+    "beta-indep": lambda params: tuple(_required(params, "--mu beta-indep", ("a", "b")).values()),
+}
+
+
+def _required(params: dict, what: str, names) -> dict:
+    """The named parameters; a usage error names every one that is missing."""
+    missing = [name for name in names if params.get(name) is None]
+    if missing:
+        # alpha_matrix has no flag: it comes from --config only
+        flags = [f"{name} in --config" if name == "alpha_matrix" else f"--{name}" for name in missing]
+        raise _UsageError(f"{what} needs {', '.join(flags)}")
+    return {name: params[name] for name in names}
+
+
 def build_spec(params: dict) -> generators.GeneratorSpec:
+    """The generator named by --spec (a file or a document) or by --model."""
     if params.get("spec") is not None:
         doc = params["spec"]
         if isinstance(doc, str):
@@ -105,64 +149,32 @@ def build_spec(params: dict) -> generators.GeneratorSpec:
                 doc = json.load(fh)
         return generators.GeneratorSpec.from_dict(doc)
     model = params.get("model")
-    if model == "encounter2x2":
-        return generators.encounter_2x2(params["eps"], params["pmeet"])
-    if model == "two-point-swap":
-        return generators.two_point_swap(params["a"])
-    if model == "bernoulli2x2":
-        return generators.bernoulli_2x2(params["x"], params["pa"], params["pb"])
-    if model == "ring":
-        return generators.ring_uniform_self(params["n"])
-    if model == "leader-follower":
-        return generators.leader_follower(params["n"])
-    if model == "beta2x2":
-        a = params["alpha"]
-        return generators.DirichletRows(np.full((2, 2), float(a)))
-    if model == "dirichlet":
-        return generators.DirichletRows(np.asarray(params["alpha_matrix"], dtype=float))
-    if model == "perturbed":
-        return generators.perturbed_fixed(StochasticMatrix(params["matrix"]), params["eps"])
-    if model == "islands":
-        return generators.islands_graphs(params["g"], params["ps"], params["pd"])
-    if model == "fixed":
-        return generators.Fixed(StochasticMatrix(params["matrix"]))
-    if model == "mix-identity":
-        return generators.mixing_identity_mixture(params["n"], params["zeta"])
-    raise ValueError(f"unknown or missing model {model!r}")
+    if model not in _MODELS:
+        raise _UsageError(f"unknown or missing model {model!r}")
+    make, names = _MODELS[model]
+    values = _required(params, f"--model {model}", names)
+    if isinstance(values.get("matrix"), str):
+        with open(values["matrix"]) as fh:
+            values["matrix"] = json.load(fh)
+    return make(*values.values())
 
 
-_FAMILIES = {
-    "ring": lambda n, params: generators.ring_uniform_self(n),
-    "leader-follower": lambda n, params: generators.leader_follower(n),
-    "mix-identity": lambda n, params: generators.mixing_identity_mixture(n, params.get("zeta", 0.5)),
-    "fixed-ring": lambda n, params: generators.Fixed(StochasticMatrix(np.roll(np.eye(n), 1, axis=1))),
-}
-
-_ENERGY_MARGINALS = {
-    "uniform-indep": (1.0, 1.0),
-    "arcsine-indep": (0.5, 0.5),
-}
+def _beta_marginals(params: dict):
+    name = params["mu"]
+    if name not in _BETA_MARGINALS:
+        raise _UsageError(f"--mu {name!r} names no Beta marginal pair")
+    return _BETA_MARGINALS[name](params)
 
 
 def build_energy_mu(params: dict):
-    name = params["mu"]
-    if name in _ENERGY_MARGINALS:
-        a, b = _ENERGY_MARGINALS[name]
-        return engine.BetaMarginalPair(a, b)
-    if name == "beta-indep":
-        return engine.BetaMarginalPair(params["a"], params["b"])
-    if name == "atoms":
-        with open(params["atoms"]) as fh:
+    if params["mu"] == "atoms":
+        with open(_required(params, "--mu atoms", ("atoms",))["atoms"]) as fh:
             doc = json.load(fh)
         return engine.AtomicWeightPairs(atoms=tuple(((d["x"], d["y"]), d["mass"]) for d in doc))
-    raise ValueError(f"unknown mu descriptor {name!r}")
+    return engine.BetaMarginalPair(*_beta_marginals(params))
 
 
 # --- argument parsing ---------------------------------------------------------
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,11 +188,11 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default: stdout summary only)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: DEGROOT_THREADS or 1)")
+                   help="accepted for compatibility; replicas run in index order in one thread")
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", default=None, help=" | ".join(_MODELS))
     p.add_argument("--spec", default=None, help="generator spec JSON file")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--pmeet", type=float, default=None)
@@ -216,7 +228,8 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("wisdom", help="consensus-error diagnostics across sizes")
     _add_common(p)
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="ring")
+    p.add_argument("--family", choices=("fixed-ring", "leader-follower", "mix-identity", "ring"),
+                   default="ring", help="a --model that takes only --n (and --zeta)")
     p.add_argument("--sizes", default="5,10,20")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--signal-width", type=float, default=0.25)
@@ -290,19 +303,19 @@ def make_parser() -> _Parser:
     p.add_argument("--tmax", type=int, default=4000)
     p.add_argument("--phi", default=None, help="comma-separated reference phi override")
 
+    parser.commands = sub.choices
     return parser
 
 
-def _collect_params(args) -> dict:
-    params = {k.replace("-", "_"): v for k, v in vars(args).items() if k != "config" and v is not None}
+def _collect_params(parser: _Parser, argv, args) -> dict:
+    """Parameters of a run: flags given in argv, then --config values, then parser defaults."""
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        for k, v in doc.items():
-            if k == "command":
-                continue
-            params[k.replace("-", "_")] = v
-    return params
+        parser.commands[args.command].set_defaults(
+            **{k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")})
+        args = parser.parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k != "config" and v is not None}
 
 
 def serialize_config(command: str, params: dict) -> str:
@@ -318,52 +331,36 @@ def parse_config(text: str) -> tuple:
 
 
 # --- subcommand bodies --------------------------------------------------------
-
-
-def _workers(params):
-    if params.get("workers") is not None:
-        return int(params["workers"])
-    return int(os.environ.get("DEGROOT_THREADS", "1"))
-
-
-def _load_matrix_param(params):
-    m = params.get("matrix")
-    if isinstance(m, str):
-        with open(m) as fh:
-            return json.load(fh)
-    return m
+#
+# Every flag with a parser default is present in params, so handlers read
+# params[name]; flags that default to None are read with params.get(name).
 
 
 def _cmd_simulate(params):
-    params = dict(params)
-    params["matrix"] = _load_matrix_param(params)
     spec = build_spec(params)
     p0 = [float(v) for v in str(params.get("p0", "")).split(",") if v != ""]
     if not p0:
         raise ValueError("simulate needs --p0")
     beliefs = engine.BeliefState.from_signals(p0)
-    state = spec.start_state(params.get("seed", 0))
+    state = spec.start_state(params["seed"])
     rows = [(0, *beliefs.p_t)]
-    for t in range(1, params.get("steps", 100) + 1):
+    for t in range(1, params["steps"] + 1):
         beliefs = engine.evolve(state, beliefs, 1)
         rows.append((t, *beliefs.p_t))
     header = ["t"] + [f"p_{i+1}" for i in range(spec.n)]
-    doc = {"final": list(beliefs.p_t), "steps": params.get("steps", 100)}
-    summary = f"simulate: n={spec.n} steps={params.get('steps', 100)} final={[round(v, 6) for v in beliefs.p_t]}"
+    doc = {"final": list(beliefs.p_t), "steps": params["steps"]}
+    summary = f"simulate: n={spec.n} steps={params['steps']} final={[round(v, 6) for v in beliefs.p_t]}"
     return rows, header, doc, summary, EXIT_OK
 
 
 def _cmd_influence(params):
-    params = dict(params)
-    params["matrix"] = _load_matrix_param(params)
     spec = build_spec(params)
     est = engine.estimate_influence(
         spec,
-        replicas=params.get("replicas", 1000),
-        t_max=params.get("tmax", 2000),
-        gap_tol=params.get("gap_tol", engine.GAP_TOL),
-        seed=params.get("seed", 0),
-        workers=_workers(params),
+        replicas=params["replicas"],
+        t_max=params["tmax"],
+        gap_tol=params["gap_tol"],
+        seed=params["seed"],
     )
     header = ["replica", "gap"] + [f"pi_{i+1}" for i in range(spec.n)]
     rows = [(k, float(g), *s) for k, (s, g) in enumerate(zip(est.samples, est.per_replica_gap))]
@@ -380,17 +377,16 @@ def _cmd_influence(params):
 
 
 def _cmd_wisdom(params):
-    sizes = tuple(int(s) for s in str(params.get("sizes", "5,10,20")).split(","))
-    family = _FAMILIES[params.get("family", "ring")]
+    sizes = tuple(int(s) for s in str(params["sizes"]).split(","))
     cfg = wisdom.WisdomConfig(
-        family=lambda n: family(n, params),
+        family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
         sizes=sizes,
-        gamma=params.get("gamma", 0.5),
-        signal_law=wisdom.UniformSignal(params.get("gamma", 0.5), params.get("signal_width", 0.25)),
-        replicas=params.get("replicas", 500),
-        t_max=params.get("tmax", 20000),
-        gap_tol=params.get("gap_tol", engine.GAP_TOL),
-        seed=params.get("seed", 0),
+        gamma=params["gamma"],
+        signal_law=wisdom.UniformSignal(params["gamma"], params["signal_width"]),
+        replicas=params["replicas"],
+        t_max=params["tmax"],
+        gap_tol=params["gap_tol"],
+        seed=params["seed"],
     )
     res = wisdom.run_wisdom(cfg)
     header = ["n", "mean_abs_error", "q50", "q90", "e_max_pi", "var_max_pi", "convergence_fraction"]
@@ -406,13 +402,7 @@ def _cmd_wisdom(params):
 
 
 def _speed_spec(params):
-    name = params.get("mu", "uniform-indep")
-    if name in _ENERGY_MARGINALS:
-        a, b = _ENERGY_MARGINALS[name]
-    elif name == "beta-indep":
-        a, b = params["a"], params["b"]
-    else:
-        raise ValueError(f"speed2x2 does not understand mu={name!r}")
+    a, b = _beta_marginals(params)
     return generators.DirichletRows(np.array([[a, b], [a, b]], dtype=float))
 
 
@@ -420,10 +410,10 @@ def _cmd_speed2x2(params):
     spec = _speed_spec(params)
     res = engine.convergence_time_2x2(
         spec,
-        phi=params.get("phi", 1e-6),
-        replicas=params.get("replicas", 2000),
+        phi=params["phi"],
+        replicas=params["replicas"],
         t_cap=params.get("tcap"),
-        seed=params.get("seed", 0),
+        seed=params["seed"],
     )
     header = ["replica", "t_phi"]
     rows = list(enumerate(res.samples))
@@ -434,7 +424,7 @@ def _cmd_speed2x2(params):
 
 def _cmd_energy(params):
     mu = build_energy_mu(params)
-    value = engine.log_energy(mu, quad_points=params.get("quad_points", 256))
+    value = engine.log_energy(mu, quad_points=params["quad_points"])
     doc = {"i_mu": value}
     summary = f"energy: I_mu={value:.10f}"
     return [(value,)], ["i_mu"], doc, summary, EXIT_OK
@@ -452,7 +442,7 @@ def _load_distribution(params):
 
 def _cmd_pmax(params):
     dist = _load_distribution(params)
-    if params.get("method", "subsets") == "cuts":
+    if params["method"] == "cuts":
         report = fragmentation.p_max_by_cuts(dist)
     else:
         report = fragmentation.p_max(dist)
@@ -464,14 +454,11 @@ def _cmd_pmax(params):
 
 
 def _cmd_rate(params):
-    params = dict(params)
     if params.get("dist"):
-        dist = _load_distribution(params)
-        spec = fragmentation.metropolis_mixture(dist)
+        spec = fragmentation.metropolis_mixture(_load_distribution(params))
     else:
-        params["matrix"] = _load_matrix_param(params)
         spec = build_spec(params)
-    grid = params.get("tgrid", "1:40")
+    grid = params["tgrid"]
     if isinstance(grid, str) and ":" in grid:
         lo, hi = grid.split(":")
         t_grid = list(range(int(lo), int(hi) + 1))
@@ -479,10 +466,10 @@ def _cmd_rate(params):
         t_grid = [int(v) for v in str(grid).split(",")]
     report = fragmentation.decay_rate_estimate(
         spec,
-        epsilon=params.get("epsilon", 0.5),
+        epsilon=params["epsilon"],
         t_grid=t_grid,
-        replicas=params.get("replicas", 20000),
-        seed=params.get("seed", 0),
+        replicas=params["replicas"],
+        seed=params["seed"],
     )
     header = ["t", "count", "logprob"]
     rows = list(zip(report.t_grid, report.counts, report.per_t_logprob))
@@ -497,15 +484,13 @@ def _cmd_rate(params):
 
 
 def _cmd_disagree(params):
-    params = dict(params)
-    params["matrix"] = _load_matrix_param(params)
     spec = build_spec(params)
     rep = engine.disagreement_degree(
         spec,
-        replicas=params.get("replicas", 2000),
-        t_max=params.get("tmax", 200),
-        atom_tol=params.get("atom_tol", 1e-4),
-        seed=params.get("seed", 0),
+        replicas=params["replicas"],
+        t_max=params["tmax"],
+        atom_tol=params["atom_tol"],
+        seed=params["seed"],
     )
     header = ["rank", "frequency"]
     rows = sorted(rep.rank_histogram.items())
@@ -521,14 +506,12 @@ def _cmd_disagree(params):
 
 
 def _cmd_check_c(params):
-    params = dict(params)
-    params["matrix"] = _load_matrix_param(params)
     spec = build_spec(params)
     rep = engine.check_condition_c(
         spec,
-        horizon=params.get("horizon", 64),
-        replicas=params.get("replicas", 200),
-        seed=params.get("seed", 0),
+        horizon=params["horizon"],
+        replicas=params["replicas"],
+        seed=params["seed"],
     )
     doc = {"verdict": rep.verdict, "method": rep.method, "evidence": rep.evidence, "horizon": rep.horizon}
     rows = [(rep.verdict, rep.method, rep.evidence, rep.horizon)]
@@ -547,9 +530,9 @@ def _cmd_skeleton(params):
     spec_b = _load_spec_file(params["spec_b"])
     rep = engine.skeleton_equivalence_test(
         spec_a, spec_b,
-        horizon=params.get("horizon", 64),
-        replicas=params.get("replicas", 200),
-        seed=params.get("seed", 0),
+        horizon=params["horizon"],
+        replicas=params["replicas"],
+        seed=params["seed"],
     )
     doc = {
         "same_initial_skeleton": rep.same_initial_skeleton,
@@ -569,8 +552,8 @@ def _cmd_semigroup(params):
         mats = [StochasticMatrix(m) for m in json.load(fh)]
     rep = engine.semigroup_explore(
         mats,
-        max_len=params.get("max_len", 12),
-        dedup_tol=params.get("dedup_tol", 1e-9),
+        max_len=params["max_len"],
+        dedup_tol=params["dedup_tol"],
     )
     doc = {
         "min_rank": rep.min_rank,
@@ -585,19 +568,16 @@ def _cmd_semigroup(params):
 
 
 def _cmd_conjugacy(params):
-    params = dict(params)
-    params["matrix"] = _load_matrix_param(params)
     spec = build_spec(params)
     phi = params.get("phi")
     if isinstance(phi, str):
         phi = [float(v) for v in phi.split(",")]
     res = wisdom.dirichlet_conjugacy_test(
         spec,
-        replicas=params.get("replicas", 5000),
-        seed=params.get("seed", 0),
+        replicas=params["replicas"],
+        seed=params["seed"],
         phi=phi,
-        t_max=params.get("tmax", 4000),
-        workers=_workers(params),
+        t_max=params["tmax"],
     )
     doc = dict(res)
     doc["phi"] = list(res["phi"])
@@ -634,8 +614,8 @@ def run(argv) -> int:
         print("usage error: missing subcommand", file=sys.stderr)
         return EXIT_USAGE
     try:
-        params = _collect_params(args)
-    except (OSError, json.JSONDecodeError) as exc:
+        params = _collect_params(parser, argv, args)
+    except (OSError, json.JSONDecodeError, _UsageError) as exc:
         print(f"usage error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -643,10 +623,7 @@ def run(argv) -> int:
     except NoConvergence as exc:
         print(f"{args.command}: no convergence: {exc}")
         return EXIT_NO_CONVERGENCE
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (_UsageError, ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegrootNetError as exc:
@@ -657,9 +634,8 @@ def run(argv) -> int:
         return EXIT_INTERNAL
     out = params.get("out")
     if out:
-        fmt = params.get("format", "csv")
         try:
-            if fmt == "csv":
+            if params["format"] == "csv":
                 emit(rows, "csv", out, header=header)
             else:
                 emit(doc, "json", out)

@@ -243,9 +243,12 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
     Replicas whose product has not reached gap_tol by t_max count as
     failures; NoConvergence is raised when fewer than half converge,
     signalling consensus failure of the process rather than a bug.
+    ``workers`` is accepted for compatibility; replicas run in index order.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
 
     def one(i, rng):
         state = spec.start_state(rng)
@@ -554,6 +557,8 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
     slopes = []

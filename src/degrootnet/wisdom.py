@@ -129,6 +129,8 @@ class WisdomConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        if self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise InvalidProbability("all sizes must be >= 2")
         if not 0.0 <= self.gamma <= 1.0:
@@ -240,7 +242,8 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     phi defaults to the generator's balance vector (row sums of its alpha),
     validated against the column sums; pass phi explicitly for processes
     such as the leader-follower network whose limit law is known to match
-    a balanced reference despite having no alpha of their own.
+    a balanced reference despite having no alpha of their own.  ``workers``
+    is accepted for compatibility; replicas run in index order.
     """
     if phi is None:
         alpha = getattr(spec, "alpha", None)
@@ -303,7 +306,9 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
 
     The default rank threshold scales with the Monte Carlo error of the
     average: singular values below a few multiples of 1/sqrt(replicas)
-    are statistically indistinguishable from zero.
+    are statistically indistinguishable from zero.  The top singular value
+    always counts, since an average of row-stochastic matrices has one of
+    at least 1, so the rank is never 0 even where that threshold reaches 1.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -319,4 +324,5 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     if not positive_seen and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
     mean = StochasticMatrix._trusted(acc / replicas)
-    return {"mean_limit": mean, "rank": numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank}
+    rank = max(1, numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank)
+    return {"mean_limit": mean, "rank": rank}

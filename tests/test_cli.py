@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from degrootnet.cli import (
+    _MODELS,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    _UsageError,
+    build_spec,
     fmt_float,
     parse_config,
     run,
     serialize_config,
 )
 from degrootnet.fragmentation import islands_distribution
+from degrootnet.generators import GeneratorSpec
 
 
 def read(path):
@@ -61,6 +65,21 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert run(argv + ["--replicas", replicas, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("tmax", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["influence", "wisdom"])
+    def test_horizon_below_one_is_usage_error(self, tmp_path, command, tmax):
+        argv = {
+            "influence": ["influence", "--model", "ring", "--n", "3"],
+            "wisdom": ["wisdom", "--sizes", "3"],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--replicas", "4", "--tmax", tmax, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_missing_model_parameter_names_its_flag(self, capsys):
+        assert run(["influence", "--model", "encounter2x2", "--eps", "0.3"]) == EXIT_USAGE
+        assert "--pmeet" in capsys.readouterr().err
 
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
@@ -123,6 +142,45 @@ class TestSimulate:
         assert final == [0.5, 0.5]
 
 
+# The smallest parameters each --model accepts, as flags or --config values.
+MINIMAL_MODEL_PARAMS = {
+    "encounter2x2": {"eps": 0.3, "pmeet": 0.5},
+    "two-point-swap": {"a": 0.4},
+    "bernoulli2x2": {"x": 0.5, "pa": 0.5, "pb": 0.3},
+    "ring": {"n": 3},
+    "leader-follower": {"n": 3},
+    "beta2x2": {"alpha": 1.0},
+    "dirichlet": {"alpha_matrix": [[1.0, 2.0], [2.0, 1.0]]},
+    "perturbed": {"matrix": [[0.5, 0.5], [0.5, 0.5]], "eps": 8.0},
+    "islands": {"g": 2, "ps": 0.8, "pd": 0.3},
+    "fixed": {"matrix": [[0.5, 0.5], [0.0, 1.0]]},
+    "fixed-ring": {"n": 3},
+    "mix-identity": {"n": 3, "zeta": 0.5},
+}
+
+
+def test_every_model_has_minimal_params():
+    assert set(MINIMAL_MODEL_PARAMS) == set(_MODELS)
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+class TestModelTable:
+    def test_spec_round_trips_through_its_document(self, model):
+        spec = build_spec({"model": model, **MINIMAL_MODEL_PARAMS[model]})
+        assert isinstance(spec, GeneratorSpec)
+        copy = GeneratorSpec.from_dict(spec.to_dict())
+        a, b = spec.start_state(21), copy.start_state(21)
+        for _ in range(20):
+            assert a.next_array().tobytes() == b.next_array().tobytes()
+
+    def test_missing_parameter_is_usage_error(self, model):
+        params = MINIMAL_MODEL_PARAMS[model]
+        for name in params:
+            partial = {"model": model, **{k: v for k, v in params.items() if k != name}}
+            with pytest.raises(_UsageError, match=name):
+                build_spec(partial)
+
+
 class TestSpeedAndEnergy:
     def test_speed2x2_uniform_mean(self, tmp_path):
         out = tmp_path / "speed.json"
@@ -142,6 +200,12 @@ class TestSpeedAndEnergy:
         assert run(["energy", "--mu", "beta-indep", "--a", "2", "--b", "2",
                     "--format", "json", "--out", str(out)]) == EXIT_OK
         assert json.loads(read(out))["i_mu"] == pytest.approx(1.75, abs=1e-4)
+
+    def test_speed2x2_beta_indep(self, tmp_path):
+        out = tmp_path / "speed.csv"
+        assert run(["speed2x2", "--mu", "beta-indep", "--a", "2", "--b", "2",
+                    "--replicas", "50", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        assert len(read(out).splitlines()) == 51
 
 
 class TestPmaxCommand:
@@ -240,6 +304,11 @@ class TestOtherCommands:
         assert lines[0] == "n,mean_abs_error,q50,q90,e_max_pi,var_max_pi,convergence_fraction"
         assert len(lines) == 3
 
+    def test_wisdom_fixed_ring_never_converges(self):
+        # a fixed cyclic permutation keeps every product a permutation
+        assert run(["wisdom", "--family", "fixed-ring", "--sizes", "3",
+                    "--replicas", "4", "--tmax", "50"]) == EXIT_NO_CONVERGENCE
+
 
 class TestConfigRoundTrip:
     def test_serialize_parse_identity_for_random_configs(self):
@@ -279,6 +348,16 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps(cfg))
         assert run(["energy", "--config", str(path)]) == EXIT_OK
         assert json.loads(read(tmp_path / "e.json"))["i_mu"] == pytest.approx(1.5)
+
+    def test_explicit_flags_beat_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "energy", "mu": "uniform-indep"}))
+        assert run(["energy", "--config", str(path), "--mu", "arcsine-indep"]) == EXIT_OK
+        assert "I_mu=1.3862943611" in capsys.readouterr().out
+        # a parser default does not override the config value
+        path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
+        assert run(["energy", "--config", str(path)]) == EXIT_OK
+        assert "I_mu=1.3862943611" in capsys.readouterr().out
 
 
 class TestFloatFormatting:

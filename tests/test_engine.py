@@ -506,6 +506,7 @@ class TestSkeletonEquivalence:
 MONTE_CARLO_ENTRY_POINTS = {
     "check_condition_c": lambda r: check_condition_c(ring_uniform_self(3), replicas=r),
     "convergence_time_2x2": lambda r: convergence_time_2x2(encounter_2x2(0.3, 0.5), 0.1, replicas=r),
+    "estimate_influence": lambda r: estimate_influence(ring_uniform_self(3), replicas=r, t_max=10),
     "lyapunov_exponent": lambda r: lyapunov_exponent(ring_uniform_self(3), t_max=10, replicas=r),
     "decay_rate_estimate": lambda r: decay_rate_estimate(encounter_2x2(0.3, 0.5), 0.5, [1, 2], replicas=r),
     "mean_rank_one_test": lambda r: mean_rank_one_test(ring_uniform_self(3), replicas=r, t_max=10),
@@ -519,3 +520,18 @@ MONTE_CARLO_ENTRY_POINTS = {
 def test_monte_carlo_entry_points_reject_empty_runs(entry, replicas):
     with pytest.raises(ValueError, match="replicas must be >= 1"):
         MONTE_CARLO_ENTRY_POINTS[entry](replicas)
+
+
+HORIZON_ENTRY_POINTS = {
+    "estimate_influence": lambda t: estimate_influence(ring_uniform_self(3), replicas=4, t_max=t),
+    "lyapunov_exponent": lambda t: lyapunov_exponent(ring_uniform_self(3), t_max=t, replicas=4),
+    "WisdomConfig": lambda t: WisdomConfig(family=ring_uniform_self, sizes=(3,), gamma=0.5,
+                                           signal_law=UniformSignal(0.5), replicas=4, t_max=t),
+}
+
+
+@pytest.mark.parametrize("t_max", [0, -3])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_monte_carlo_entry_points_reject_empty_horizons(entry, t_max):
+    with pytest.raises(ValueError, match="t_max must be >= 1"):
+        HORIZON_ENTRY_POINTS[entry](t_max)

@@ -264,3 +264,8 @@ class TestMeanRankOne:
         res = mean_rank_one_test(ring_uniform_self(4), replicas=400, t_max=600, seed=15)
         assert res["rank"] == 1
         assert np.abs(res["mean_limit"].entries - 0.25).max() < 0.02
+
+    def test_few_replicas_still_count_the_top_singular_value(self):
+        # at 8 replicas the default threshold 4/sqrt(8) exceeds 1
+        res = mean_rank_one_test(ring_uniform_self(3), replicas=8, t_max=130, seed=3)
+        assert res["rank"] == 1
