@@ -312,9 +312,16 @@ def _collect_params(parser: _Parser, argv, args) -> dict:
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        parser.commands[args.command].set_defaults(
+        sub = parser.commands[args.command]
+        sub.set_defaults(
             **{k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")})
         args = parser.parse_args(argv)
+        # argparse checks choices only on argv; a config value becomes a default
+        for action in sub._actions:
+            value = getattr(args, action.dest, None)
+            if action.choices is not None and value is not None and value not in action.choices:
+                raise _UsageError(f"argument {'/'.join(action.option_strings)}: invalid choice: "
+                                  f"{value!r} (choose from {', '.join(map(repr, action.choices))})")
     return {k: v for k, v in vars(args).items() if k != "config" and v is not None}
 
 

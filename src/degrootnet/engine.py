@@ -1,10 +1,10 @@
 """Belief evolution and consensus diagnostics.
 
-The engine owns the left-product accumulation X^(t) = X_t ... X_1, the
+The engine owns the left-product accumulation X^(t) = X_t ... X_1 and the
 derived diagnostics (consensus gap, influence samples, condition checks,
-convergence times, disagreement structure), and the replica-parallel Monte
-Carlo harness around them.  Replica i of a run with master seed m draws
-from the stream seeded by seeding.replica_seed(m, i).
+convergence times, disagreement structure).  Every Monte Carlo entry
+point gets its replica streams from seeding.map_replicas, the only replica
+loop, and keeps only its per-replica observation and the aggregation.
 
 _products is the single place where draws are multiplied into a running
 product and where its rows are renormalized; every product scan in the
@@ -325,9 +325,10 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     probability; (b) boolean closure of the support skeletons reaches (or
     provably never reaches) an all-true pattern; (c) Monte Carlo fraction
     of replicas whose partial product turns strictly positive by the
-    horizon; (d) Monte Carlo contraction-coefficient average below 1 at
-    some horizon.  Returns Undetermined when no branch is conclusive:
-    the condition is a tail event, certifiable one-sidedly by simulation.
+    horizon; (d) otherwise Undetermined via contraction_integral, with the
+    least upper bound (mean + 3 SE) on the mean Dobrushin coefficient as
+    evidence: a mean below 1 shows consensus, not strict positivity.  The
+    condition is a tail event, certifiable one-sidedly by simulation.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -344,30 +345,28 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
         if verdict in (HOLDS, FAILS):
             return ConditionCReport(verdict, "skeleton_semigroup", float(evidence), horizon)
 
-    # Monte Carlo branches share one pass: track positivity hits and the
-    # contraction coefficient of every partial product.
-    hits = 0
+    # Monte Carlo branches share one pass: each replica reports whether a
+    # partial product turned strictly positive and the contraction
+    # coefficient of every partial product.
+    def one(i, rng):
+        positive = False
+        cs = np.empty(horizon)
+        for t, prod in enumerate(_products(spec.start_state(rng), horizon, renorm_every=1)):
+            positive = positive or bool(prod.min() > ZERO_TOL)
+            cs[t] = dobrushin_coefficient(StochasticMatrix._trusted(prod))
+        return positive, cs
+
+    positive, coefficients = zip(*map_replicas(one, replicas, seed))
+    if any(positive):
+        return ConditionCReport(HOLDS, "monte_carlo_positivity", sum(positive) / replicas, horizon)
     c_sums = np.zeros(horizon)
     c_sqsums = np.zeros(horizon)
-    for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
-        positive = False
-        for t, prod in enumerate(_products(state, horizon, renorm_every=1)):
-            if not positive and prod.min() > ZERO_TOL:
-                positive = True
-            c = dobrushin_coefficient(StochasticMatrix._trusted(prod))
-            c_sums[t] += c
-            c_sqsums[t] += c * c
-        if positive:
-            hits += 1
-    if hits > 0:
-        return ConditionCReport(HOLDS, "monte_carlo_positivity", hits / replicas, horizon)
+    for cs in coefficients:
+        c_sums += cs
+        c_sqsums += cs * cs
     means = c_sums / replicas
     ses = np.sqrt(np.maximum(c_sqsums / replicas - means**2, 0.0) / replicas)
-    upper = means + 3.0 * ses
-    if upper.min() < 1.0:
-        return ConditionCReport(HOLDS, "contraction_integral", float(means[upper.argmin()]), horizon)
-    return ConditionCReport(UNDETERMINED, "contraction_integral", float(upper.min()), horizon)
+    return ConditionCReport(UNDETERMINED, "contraction_integral", float((means + 3.0 * ses).min()), horizon)
 
 
 def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
@@ -444,24 +443,22 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
         raise ValueError("replicas must be >= 1")
     if t_cap is None:
         t_cap = default_t_cap(phi)
-    samples = []
-    capped = 0
-    for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
+    if t_cap < 1:
+        raise ValueError("t_cap must be >= 1")
+
+    def one(i, rng):
+        state = spec.start_state(rng)
         spread = 1.0
-        t_phi = 0
-        hit_cap = True
         for t in range(1, t_cap + 1):
             x = state.next_array()
             spread *= x[0, 0] - x[1, 0]
-            if abs(spread) >= phi:
-                t_phi = t
-            else:
-                hit_cap = False
-                break
-        if hit_cap and abs(spread) >= phi:
-            capped += 1
-        samples.append(t_phi)
+            if abs(spread) < phi:
+                return t - 1, False
+        return t_cap, True  # still at least phi from consensus at t_cap
+
+    results = map_replicas(one, replicas, seed)
+    samples = [t_phi for t_phi, _ in results]
+    capped = sum(hit_cap for _, hit_cap in results)
     if capped > 0.01 * replicas:
         raise CapHit(f"{capped}/{replicas} replicas still above phi at t_cap={t_cap}")
     return Speed2x2Result(mean_t_phi=float(np.mean(samples)), samples=tuple(samples), capped=capped)
@@ -561,12 +558,13 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
         raise ValueError("t_max must be >= 1")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
-    slopes = []
-    for i in range(replicas):
-        prod = _final_product(spec.start_state(replica_seed(seed, i)), t_max, renorm_every=0)
+
+    def one(i, rng):
+        prod = _final_product(spec.start_state(rng), t_max, renorm_every=0)
         norm = float(np.linalg.norm(prod - flat, 2))
-        slopes.append(math.log(norm) / t_max if norm > 0.0 else -math.inf)
-    avg = float(np.mean(slopes))
+        return math.log(norm) / t_max if norm > 0.0 else -math.inf
+
+    avg = float(np.mean(map_replicas(one, replicas, seed)))
     return math.exp(avg) if avg != -math.inf else 0.0
 
 
@@ -584,13 +582,18 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     """
     if replicas < 100:
         raise ValueError("disagreement_degree needs at least 100 replicas")
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+
+    def one(i, rng):
+        prod = _final_product(spec.start_state(rng), t_max, renorm_every=64)
+        return numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank, prod
+
     rank_counts: dict[int, int] = {}
     atoms: list[np.ndarray] = []
     counts: list[int] = []
     overflow = False
-    for i in range(replicas):
-        prod = _final_product(spec.start_state(replica_seed(seed, i)), t_max, renorm_every=64)
-        r = numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank
+    for r, prod in map_replicas(one, replicas, seed):
         rank_counts[r] = rank_counts.get(r, 0) + 1
         if overflow:
             continue

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
 from .matrices import StochasticMatrix, _connected
-from .seeding import replica_seed
+from .seeding import map_replicas
 
 PROB_TOL = 1e-12
 MIN_EVENTS = 20
@@ -362,25 +362,24 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     if desc.kind == "finite":
         probes = [atom.entries for atom in desc.atoms]
     else:
-        probe_state = spec.start_state(replica_seed(seed, 0x5bd1e995))
-        probes = [probe_state.next_array() for _ in range(3)]
+        # probe with the first three draws of replica 0's stream
+        probes = map_replicas(lambda i, rng: [spec.start_state(rng).next_array() for _ in range(3)],
+                              1, seed)[0]
     for e in probes:
         if not np.allclose(e, e.T, atol=1e-12) or (np.diag(e) <= 0).any():
             raise Unsupported("draws must be symmetric with positive diagonals")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
     t_max = t_grid[-1]
-    counts = np.zeros(len(t_grid), dtype=int)
-    for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
-        crossing = None
-        for t, prod in enumerate(_products(state, t_max, renorm_every=0), 1):
+
+    def crossing_time(i, rng):
+        for t, prod in enumerate(_products(spec.start_state(rng), t_max, renorm_every=0), 1):
             if np.linalg.norm(prod - flat, 2) < epsilon:
-                crossing = t
-                break
-        for k, t in enumerate(t_grid):
-            if crossing is None or t < crossing:
-                counts[k] += 1
+                return t
+        return None
+
+    crossings = map_replicas(crossing_time, replicas, seed)
+    counts = np.array([sum(1 for c in crossings if c is None or t < c) for t in t_grid])
     logprob = tuple(
         math.log(c / replicas) if c > 0 else -math.inf for c in counts
     )

@@ -5,6 +5,10 @@ seeded with ``splitmix64(m XOR (i * GOLDEN))`` where GOLDEN is the 64-bit
 golden-ratio increment 0x9E3779B97F4A7C15.  The derivation is fixed and
 documented so that alternate implementations can reproduce the streams;
 results depend on the replica index alone, never on the order replicas run.
+
+``map_replicas`` is the package's only replica loop: every Monte Carlo
+entry point hands it ``fn(i, rng)``, which builds replica ``i``'s state
+with ``spec.start_state(rng)`` and returns that replica's observation.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from .errors import (
 )
 from .generators import GeneratorSpec
 from .matrices import StochasticMatrix, numeric_rank
-from .seeding import replica_rng, replica_seed
+# replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
+from .seeding import map_replicas, replica_rng, replica_seed  # noqa: F401
 
 BALANCE_TOL = 1e-9
 
@@ -172,19 +173,17 @@ def run_wisdom(config: WisdomConfig) -> WisdomResult:
     out = []
     for idx, n in enumerate(config.sizes):
         spec = config.family(n)
-        sub_seed = replica_seed(config.seed, idx)
-        errors = []
-        max_pis = []
-        for i in range(config.replicas):
-            rng = replica_rng(sub_seed, i)
+
+        def one(i, rng):
             p0 = np.clip(config.signal_law.sample(rng, n), 0.0, 1.0)
-            state = spec.start_state(rng)
-            prod, _, _gap, _sp, ctime = _scan(state, config.t_max, config.gap_tol, stop_when_converged=True)
-            if ctime is None:
-                continue
+            prod, _, _gap, _sp, ctime = _scan(spec.start_state(rng), config.t_max, config.gap_tol,
+                                              stop_when_converged=True)
             pi = prod[0]
-            errors.append(abs(float(pi @ p0) - config.gamma))
-            max_pis.append(float(pi.max()))
+            return None if ctime is None else (abs(float(pi @ p0) - config.gamma), float(pi.max()))
+
+        results = map_replicas(one, config.replicas, replica_seed(config.seed, idx))
+        errors = [r[0] for r in results if r is not None]
+        max_pis = [r[1] for r in results if r is not None]
         frac = len(errors) / config.replicas
         if errors and 2 * len(errors) >= config.replicas:
             err = np.asarray(errors)
@@ -314,15 +313,13 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
         raise ValueError("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(1e-8, 4.0 / math.sqrt(replicas))
-    acc = None
-    positive_seen = False
-    for i in range(replicas):
-        state = spec.start_state(replica_seed(seed, i))
-        prod, _, _gap, strict_seen, _ct = _scan(state, t_max, gap_tol=0.0)
-        positive_seen = positive_seen or strict_seen
-        acc = prod if acc is None else acc + prod
-    if not positive_seen and not allow_no_positive:
+    scans = map_replicas(lambda i, rng: _scan(spec.start_state(rng), t_max, gap_tol=0.0),
+                         replicas, seed)
+    if not any(strict_seen for _, _, _, strict_seen, _ in scans) and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
+    acc = scans[0][0]
+    for prod, *_ in scans[1:]:
+        acc = acc + prod
     mean = StochasticMatrix._trusted(acc / replicas)
     rank = max(1, numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank)
     return {"mean_limit": mean, "rank": rank}

@@ -77,6 +77,28 @@ class TestExitCodes:
         assert run(argv + ["--replicas", "4", "--tmax", tmax, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["disagree", "--model", "ring", "--n", "3", "--tmax", "-5", "--replicas", "100"],
+        ["speed2x2", "--tcap", "0"],
+        ["speed2x2", "--tcap", "-3"],
+    ])
+    def test_invalid_horizon_is_usage_error(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg, flag", [
+        ({"command": "energy", "format": "xml"}, "--format"),
+        ({"command": "wisdom", "family": "islands"}, "--family"),
+    ])
+    def test_config_values_obey_choices(self, tmp_path, capsys, cfg, flag):
+        out = tmp_path / "e.out"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(cfg, out=str(out))))
+        assert run([cfg["command"], "--config", str(path)]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_parameter_names_its_flag(self, capsys):
         assert run(["influence", "--model", "encounter2x2", "--eps", "0.3"]) == EXIT_USAGE
         assert "--pmeet" in capsys.readouterr().err

@@ -34,7 +34,7 @@ from degrootnet import (
     skeleton_equivalence_test,
     two_point_swap,
 )
-from degrootnet.engine import FAILS, HOLDS
+from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
 from degrootnet.errors import CapHit, NoConvergence, NotIid, SingularMass
 from degrootnet.generators import UndirectedDegree
 
@@ -271,6 +271,18 @@ class TestConditionC:
         assert rep.verdict == HOLDS
         assert rep.method == "monte_carlo_positivity"
         assert rep.evidence > 0
+
+    def test_contraction_never_certifies_positivity(self):
+        # every draw of both processes has all rows e3: no product is ever strictly positive
+        alpha = np.zeros((3, 3))
+        alpha[:, 2] = 1.0
+        src = DirichletRows(alpha)
+        rep = check_condition_c(src, replicas=50, seed=0)
+        assert (rep.verdict, rep.method) == (FAILS, "skeleton_semigroup")
+        t0 = make_stochastic(np.tile([0.0, 0.0, 1.0], (3, 1)))
+        rep = check_condition_c(Ar1Mixture(0.5, t0, src), replicas=50, seed=0)
+        assert (rep.verdict, rep.method) == (UNDETERMINED, "contraction_integral")
+        assert rep.evidence == 0.0
 
 
 class TestSemigroup:
@@ -535,3 +547,22 @@ HORIZON_ENTRY_POINTS = {
 def test_monte_carlo_entry_points_reject_empty_horizons(entry, t_max):
     with pytest.raises(ValueError, match="t_max must be >= 1"):
         HORIZON_ENTRY_POINTS[entry](t_max)
+
+
+INVALID_HORIZON_ENTRY_POINTS = {
+    "disagreement_degree": lambda h: disagreement_degree(ring_uniform_self(3), replicas=100, t_max=h),
+    "convergence_time_2x2": lambda h: convergence_time_2x2(encounter_2x2(0.3, 0.5), 0.1, replicas=4,
+                                                           t_cap=h),
+}
+
+
+# disagreement_degree keeps t_max = 0, the identity start; t_cap counts periods from 1
+@pytest.mark.parametrize("entry, horizon, message", [
+    ("disagreement_degree", -1, "t_max must be >= 0"),
+    ("disagreement_degree", -5, "t_max must be >= 0"),
+    ("convergence_time_2x2", 0, "t_cap must be >= 1"),
+    ("convergence_time_2x2", -3, "t_cap must be >= 1"),
+])
+def test_monte_carlo_entry_points_reject_invalid_horizons(entry, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        INVALID_HORIZON_ENTRY_POINTS[entry](horizon)
