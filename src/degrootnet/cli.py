@@ -313,8 +313,12 @@ def _collect_params(parser: _Parser, argv, args) -> dict:
         with open(args.config) as fh:
             doc = json.load(fh)
         sub = parser.commands[args.command]
-        sub.set_defaults(
-            **{k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")})
+        typed = {action.dest for action in sub._actions if action.type is not None}
+        values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
+        # argparse applies a flag's type to string defaults only, so a typed
+        # value goes in as the text it would have on the command line
+        sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
+                            for k, v in values.items()})
         args = parser.parse_args(argv)
         # argparse checks choices only on argv; a config value becomes a default
         for action in sub._actions:

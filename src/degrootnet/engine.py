@@ -9,6 +9,9 @@ loop, and keeps only its per-replica observation and the aggregation.
 _products is the single place where draws are multiplied into a running
 product and where its rows are renormalized; every product scan in the
 package reads X^(t) from it and keeps only its own observations.
+
+Support products come from matrices._closure: check_condition_c reads it
+through matrices._skeleton_closure, semigroup_explore with an epsilon net.
 """
 
 from __future__ import annotations
@@ -33,10 +36,14 @@ from .errors import (
 )
 from .generators import GeneratorSpec, GeneratorState
 from .matrices import (
+    FAILS,
+    HOLDS,
     SkeletonMask,
     StochasticMatrix,
     ZERO_TOL,
-    boolean_product,
+    _closure,
+    _skeleton_closure,
+    boolean_product,  # noqa: F401  unused; perfbench/tracer.py patches engine.boolean_product
     dobrushin_coefficient,
     numeric_rank,
 )
@@ -44,8 +51,6 @@ from .seeding import map_replicas, replica_seed
 
 GAP_TOL = 1e-8
 
-HOLDS = "holds"
-FAILS = "fails"
 UNDETERMINED = "undetermined"
 
 
@@ -277,45 +282,6 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
 # --- condition (C) -----------------------------------------------------------
 
 
-def _skeleton_closure(masks, horizon: int, cap: int = 4096):
-    """Boolean-product closure of support skeletons up to the given length.
-
-    Returns ("holds", length) once an all-true pattern appears, ("fails",
-    length) when the closure stabilizes without one, or ("open", size) if
-    the cap or horizon is exhausted first.  Exact for finite supports:
-    the zero pattern of a product of nonnegative matrices is the boolean
-    product of the factors' patterns.
-    """
-    atom_masks = []
-    seen = set()
-    for m in masks:
-        key = m.mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            atom_masks.append(m.mask)
-    for m in atom_masks:
-        if m.all():
-            return HOLDS, 1
-    frontier = list(atom_masks)
-    for length in range(2, horizon + 1):
-        new = []
-        for a in atom_masks:
-            for f in frontier:
-                prod = boolean_product(a, f)
-                if prod.all():
-                    return HOLDS, length
-                key = prod.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new.append(prod)
-        if not new:
-            return FAILS, length
-        if len(seen) > cap:
-            return "open", len(seen)
-        frontier = new
-    return "open", len(seen)
-
-
 def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 200,
                       seed: int = 0) -> ConditionCReport:
     """Decide whether some finite left product is strictly positive with
@@ -378,6 +344,8 @@ def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
     A positive finding (rank-one element) is a certificate; absence is
     only evidence, since products are truncated at max_len.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     atoms = [m.entries for m in support]
     if not atoms:
         raise ValueError("support must be nonempty")
@@ -390,22 +358,9 @@ def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
         elements.append(arr)
         return True
 
-    frontier = []
-    for a in atoms:
-        if add(a):
-            frontier.append(a)
-    for _ in range(2, max_len + 1):
-        new = []
-        for a in atoms:
-            for f in frontier:
-                prod = a @ f
-                if add(prod):
-                    new.append(prod)
+    for _ in _closure(atoms, np.matmul, add, max_len):
         if len(elements) > cap:
             raise ExplosionGuard(f"semigroup exploration exceeded {cap} elements")
-        if not new:
-            break
-        frontier = new
 
     skeletons = frozenset(SkeletonMask(e > ZERO_TOL) for e in elements)
     members = tuple(StochasticMatrix._trusted(e) for e in elements)

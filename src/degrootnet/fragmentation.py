@@ -141,6 +141,11 @@ class FragmentationReport:
         }
 
 
+# The report of a law whose every disconnected collection is empty.
+_NEVER_FRAGMENTS = FragmentationReport(p_max=0.0, argmax_collection=None,
+                                       pi_g_empty=True, predicted_rate=math.inf)
+
+
 def accumulation_graph(graphs) -> Graph:
     """Edge union of a collection of graphs on a common vertex set."""
     graphs = list(graphs)
@@ -194,15 +199,21 @@ def p_max(dist: GraphDistribution, atom_limit: int = 20) -> FragmentationReport:
         recurse(idx + 1, union | g.adjacency, prob + p, chosen + [idx])
 
     recurse(0, np.zeros((n, n), dtype=bool), zero, [])
-    empty = best["subset"] is None
-    if empty:
-        return FragmentationReport(p_max=0.0, argmax_collection=None,
-                                   pi_g_empty=True, predicted_rate=math.inf)
+    if best["subset"] is None:
+        return _NEVER_FRAGMENTS
     collection = tuple(atoms[k][0] for k in best["subset"])
     return FragmentationReport(
         p_max=best["p"], argmax_collection=collection,
         pi_g_empty=False, predicted_rate=_rate(best["p"]),
     )
+
+
+def _cuts(n: int):
+    """Every vertex cut (S, S^c) of 0..n-1, as the side S that holds vertex 0."""
+    for s_bits in range(0, 1 << (n - 1)):
+        members = {0} | {v + 1 for v in range(n - 1) if s_bits >> v & 1}
+        if len(members) < n:
+            yield members
 
 
 def p_max_by_cuts(dist: GraphDistribution, max_n: int = 16) -> FragmentationReport:
@@ -217,36 +228,26 @@ def p_max_by_cuts(dist: GraphDistribution, max_n: int = 16) -> FragmentationRepo
     if n > max_n:
         raise SizeLimit(f"cut enumeration limited to n <= {max_n}")
     if all(_connected(g.adjacency) for g, _p in dist.atoms):
-        return FragmentationReport(p_max=0.0, argmax_collection=None,
-                                   pi_g_empty=True, predicted_rate=math.inf)
+        return _NEVER_FRAGMENTS
     edge_lists = [g.edges() for g, _p in dist.atoms]
     zero = dist.atoms[0][1] * 0
     best_p = zero
-    best_cut = None
-    for s_bits in range(0, 1 << (n - 1)):
-        members = {0} | {v + 1 for v in range(n - 1) if s_bits >> v & 1}
-        if len(members) == n:
-            continue
+    best = None
+    for members in _cuts(n):
+        kept = [k for k, edges in enumerate(edge_lists)
+                if not any((u in members) != (v in members) for (u, v) in edges)]
         total = zero
-        nonempty = False
-        for (g, p), edges in zip(dist.atoms, edge_lists):
-            if any((u in members) != (v in members) for (u, v) in edges):
-                continue
-            total = total + p
-            nonempty = True
-        if nonempty and float(total) > float(best_p):
+        for k in kept:
+            total = total + dist.atoms[k][1]
+        if kept and float(total) > float(best_p):
             best_p = total
-            best_cut = members
-    if best_cut is None:
-        return FragmentationReport(p_max=0.0, argmax_collection=None,
-                                   pi_g_empty=True, predicted_rate=math.inf)
-    collection = tuple(
-        g for (g, _p), edges in zip(dist.atoms, edge_lists)
-        if not any((u in best_cut) != (v in best_cut) for (u, v) in edges)
-    )
+            best = members, kept
+    if best is None:
+        return _NEVER_FRAGMENTS
+    members, kept = best
     return FragmentationReport(
-        p_max=best_p, argmax_collection=collection, pi_g_empty=False,
-        predicted_rate=_rate(best_p), argmax_cut=tuple(sorted(best_cut)),
+        p_max=best_p, argmax_collection=tuple(dist.atoms[k][0] for k in kept), pi_g_empty=False,
+        predicted_rate=_rate(best_p), argmax_cut=tuple(sorted(members)),
     )
 
 
@@ -265,22 +266,16 @@ def bernoulli_edge_p_max(base: Graph, p) -> FragmentationReport:
         raise SizeLimit("cut enumeration limited to n <= 20")
     one = p * 0 + 1
     edges = base.edges()
-    if float(p) == 1.0:
+    if float(p) == 1.0 or n == 1:  # the base graph is the only atom, or it has no cut
         if _connected(base.adjacency):
-            return FragmentationReport(p_max=0.0, argmax_collection=None,
-                                       pi_g_empty=True, predicted_rate=math.inf)
+            return _NEVER_FRAGMENTS
         return FragmentationReport(p_max=one, argmax_collection=(base,),
                                    pi_g_empty=False, predicted_rate=0.0)
-    best_cut = None
-    best_count = None
-    for s_bits in range(0, 1 << (n - 1)):
-        members = {0} | {v + 1 for v in range(n - 1) if s_bits >> v & 1}
-        if len(members) == n:
-            continue
-        count = sum(1 for (u, v) in edges if (u in members) != (v in members))
-        if best_count is None or count < best_count:
-            best_count = count
-            best_cut = members
+    # the first cut with the fewest edges across
+    best_count, best_cut = min(
+        ((sum((u in members) != (v in members) for (u, v) in edges), members)
+         for members in _cuts(n)),
+        key=lambda cut: cut[0])
     value = (one - p) ** best_count
     return FragmentationReport(
         p_max=value, argmax_collection=None, pi_g_empty=False,

@@ -3,10 +3,14 @@
 Everything here is pure and operates on immutable values: validation,
 products, zero-pattern skeletons, numeric ranks, contraction coefficients,
 and the handful of spectral quantities the rest of the package needs.
+
+_closure is the one breadth-first enumeration of support products, read by
+the skeleton closure of condition (C), primitivity and engine.semigroup_explore.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,9 @@ from .errors import DimensionMismatch, NegativeEntry, NumericalFailure, RowSumVi
 ROW_TOL = 1e-12
 ZERO_TOL = 1e-12
 RANK_REL_TOL = 1e-8
+
+HOLDS = "holds"
+FAILS = "fails"
 
 
 class StochasticMatrix:
@@ -187,7 +194,7 @@ def wielandt_bound(n: int) -> int:
 
 
 def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool:
-    """True iff some boolean power of the mask up to max_power is all-true.
+    """True iff some boolean power s^k with k <= max_power is all-true.
 
     Defaults to the Wielandt bound (n-1)^2 + 1, which is exact, so the
     default answer is a certificate in both directions.
@@ -196,19 +203,56 @@ def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool
         max_power = wielandt_bound(s.n)
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    base = s.mask
-    power = base.copy()
-    seen = {power.tobytes()}
-    for _ in range(max_power):
-        if power.all():
-            return True
-        power = boolean_product(power, base)
-        key = power.tobytes()
+    # one atom adds at most one pattern per power, so this cap never binds
+    return _skeleton_closure([s], max_power, cap=max_power)[0] == HOLDS
+
+
+def _closure(atoms, product, is_new, max_len: int):
+    """Yield (length, element) for each new product of the atoms, shortest first.
+
+    Level 1 offers the atoms; level L offers product(a, f) for every atom a
+    and every element f new at level L-1, in (atom, frontier) order.
+    ``is_new`` decides and records newness.  Ends after max_len levels or
+    after a level that adds nothing; products are formed only on demand.
+    """
+    candidates = atoms
+    for length in range(1, max_len + 1):
+        frontier = []
+        for element in candidates:
+            if is_new(element):
+                frontier.append(element)
+                yield length, element
+        if not frontier:
+            return
+        candidates = itertools.starmap(product, itertools.product(atoms, frontier))
+
+
+def _skeleton_closure(masks, horizon: int, cap: int = 4096):
+    """Boolean-product closure of support skeletons up to length ``horizon``.
+
+    ("holds", length) once an all-true pattern appears; ("fails", length)
+    when a length adds no pattern; ("open", patterns) once more than ``cap``
+    patterns are held or the horizon is spent.  Exact for finite supports:
+    the zero pattern of a product of nonnegative matrices is the boolean
+    product of the factors' patterns.
+    """
+    atoms = list({m.mask.tobytes(): m.mask for m in masks}.values())
+    seen = set()
+
+    def is_new(mask):
+        key = mask.tobytes()
         if key in seen:
-            # Powers entered a cycle with no all-true element.
-            return bool(power.all())
+            return False
         seen.add(key)
-    return bool(power.all())
+        return True
+
+    length = 0
+    for length, mask in _closure(atoms, boolean_product, is_new, horizon):
+        if mask.all():
+            return HOLDS, length
+        if len(seen) > cap:
+            return "open", len(seen)
+    return (FAILS, length + 1) if length < horizon else ("open", len(seen))
 
 
 def _connected(adj: np.ndarray) -> bool:

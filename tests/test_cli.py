@@ -99,6 +99,12 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_values_obey_types(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "speed2x2", "replicas": 10.5}))
+        assert run(["speed2x2", "--config", str(path)]) == EXIT_USAGE
+        assert "--replicas" in capsys.readouterr().err
+
     def test_missing_model_parameter_names_its_flag(self, capsys):
         assert run(["influence", "--model", "encounter2x2", "--eps", "0.3"]) == EXIT_USAGE
         assert "--pmeet" in capsys.readouterr().err

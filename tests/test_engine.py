@@ -34,9 +34,10 @@ from degrootnet import (
     skeleton_equivalence_test,
     two_point_swap,
 )
+from degrootnet import engine
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
 from degrootnet.errors import CapHit, NoConvergence, NotIid, SingularMass
-from degrootnet.generators import UndirectedDegree
+from degrootnet.generators import Islands, UndirectedDegree
 
 
 def flat(n):
@@ -285,6 +286,14 @@ class TestConditionC:
         assert rep.evidence == 0.0
 
 
+    def test_skeleton_closure_stops_at_its_cap(self):
+        # the closure stops at the first pattern past the cap, then Monte Carlo decides
+        spec = Islands(3, 0.8, 0.3)
+        assert engine._skeleton_closure(spec.support().skeletons, 64) == ("open", 4097)
+        rep = check_condition_c(spec, replicas=50, seed=0)
+        assert (rep.verdict, rep.method) == (HOLDS, "monte_carlo_positivity")
+
+
 class TestSemigroup:
     def test_idempotent_flat_support(self):
         rep = semigroup_explore([flat(2)], max_len=6)
@@ -297,6 +306,10 @@ class TestSemigroup:
         assert rep.min_rank == 2
         assert rep.rank_one_atoms == ()
         assert rep.elements == 2
+
+    def test_max_len_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="max_len"):
+            semigroup_explore([flat(2)], max_len=0)
 
     def test_explosion_guard(self):
         from degrootnet.errors import ExplosionGuard

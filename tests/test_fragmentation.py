@@ -195,6 +195,10 @@ class TestRegularGraphs:
         assert bernoulli_edge_p_max(K33, p).p_max == (1 - p) ** 3
         assert bernoulli_edge_p_max(CIRC8, p).p_max == (1 - p) ** 4
 
+    def test_single_vertex_never_fragments(self):
+        rep = bernoulli_edge_p_max(graph(1, []), 0.5)
+        assert (rep.p_max, rep.pi_g_empty, rep.predicted_rate) == (0.0, True, math.inf)
+
 
 class TestMetropolis:
     def test_lazy_weights_shape(self):

@@ -152,6 +152,24 @@ class TestSupport:
         assert desc.strictly_positive_prob == 0.0
         assert not desc.skeletons[0].all_true()
 
+    def test_every_draw_lies_on_its_declared_support(self):
+        # the exact condition-(C) verdicts rest on draws never leaving support()
+        for name, spec in all_models().items():
+            try:
+                desc = support(spec)
+            except Unsupported:
+                continue
+            atoms = {a.entries.tobytes() for a in desc.atoms}
+            skeletons = {s.mask.tobytes() for s in desc.skeletons}
+            state = spec.start_state(11)
+            for _ in range(200):
+                x = state.next_array()
+                assert (x >= 0).all() and np.abs(x.sum(axis=1) - 1.0).max() < 1e-12, name
+                if desc.kind == "finite":
+                    assert x.tobytes() in atoms, name
+                else:
+                    assert (x > 0).tobytes() in skeletons, name
+
     def test_ar1_support_unsupported(self):
         spec = Ar1Mixture(0.5, flat(2), ring_uniform_self(2))
         with pytest.raises(Unsupported):

@@ -234,6 +234,12 @@ class TestPrimitivity:
         mask = np.roll(np.eye(n, dtype=bool), 1, axis=1) | np.eye(n, dtype=bool)
         assert skeleton_is_primitive(SkeletonMask(mask))
 
+    def test_max_power_is_the_last_power_checked(self):
+        # only s^2 is all-true
+        mask = SkeletonMask([[False, True], [True, True]])
+        assert not skeleton_is_primitive(mask, max_power=1)
+        assert skeleton_is_primitive(mask, max_power=2)
+
     def test_against_boolean_power_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(80):
