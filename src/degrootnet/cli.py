@@ -16,6 +16,7 @@ in a NoConvergence-class outcome (reported, not crashed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -103,6 +104,23 @@ class _UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _user_input(what):
+    """Report a fault in the user input ``what`` as a usage error that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise _UsageError(f"{what} lacks key {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError, DegrootNetError) as exc:
+        raise _UsageError(f"{what}: {exc}") from exc
+
+
+def _read_json(path, parse=lambda doc: doc):
+    """``parse`` of the JSON document in the file ``path``."""
+    with _user_input(path), open(path) as fh:
+        return parse(json.load(fh))
+
+
 # Each --model name: its constructor and the parameters it takes, in order.
 # The wisdom --family names are the entries that take a size n (and zeta).
 _MODELS = {
@@ -135,28 +153,26 @@ def _required(params: dict, what: str, names) -> dict:
     missing = [name for name in names if params.get(name) is None]
     if missing:
         # alpha_matrix has no flag: it comes from --config only
-        flags = [f"{name} in --config" if name == "alpha_matrix" else f"--{name}" for name in missing]
+        flags = [f"{name} in --config" if name == "alpha_matrix" else "--" + name.replace("_", "-") for name in missing]
         raise _UsageError(f"{what} needs {', '.join(flags)}")
     return {name: params[name] for name in names}
 
 
 def build_spec(params: dict) -> generators.GeneratorSpec:
     """The generator named by --spec (a file or a document) or by --model."""
-    if params.get("spec") is not None:
-        doc = params["spec"]
-        if isinstance(doc, str):
-            with open(doc) as fh:
-                doc = json.load(fh)
-        return generators.GeneratorSpec.from_dict(doc)
+    doc = params.get("spec")
+    if doc is not None:
+        with _user_input("--spec"):
+            return generators.GeneratorSpec.from_dict(_read_json(doc) if isinstance(doc, str) else doc)
     model = params.get("model")
     if model not in _MODELS:
         raise _UsageError(f"unknown or missing model {model!r}")
     make, names = _MODELS[model]
     values = _required(params, f"--model {model}", names)
     if isinstance(values.get("matrix"), str):
-        with open(values["matrix"]) as fh:
-            values["matrix"] = json.load(fh)
-    return make(*values.values())
+        values["matrix"] = _read_json(values["matrix"])
+    with _user_input(f"--model {model}"):
+        return make(*values.values())
 
 
 def _beta_marginals(params: dict):
@@ -168,10 +184,10 @@ def _beta_marginals(params: dict):
 
 def build_energy_mu(params: dict):
     if params["mu"] == "atoms":
-        with open(_required(params, "--mu atoms", ("atoms",))["atoms"]) as fh:
-            doc = json.load(fh)
-        return engine.AtomicWeightPairs(atoms=tuple(((d["x"], d["y"]), d["mass"]) for d in doc))
-    return engine.BetaMarginalPair(*_beta_marginals(params))
+        path = _required(params, "--mu atoms", ("atoms",))["atoms"]
+        return _read_json(path, lambda doc: engine.AtomicWeightPairs(tuple(((d["x"], d["y"]), d["mass"]) for d in doc)))
+    with _user_input(f"--mu {params['mu']}"):
+        return engine.BetaMarginalPair(*_beta_marginals(params))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -211,7 +227,7 @@ def _add_model_flags(p):
 
 def make_parser() -> _Parser:
     parser = _Parser(prog="degrootnet", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="evolve a belief vector and write the trajectory")
     _add_common(p)
@@ -310,8 +326,7 @@ def make_parser() -> _Parser:
 def _collect_params(parser: _Parser, argv, args) -> dict:
     """Parameters of a run: flags given in argv, then --config values, then parser defaults."""
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.config, dict)
         sub = parser.commands[args.command]
         typed = {action.dest for action in sub._actions if action.type is not None}
         values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
@@ -414,7 +429,8 @@ def _cmd_wisdom(params):
 
 def _speed_spec(params):
     a, b = _beta_marginals(params)
-    return generators.DirichletRows(np.array([[a, b], [a, b]], dtype=float))
+    with _user_input(f"--mu {params['mu']}"):
+        return generators.DirichletRows(np.array([[a, b], [a, b]], dtype=float))
 
 
 def _cmd_speed2x2(params):
@@ -443,11 +459,11 @@ def _cmd_energy(params):
 
 def _load_distribution(params):
     if params.get("dist"):
-        with open(params["dist"]) as fh:
-            return fragmentation.GraphDistribution.from_dict(json.load(fh))
+        return _read_json(params["dist"], fragmentation.GraphDistribution.from_dict)
     if params.get("islands"):
-        g, ps, pd = str(params["islands"]).split(",")
-        return fragmentation.islands_distribution(int(g), float(ps), float(pd))
+        with _user_input("--islands"):
+            g, ps, pd = str(params["islands"]).split(",")
+            return fragmentation.islands_distribution(int(g), float(ps), float(pd))
     raise ValueError("need --dist or --islands")
 
 
@@ -532,13 +548,11 @@ def _cmd_check_c(params):
 
 
 def _load_spec_file(path):
-    with open(path) as fh:
-        return generators.GeneratorSpec.from_dict(json.load(fh))
+    return _read_json(path, generators.GeneratorSpec.from_dict)
 
 
 def _cmd_skeleton(params):
-    spec_a = _load_spec_file(params["spec_a"])
-    spec_b = _load_spec_file(params["spec_b"])
+    spec_a, spec_b = map(_load_spec_file, _required(params, "skeleton", ("spec_a", "spec_b")).values())
     rep = engine.skeleton_equivalence_test(
         spec_a, spec_b,
         horizon=params["horizon"],
@@ -559,8 +573,8 @@ def _cmd_skeleton(params):
 
 
 def _cmd_semigroup(params):
-    with open(params["support"]) as fh:
-        mats = [StochasticMatrix(m) for m in json.load(fh)]
+    mats = _read_json(_required(params, "semigroup", ("support",))["support"],
+                      lambda doc: [StochasticMatrix(m) for m in doc])
     rep = engine.semigroup_explore(
         mats,
         max_len=params["max_len"],
@@ -621,12 +635,9 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command is None:
-        print("usage error: missing subcommand", file=sys.stderr)
-        return EXIT_USAGE
     try:
         params = _collect_params(parser, argv, args)
-    except (OSError, json.JSONDecodeError, _UsageError) as exc:
+    except _UsageError as exc:
         print(f"usage error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -634,14 +645,11 @@ def run(argv) -> int:
     except NoConvergence as exc:
         print(f"{args.command}: no convergence: {exc}")
         return EXIT_NO_CONVERGENCE
-    except (_UsageError, ValueError, KeyError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DegrootNetError as exc:
+    except (DegrootNetError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     out = params.get("out")
     if out:

@@ -50,6 +50,7 @@ from .matrices import (
 from .seeding import map_replicas, replica_seed
 
 GAP_TOL = 1e-8
+RENORM_EVERY = 64
 
 UNDETERMINED = "undetermined"
 
@@ -157,26 +158,27 @@ class SkeletonEquivalenceReport:
 # --- core dynamics -----------------------------------------------------------
 
 
-def _products(state: GeneratorState, t_max: int, renorm_every: int = 64):
+def _products(state: GeneratorState, t_max: int):
     """Yield the left products X^(t) = X_t ... X_1 for t = 1..t_max.
 
-    Rows are renormalized to sum to 1 after every ``renorm_every``-th step
-    (0: never), which holds roundoff below 1e-9 over desk-scale horizons.
-    A draw is made only when the next product is requested, so a consumer
+    Rows are renormalized to sum to 1 after every RENORM_EVERY-th step, the
+    one roundoff policy for every product: between renormalizations each
+    row sum drifts by at most about RENORM_EVERY * n unit roundoffs.  A
+    draw is made only when the next product is requested, so a consumer
     that stops early leaves the stream exactly after its last step.
     """
     prod = np.eye(state.spec.n)
     for t in range(1, t_max + 1):
         prod = state.next_array() @ prod
-        if renorm_every and t % renorm_every == 0:
+        if t % RENORM_EVERY == 0:
             prod = prod / prod.sum(axis=1, keepdims=True)
         yield prod
 
 
-def _final_product(state: GeneratorState, t_max: int, renorm_every: int) -> np.ndarray:
+def _final_product(state: GeneratorState, t_max: int) -> np.ndarray:
     """Row-renormalized X^(t_max); the identity when t_max is 0."""
     prod = np.eye(state.spec.n)
-    for prod in _products(state, t_max, renorm_every):
+    for prod in _products(state, t_max):
         pass
     return prod / prod.sum(axis=1, keepdims=True)
 
@@ -293,7 +295,8 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     of replicas whose partial product turns strictly positive by the
     horizon; (d) otherwise Undetermined via contraction_integral, with the
     least upper bound (mean + 3 SE) on the mean Dobrushin coefficient as
-    evidence: a mean below 1 shows consensus, not strict positivity.  The
+    evidence: a mean below 1 shows consensus, not strict positivity.  (a)
+    and (b) take the draws to be iid, so other processes start at (c).  The
     condition is a tail event, certifiable one-sidedly by simulation.
     """
     if horizon < 1:
@@ -301,7 +304,7 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     try:
-        desc = spec.support()
+        desc = spec.support() if spec.is_iid else None
     except Unsupported:
         desc = None
     if desc is not None:
@@ -317,7 +320,7 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     def one(i, rng):
         positive = False
         cs = np.empty(horizon)
-        for t, prod in enumerate(_products(spec.start_state(rng), horizon, renorm_every=1)):
+        for t, prod in enumerate(_products(spec.start_state(rng), horizon)):
             positive = positive or bool(prod.min() > ZERO_TOL)
             cs[t] = dobrushin_coefficient(StochasticMatrix._trusted(prod))
         return positive, cs
@@ -515,7 +518,7 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
     flat = np.full((n, n), 1.0 / n)
 
     def one(i, rng):
-        prod = _final_product(spec.start_state(rng), t_max, renorm_every=0)
+        prod = _final_product(spec.start_state(rng), t_max)
         norm = float(np.linalg.norm(prod - flat, 2))
         return math.log(norm) / t_max if norm > 0.0 else -math.inf
 
@@ -541,7 +544,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
         raise ValueError("t_max must be >= 0")
 
     def one(i, rng):
-        prod = _final_product(spec.start_state(rng), t_max, renorm_every=64)
+        prod = _final_product(spec.start_state(rng), t_max)
         return numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank, prod
 
     rank_counts: dict[int, int] = {}

@@ -311,17 +311,12 @@ def metropolis_mixture(dist: GraphDistribution) -> FiniteMixture:
 
     Distinct graphs can map to the same weight matrix; probabilities merge.
     """
-    merged = {}
-    order = []
+    merged = {}  # insertion-ordered: atoms keep the order of their first graph
     for g, p in dist.atoms:
         m = lazy_metropolis(g)
-        key = m.entries.tobytes()
-        if key not in merged:
-            merged[key] = [m, 0.0]
-            order.append(key)
-        merged[key][1] += float(p)
-    atoms = tuple(merged[k][0] for k in order)
-    probs = tuple(merged[k][1] for k in order)
+        merged.setdefault(m.entries.tobytes(), [m, 0.0])[1] += float(p)
+    atoms = tuple(m for m, _ in merged.values())
+    probs = tuple(p for _, p in merged.values())
     return FiniteMixture(atoms=atoms, probs=probs)
 
 
@@ -368,7 +363,7 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     t_max = t_grid[-1]
 
     def crossing_time(i, rng):
-        for t, prod in enumerate(_products(spec.start_state(rng), t_max, renorm_every=0), 1):
+        for t, prod in enumerate(_products(spec.start_state(rng), t_max), 1):
             if np.linalg.norm(prod - flat, 2) < epsilon:
                 return t
         return None

@@ -31,7 +31,7 @@ BALANCE_TOL = 1e-9
 class SupportDescriptor:
     """What one draw can look like.
 
-    kind "finite": every support atom, listed exactly once.
+    kind "finite": every atom of positive probability, listed exactly once.
     kind "continuous": the possible skeleton masks (each occurring with
     positive probability) plus the probability that a single draw is
     entrywise strictly positive.
@@ -206,7 +206,7 @@ class FiniteMixture(GeneratorSpec):
         return StochasticMatrix._trusted(acc)
 
     def support(self):
-        return _finite_support(self.atoms)
+        return _finite_support([a for a, p in zip(self.atoms, self.probs) if p > 0])
 
     def to_dict(self):
         doc = {
@@ -519,9 +519,6 @@ class UndirectedDegree(GeneratorSpec):
     def degrees(self) -> np.ndarray:
         return self._degrees
 
-    def _matrix_atoms(self):
-        return list(self._weight_atoms)
-
     def _draw(self, state):
         idx = int(np.searchsorted(self._cum, state.rng.random(), side="right"))
         idx = min(idx, len(self.graphs) - 1)
@@ -529,12 +526,12 @@ class UndirectedDegree(GeneratorSpec):
 
     def mean_matrix(self):
         acc = np.zeros((self.n, self.n))
-        for m, p in zip(self._matrix_atoms(), self.probs):
+        for m, p in zip(self._weight_atoms, self.probs):
             acc += p * m
         return StochasticMatrix._trusted(acc)
 
     def support(self):
-        return _finite_support([StochasticMatrix._trusted(m) for m in self._matrix_atoms()])
+        return _finite_support([StochasticMatrix._trusted(m) for m, p in zip(self._weight_atoms, self.probs) if p > 0])
 
     def to_dict(self):
         return {

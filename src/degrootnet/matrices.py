@@ -180,12 +180,7 @@ def numeric_rank(m: StochasticMatrix, rel_tol: float = RANK_REL_TOL) -> RankRepo
 
 def distance_to_rank_one(m: StochasticMatrix) -> float:
     """Max over columns of the column spread; 0 iff all rows are identical."""
-    return _gap(m.entries)
-
-
-def _gap(arr: np.ndarray) -> float:
-    # Internal raw-array form, used in hot loops.
-    return float((arr.max(axis=0) - arr.min(axis=0)).max())
+    return float((m.entries.max(axis=0) - m.entries.min(axis=0)).max())
 
 
 def wielandt_bound(n: int) -> int:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from degrootnet import cli
 from degrootnet.cli import (
     _MODELS,
     EXIT_NO_CONVERGENCE,
@@ -108,6 +109,62 @@ class TestExitCodes:
     def test_missing_model_parameter_names_its_flag(self, capsys):
         assert run(["influence", "--model", "encounter2x2", "--eps", "0.3"]) == EXIT_USAGE
         assert "--pmeet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--spec", ["check-c", "--spec", "{}"]),
+        ("--matrix", ["simulate", "--model", "fixed", "--matrix", "{}", "--p0", "1,0"]),
+        ("--atoms", ["energy", "--mu", "atoms", "--atoms", "{}"]),
+        ("--dist", ["pmax", "--dist", "{}"]),
+        ("--spec-a", ["skeleton", "--spec-a", "{}", "--spec-b", "{}"]),
+        ("--support", ["semigroup", "--support", "{}"]),
+        ("--config", ["energy", "--config", "{}"]),
+    ])
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_input_file_is_usage_error_naming_it(self, tmp_path, capsys, flag, argv, text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        assert run([str(path) if a == "{}" else a for a in argv]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[1]")
+        assert run(["energy", "--config", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [(["skeleton"], "--spec-a"), (["semigroup"], "--support")])
+    def test_missing_input_flag_is_named(self, capsys, argv, flag):
+        assert run(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"model": "fixed"}, "'matrix'"),
+        ({"model": "ar1_mixture", "xi": 0.5, "t0": [[1.0]], "source": {"model": "dirichlet_rows"}}, "'alpha'"),
+    ])
+    def test_spec_without_a_key_names_it(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check-c", "--spec", str(path)]) == EXIT_USAGE
+        assert f"lacks key {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-c", "--model", "encounter2x2", "--eps", "2", "--pmeet", "0.5"],
+        ["check-c", "--model", "ring", "--n", "1"],
+        ["speed2x2", "--mu", "beta-indep", "--a", "-1", "--b", "1"],
+        ["energy", "--mu", "beta-indep", "--a", "-1", "--b", "1"],
+        ["pmax", "--islands", "2,3,0.3"],
+    ])
+    def test_bad_model_value_is_usage_error(self, capsys, argv):
+        assert run(argv) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(params):
+            return {}["missing"]
+        monkeypatch.setitem(cli._COMMANDS, "energy", broken)
+        with pytest.raises(KeyError):
+            run(["energy"])
 
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
@@ -262,6 +319,12 @@ class TestOtherCommands:
                     "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(read(out))["verdict"] == "holds"
+
+    def test_check_c_ignores_zero_probability_atoms(self, capsys):
+        # with --pmeet 0 every draw is the identity, so no product turns positive
+        argv = ["check-c", "--model", "encounter2x2", "--eps", "0.3", "--pmeet", "0"]
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == "check-c: fails via skeleton_semigroup\n"
 
     def test_disagree(self, tmp_path):
         out = tmp_path / "d.json"

@@ -36,8 +36,9 @@ from degrootnet import (
 )
 from degrootnet import engine
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
-from degrootnet.errors import CapHit, NoConvergence, NotIid, SingularMass
+from degrootnet.errors import CapHit, NoConvergence, NotIid, SingularMass, Unsupported
 from degrootnet.generators import Islands, UndirectedDegree
+from test_generators import all_models
 
 
 def flat(n):
@@ -285,6 +286,44 @@ class TestConditionC:
         assert (rep.verdict, rep.method) == (UNDETERMINED, "contraction_integral")
         assert rep.evidence == 0.0
 
+
+    def test_zero_probability_atoms_are_ignored(self):
+        # with p_meet = 0 every draw is the identity
+        rep = check_condition_c(encounter_2x2(0.3, 0.0), replicas=50, seed=0)
+        assert (rep.verdict, rep.method) == (FAILS, "skeleton_semigroup")
+
+    def test_markov_mixture_is_decided_by_monte_carlo(self):
+        # products of both atoms turn positive, but the identity transition never
+        # switches atoms, so no realized product does
+        a = make_stochastic([[0.5, 0.5], [0.0, 1.0]])
+        b = make_stochastic([[1.0, 0.0], [0.5, 0.5]])
+        spec = FiniteMixture(atoms=(a, b), probs=(0.5, 0.5), transition=((1.0, 0.0), (0.0, 1.0)))
+        rep = check_condition_c(spec, horizon=200, replicas=200, seed=0)
+        assert (rep.verdict, rep.method) == (UNDETERMINED, "contraction_integral")
+
+    def test_positive_diagonals_hold_iff_union_graph_is_strongly_connected(self):
+        # With every skeleton's diagonal positive, a product of all atoms in turn
+        # dominates each atom, so some product is positive iff the union graph is
+        # strongly connected.
+        block = np.zeros((4, 4))
+        block[:2, :2] = block[2:, 2:] = 1.0
+        specs = dict(all_models(), identity=Fixed(make_stochastic(np.eye(3))),
+                     block_dirichlet=DirichletRows(block), no_meetings=encounter_2x2(0.3, 0.0))
+        checked = []
+        for name, spec in specs.items():
+            try:
+                masks = [s.mask for s in spec.support().skeletons] if spec.is_iid else []
+            except Unsupported:
+                continue
+            if not masks or not all(m.diagonal().all() for m in masks):
+                continue
+            union = np.logical_or.reduce(masks).astype(np.int64)
+            connected = bool(np.linalg.matrix_power(union, spec.n - 1).all())
+            rep = check_condition_c(spec, replicas=50, seed=0)
+            assert (rep.verdict == HOLDS) == connected, name
+            checked.append(name)
+        assert checked == ["fixed", "encounter2x2", "dirichlet_ring", "dirichlet_dense", "perturbed",
+                           "mix_identity", "identity", "block_dirichlet", "no_meetings"]
 
     def test_skeleton_closure_stops_at_its_cap(self):
         # the closure stops at the first pattern past the cap, then Monte Carlo decides

@@ -8,6 +8,7 @@ from degrootnet import (
     Fixed,
     GeneratorSpec,
     Islands,
+    UndirectedDegree,
     bernoulli_2x2,
     encounter_2x2,
     islands_graphs,
@@ -140,6 +141,14 @@ class TestSupport:
         desc = support(two_point_swap(0.4))
         mats = sorted(a.entries.tolist() for a in desc.atoms)
         assert mats == sorted([np.eye(2).tolist(), [[0.0, 1.0], [1.0, 0.0]]])
+
+    def test_zero_probability_atoms_are_not_listed(self):
+        desc = support(encounter_2x2(0.3, 0.0))
+        assert [a.entries.tolist() for a in desc.atoms] == [np.eye(2).tolist()]
+        assert [s.mask.tolist() for s in desc.skeletons] == [np.eye(2, dtype=bool).tolist()]
+        graphs = _undirected_pair().graphs
+        desc = support(UndirectedDegree(graphs=graphs, probs=(0.0, 1.0)))
+        assert [a.entries.tolist() for a in desc.atoms] == [(graphs[1] / 2.0).tolist()]
 
     def test_dirichlet_full_support(self):
         desc = support(DirichletRows(np.ones((3, 3))))
