@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import engine, fragmentation, generators, wisdom
-from .errors import DegrootNetError, NoConvergence
+from .errors import DegrootNetError, DimensionMismatch, InvalidArgument, NoConvergence
 from .matrices import StochasticMatrix
 
 EXIT_OK = 0
@@ -276,7 +276,8 @@ def make_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--dist", default=None, help="GraphDistribution JSON file")
     p.add_argument("--islands", default=None, help="g,p_s,p_d triple, e.g. 2,0.8,0.3")
-    p.add_argument("--method", choices=("subsets", "cuts"), default="subsets")
+    p.add_argument("--method", choices=("subsets", "cuts"), default=None,
+                   help="accepted for compatibility; the smaller exact enumeration is chosen")
 
     p = sub.add_parser("rate", help="decay rate of the consensus-gap tail")
     _add_common(p)
@@ -364,10 +365,13 @@ def parse_config(text: str) -> tuple:
 
 def _cmd_simulate(params):
     spec = build_spec(params)
-    p0 = [float(v) for v in str(params.get("p0", "")).split(",") if v != ""]
-    if not p0:
-        raise ValueError("simulate needs --p0")
-    beliefs = engine.BeliefState.from_signals(p0)
+    with _user_input("--p0"):
+        p0 = [float(v) for v in str(params.get("p0", "")).split(",") if v != ""]
+        if not p0:
+            raise _UsageError("simulate needs --p0")
+        if len(p0) != spec.n:
+            raise DimensionMismatch(f"{len(p0)} beliefs for n = {spec.n} agents")
+        beliefs = engine.BeliefState.from_signals(p0)
     state = spec.start_state(params["seed"])
     rows = [(0, *beliefs.p_t)]
     for t in range(1, params["steps"] + 1):
@@ -403,7 +407,8 @@ def _cmd_influence(params):
 
 
 def _cmd_wisdom(params):
-    sizes = tuple(int(s) for s in str(params["sizes"]).split(","))
+    with _user_input("--sizes"):
+        sizes = tuple(int(s) for s in str(params["sizes"]).split(","))
     cfg = wisdom.WisdomConfig(
         family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
         sizes=sizes,
@@ -464,15 +469,11 @@ def _load_distribution(params):
         with _user_input("--islands"):
             g, ps, pd = str(params["islands"]).split(",")
             return fragmentation.islands_distribution(int(g), float(ps), float(pd))
-    raise ValueError("need --dist or --islands")
+    raise _UsageError("need --dist or --islands")
 
 
 def _cmd_pmax(params):
-    dist = _load_distribution(params)
-    if params["method"] == "cuts":
-        report = fragmentation.p_max_by_cuts(dist)
-    else:
-        report = fragmentation.p_max(dist)
+    report = fragmentation.p_max(_load_distribution(params))
     doc = report.to_dict()
     header = ["p_max", "pi_g_empty", "predicted_rate"]
     rows = [(float(report.p_max), report.pi_g_empty, report.predicted_rate)]
@@ -486,11 +487,12 @@ def _cmd_rate(params):
     else:
         spec = build_spec(params)
     grid = params["tgrid"]
-    if isinstance(grid, str) and ":" in grid:
-        lo, hi = grid.split(":")
-        t_grid = list(range(int(lo), int(hi) + 1))
-    else:
-        t_grid = [int(v) for v in str(grid).split(",")]
+    with _user_input("--tgrid"):
+        if isinstance(grid, str) and ":" in grid:
+            lo, hi = grid.split(":")
+            t_grid = list(range(int(lo), int(hi) + 1))
+        else:
+            t_grid = [int(v) for v in str(grid).split(",")]
     report = fragmentation.decay_rate_estimate(
         spec,
         epsilon=params["epsilon"],
@@ -596,7 +598,8 @@ def _cmd_conjugacy(params):
     spec = build_spec(params)
     phi = params.get("phi")
     if isinstance(phi, str):
-        phi = [float(v) for v in phi.split(",")]
+        with _user_input("--phi"):
+            phi = [float(v) for v in phi.split(",")]
     res = wisdom.dirichlet_conjugacy_test(
         spec,
         replicas=params["replicas"],
@@ -645,10 +648,10 @@ def run(argv) -> int:
     except NoConvergence as exc:
         print(f"{args.command}: no convergence: {exc}")
         return EXIT_NO_CONVERGENCE
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, InvalidArgument) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegrootNetError, OSError) as exc:
+    except (DegrootNetError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     out = params.get("out")

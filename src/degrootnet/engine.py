@@ -27,6 +27,7 @@ from .errors import (
     CapHit,
     DimensionMismatch,
     ExplosionGuard,
+    InvalidArgument,
     InvalidProbability,
     NoConvergence,
     NotIid,
@@ -51,6 +52,7 @@ from .seeding import map_replicas, replica_seed
 
 GAP_TOL = 1e-8
 RENORM_EVERY = 64
+NORM_FLOOR = 2.0**-33  # per agent: 2^20 times the 2^-53 unit roundoff
 
 UNDETERMINED = "undetermined"
 
@@ -211,7 +213,7 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
     """Apply p <- X_t p for ``steps`` periods."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise InvalidArgument("steps must be >= 0")
     if gen.spec.n != beliefs.n:
         raise DimensionMismatch("generator and belief dimensions differ")
     p = np.asarray(beliefs.p_t, dtype=float)
@@ -231,7 +233,7 @@ def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
     recorded first-crossing time is the same either way.
     """
     if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+        raise InvalidArgument("t_max must be >= 1")
     prod, t, gap, strict_seen, consensus_time = _scan(gen, t_max, gap_tol, stop_when_converged)
     return ProductAccumulator(
         product=StochasticMatrix._trusted(prod),
@@ -253,9 +255,9 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
     ``workers`` is accepted for compatibility; replicas run in index order.
     """
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+        raise InvalidArgument("t_max must be >= 1")
 
     def one(i, rng):
         state = spec.start_state(rng)
@@ -300,9 +302,9 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     condition is a tail event, certifiable one-sidedly by simulation.
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise InvalidArgument("horizon must be >= 1")
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     try:
         desc = spec.support() if spec.is_iid else None
     except Unsupported:
@@ -348,10 +350,10 @@ def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
     only evidence, since products are truncated at max_len.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise InvalidArgument("max_len must be >= 1")
     atoms = [m.entries for m in support]
     if not atoms:
-        raise ValueError("support must be nonempty")
+        raise InvalidArgument("support must be nonempty")
     elements: list[np.ndarray] = []
 
     def add(arr):
@@ -396,13 +398,13 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
     if spec.n != 2:
         raise DimensionMismatch("convergence_time_2x2 requires n = 2")
     if not 0.0 < phi < 1.0:
-        raise ValueError("phi must lie in (0,1)")
+        raise InvalidArgument("phi must lie in (0,1)")
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     if t_cap is None:
         t_cap = default_t_cap(phi)
     if t_cap < 1:
-        raise ValueError("t_cap must be >= 1")
+        raise InvalidArgument("t_cap must be >= 1")
 
     def one(i, rng):
         state = spec.start_state(rng)
@@ -487,7 +489,7 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
     if not isinstance(mu_2x2, BetaMarginalPair):
         raise Unsupported("log_energy needs a BetaMarginalPair or AtomicWeightPairs descriptor")
     if quad_points < 64:
-        raise ValueError("quad_points must be >= 64")
+        raise InvalidArgument("quad_points must be >= 64")
     a, b = mu_2x2.a, mu_2x2.b
     order = int(np.clip(quad_points // 32, 6, 24))
     u, w = _gauss_panels(order)
@@ -505,22 +507,26 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
 
 def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
                       seed: int = 0) -> float:
-    """Empirical decay rate of ||X^(t) - (1/n) 11'|| at horizon t_max.
+    """Empirical decay rate of ||X^(t) - (1/n) 11'|| up to horizon t_max.
 
     Averages (1/t) log of the spectral norm over replicas and exponentiates;
     a generator without contraction reports 1, exact rank-one products 0.
+    A replica stops at the first t whose norm is below n * NORM_FLOOR,
+    where the norm would measure rounding rather than the process.
     """
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+        raise InvalidArgument("t_max must be >= 1")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
 
     def one(i, rng):
-        prod = _final_product(spec.start_state(rng), t_max)
-        norm = float(np.linalg.norm(prod - flat, 2))
-        return math.log(norm) / t_max if norm > 0.0 else -math.inf
+        for t, prod in enumerate(_products(spec.start_state(rng), t_max), 1):
+            norm = float(np.linalg.norm(prod / prod.sum(axis=1, keepdims=True) - flat, 2))
+            if norm < n * NORM_FLOOR:
+                break
+        return math.log(norm) / t if norm > 0.0 else -math.inf
 
     avg = float(np.mean(map_replicas(one, replicas, seed)))
     return math.exp(avg) if avg != -math.inf else 0.0
@@ -539,9 +545,9 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     when the limits concentrate on at most max_atoms matrices.
     """
     if replicas < 100:
-        raise ValueError("disagreement_degree needs at least 100 replicas")
+        raise InvalidArgument("disagreement_degree needs at least 100 replicas")
     if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+        raise InvalidArgument("t_max must be >= 0")
 
     def one(i, rng):
         prod = _final_product(spec.start_state(rng), t_max)
@@ -586,7 +592,7 @@ def cyclicity_check(support, zero_tol: float = ZERO_TOL):
     """
     mats = [m.entries for m in support]
     if not mats:
-        raise ValueError("support must be nonempty")
+        raise InvalidArgument("support must be nonempty")
     n = mats[0].shape[0]
     if n > 12:
         raise SizeLimit("cyclicity_check enumerates partitions only up to n = 12")

@@ -17,6 +17,10 @@ class RowSumViolation(DegrootNetError):
         super().__init__(f"row {row} sums to {total!r}, not 1 within tolerance")
 
 
+class InvalidArgument(DegrootNetError, ValueError):
+    """A library argument out of its documented range (a caller's fault)."""
+
+
 class DimensionMismatch(DegrootNetError):
     pass
 

@@ -18,6 +18,7 @@ from .engine import _products
 from .errors import (
     DimensionMismatch,
     InsufficientEvents,
+    InvalidArgument,
     InvalidProbability,
     SizeLimit,
     Unsupported,
@@ -28,6 +29,9 @@ from .seeding import map_replicas
 
 PROB_TOL = 1e-12
 MIN_EVENTS = 20
+# p_max enumerates at most 2^SUBSET_LIMIT atom subsets or 2^(CUT_LIMIT - 1) cuts.
+SUBSET_LIMIT = 20
+CUT_LIMIT = 16
 
 
 class Graph:
@@ -171,17 +175,30 @@ def _rate(p):
     return abs(math.log(p))
 
 
-def p_max(dist: GraphDistribution, atom_limit: int = 20) -> FragmentationReport:
-    """Most likely disconnected collection, by subset enumeration.
+def p_max(dist: GraphDistribution) -> FragmentationReport:
+    """Most likely disconnected collection, by the smaller exact enumeration.
 
-    Depth-first over atom subsets with superset pruning: once a partial
-    union is connected, adding graphs only adds edges, so the whole
-    superset branch is skipped.  Exhaustive within the atom limit.
+    Enumerates the 2^(n-1) vertex cuts when they are fewer than the
+    2^atoms atom subsets, or when the atoms exceed SUBSET_LIMIT; otherwise
+    the subsets, the only path for n > CUT_LIMIT.  Both are exhaustive, so
+    they return the same p_max.
+    """
+    atoms, n = len(dist.atoms), dist.n
+    if n <= CUT_LIMIT and (n - 1 < atoms or atoms > SUBSET_LIMIT):
+        return _by_cuts(dist)
+    if atoms > SUBSET_LIMIT:
+        raise SizeLimit(f"{atoms} atoms exceed the subset limit {SUBSET_LIMIT} "
+                        f"and n = {n} exceeds the cut limit {CUT_LIMIT}")
+    return _by_subsets(dist)
+
+
+def _by_subsets(dist: GraphDistribution) -> FragmentationReport:
+    """Depth-first over atom subsets with superset pruning.
+
+    Once a partial union is connected, adding graphs only adds edges, so
+    the whole superset branch is skipped.
     """
     atoms = dist.atoms
-    if len(atoms) > atom_limit:
-        raise SizeLimit(f"{len(atoms)} atoms exceeds the enumeration limit {atom_limit}")
-    n = dist.n
     zero = atoms[0][1] * 0
     best = {"p": zero, "subset": None}
 
@@ -198,7 +215,7 @@ def p_max(dist: GraphDistribution, atom_limit: int = 20) -> FragmentationReport:
         g, p = atoms[idx]
         recurse(idx + 1, union | g.adjacency, prob + p, chosen + [idx])
 
-    recurse(0, np.zeros((n, n), dtype=bool), zero, [])
+    recurse(0, np.zeros((dist.n, dist.n), dtype=bool), zero, [])
     if best["subset"] is None:
         return _NEVER_FRAGMENTS
     collection = tuple(atoms[k][0] for k in best["subset"])
@@ -216,24 +233,25 @@ def _cuts(n: int):
             yield members
 
 
-def p_max_by_cuts(dist: GraphDistribution, max_n: int = 16) -> FragmentationReport:
-    """Most likely disconnected collection, by vertex-cut enumeration.
+def p_max_by_cuts(dist: GraphDistribution) -> FragmentationReport:
+    """p_max by vertex-cut enumeration only."""
+    if dist.n > CUT_LIMIT:
+        raise SizeLimit(f"cut enumeration limited to n <= {CUT_LIMIT}")
+    return _by_cuts(dist)
 
-    For every cut (S, S^c) the best disconnected collection avoiding it is
+
+def _by_cuts(dist: GraphDistribution) -> FragmentationReport:
+    """For every cut (S, S^c) the best disconnected collection avoiding it is
     exactly the set of atoms with no edge across, so p_max is the maximum
-    over cuts of that set's total probability.  Handles atom lists far
-    beyond the subset-enumeration limit; exact, not approximate.
+    over cuts of that set's total probability.
     """
-    n = dist.n
-    if n > max_n:
-        raise SizeLimit(f"cut enumeration limited to n <= {max_n}")
     if all(_connected(g.adjacency) for g, _p in dist.atoms):
         return _NEVER_FRAGMENTS
     edge_lists = [g.edges() for g, _p in dist.atoms]
     zero = dist.atoms[0][1] * 0
     best_p = zero
     best = None
-    for members in _cuts(n):
+    for members in _cuts(dist.n):
         kept = [k for k, edges in enumerate(edge_lists)
                 if not any((u in members) != (v in members) for (u, v) in edges)]
         total = zero
@@ -342,10 +360,10 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     if not 0.0 < epsilon <= 1.0:
         raise InvalidProbability("epsilon must lie in (0,1]")
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     t_grid = sorted(set(int(t) for t in t_grid))
     if not t_grid or t_grid[0] < 1:
-        raise ValueError("t_grid must contain positive times")
+        raise InvalidArgument("t_grid must contain positive times")
     if not spec.is_iid:
         raise Unsupported("decay_rate_estimate requires an iid process")
     desc = spec.support()

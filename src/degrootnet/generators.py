@@ -10,7 +10,7 @@ same (seed, spec) yields bit-identical matrices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,57 +283,35 @@ class DirichletRows(GeneratorSpec):
         return {"model": "dirichlet_rows", "alpha": self.alpha.tolist()}
 
 
-@dataclass(frozen=True, eq=False)
-class PerturbedFixed(GeneratorSpec):
+class PerturbedFixed(DirichletRows):
     """Random fluctuations around a strictly positive fixed network T.
 
-    Row i is Dirichlet with parameters epsilon * s_i * T_i, where s is the
-    influence vector of T, so the mean of every draw is T itself and the
-    limiting influence vector is Dirichlet(epsilon * s).  Larger epsilon
-    means smaller fluctuations.
+    The Dirichlet-rows process with alpha = epsilon * s_i * T_i, where s is
+    the influence vector of T: the mean of every draw is T itself and the
+    limiting influence vector is Dirichlet(phi), phi = epsilon * s.  Larger
+    epsilon means smaller fluctuations.
     """
 
-    matrix: StochasticMatrix
-    epsilon: float
-    s: np.ndarray = field(repr=False, default=None)
     kind = "perturbed_fixed"
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
+    def __init__(self, matrix: StochasticMatrix, epsilon: float):
+        if epsilon <= 0:
             raise InvalidProbability("epsilon must be positive")
-        if not is_strictly_positive(self.matrix):
+        if not is_strictly_positive(matrix):
             raise NotStrictlyPositive("perturbed_fixed requires a strictly positive T")
-        if self.s is None:
-            object.__setattr__(self, "s", _left_unit_eigenvector(self.matrix.entries))
-        arr = np.array(self.s, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "s", arr)
-        alpha = self.epsilon * arr[:, None] * self.matrix.entries
-        alpha.setflags(write=False)
-        object.__setattr__(self, "_alpha", alpha)
-
-    @property
-    def n(self):
-        return self.matrix.n
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self._alpha
+        s = _left_unit_eigenvector(matrix.entries)
+        s.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "s", s)
+        super().__init__(epsilon * s[:, None] * matrix.entries)
 
     @property
     def phi(self) -> np.ndarray:
         return self.epsilon * self.s
 
-    def _draw(self, state):
-        g = state.rng.gamma(self._alpha)
-        return g / g.sum(axis=1, keepdims=True)
-
     def mean_matrix(self):
         return self.matrix
-
-    def support(self):
-        mask = SkeletonMask(np.ones((self.n, self.n), dtype=bool))
-        return SupportDescriptor(kind="continuous", skeletons=(mask,), strictly_positive_prob=1.0)
 
     def to_dict(self):
         return {"model": "perturbed_fixed", "matrix": self.matrix.entries.tolist(), "epsilon": self.epsilon}
@@ -466,72 +444,38 @@ class Islands(GeneratorSpec):
         return {"model": "islands", "g": self.g, "p_s": self.p_s, "p_d": self.p_d}
 
 
-@dataclass(frozen=True, eq=False)
-class UndirectedDegree(GeneratorSpec):
+class UndirectedDegree(FiniteMixture):
     """Random undirected graphs with a common degree sequence.
 
-    Each period one adjacency matrix is drawn iid from ``graphs`` and every
-    agent splits weight equally over its current neighbors.  Because the
-    degree vector is the same for every graph, d/sum(d) is a common left
-    unit vector of every atom and hence the almost-sure influence vector.
+    The iid finite mixture whose atoms are the degree-normalized adjacency
+    matrices of ``graphs``: each period one graph is drawn with its
+    probability and every agent splits weight equally over its current
+    neighbors.  Because the degree vector is the same for every graph,
+    d/sum(d) is a common left unit vector of every atom and hence the
+    almost-sure influence vector.
     """
 
-    graphs: tuple
-    probs: tuple
     kind = "undirected_degree"
 
-    def __post_init__(self):
-        if not self.graphs:
-            raise InvalidProbability("need at least one graph")
-        mats = []
-        deg_ref = None
-        for a in self.graphs:
-            adj = np.array(a, dtype=bool)
+    def __init__(self, graphs, probs):
+        adjs = tuple(np.array(a, dtype=bool) for a in graphs)
+        for adj in adjs:
             if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
                 raise DimensionMismatch("adjacency matrices must be square")
             if not np.array_equal(adj, adj.T) or adj.diagonal().any():
                 raise InvalidProbability("adjacency must be symmetric with a zero diagonal")
             if not _connected(adj):
                 raise InvalidProbability("every graph must be connected")
-            deg = adj.sum(axis=1)
-            if deg_ref is None:
-                deg_ref = deg
-            elif not np.array_equal(deg, deg_ref):
+            if not np.array_equal(adj.sum(axis=1), adjs[0].sum(axis=1)):
                 raise InvalidProbability("all graphs must share the degree vector")
-            mats.append(adj)
-        p = np.asarray(self.probs, dtype=float)
-        if len(p) != len(mats) or (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
-            raise InvalidProbability("graph probs must be nonnegative and sum to 1")
-        frozen = []
-        for adj in mats:
             adj.setflags(write=False)
-            frozen.append(adj)
-        object.__setattr__(self, "graphs", tuple(frozen))
-        object.__setattr__(self, "_degrees", deg_ref.astype(float))
-        object.__setattr__(self, "_cum", np.cumsum(p))
-        object.__setattr__(self, "_weight_atoms", tuple(adj.astype(float) / deg_ref.astype(float)[:, None] for adj in frozen))
-
-    @property
-    def n(self):
-        return self.graphs[0].shape[0]
+        object.__setattr__(self, "graphs", adjs)
+        super().__init__(atoms=tuple(StochasticMatrix._trusted(_graph_to_row_weights(adj)) for adj in adjs),
+                         probs=tuple(probs))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._degrees
-
-    def _draw(self, state):
-        idx = int(np.searchsorted(self._cum, state.rng.random(), side="right"))
-        idx = min(idx, len(self.graphs) - 1)
-        return self._weight_atoms[idx]
-
-    def mean_matrix(self):
-        acc = np.zeros((self.n, self.n))
-        for m, p in zip(self._weight_atoms, self.probs):
-            acc += p * m
-        return StochasticMatrix._trusted(acc)
-
-    def support(self):
-        return _finite_support([StochasticMatrix._trusted(m) for m, p in zip(self._weight_atoms, self.probs) if p > 0])
+        return self.graphs[0].sum(axis=1).astype(float)
 
     def to_dict(self):
         return {

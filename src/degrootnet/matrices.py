@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEntry, NumericalFailure, RowSumViolation
+from .errors import DimensionMismatch, InvalidArgument, NegativeEntry, NumericalFailure, RowSumViolation
 
 ROW_TOL = 1e-12
 ZERO_TOL = 1e-12
@@ -197,7 +197,7 @@ def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool
     if max_power is None:
         max_power = wielandt_bound(s.n)
     if max_power < 1:
-        raise ValueError("max_power must be >= 1")
+        raise InvalidArgument("max_power must be >= 1")
     # one atom adds at most one pattern per power, so this cap never binds
     return _skeleton_closure([s], max_power, cap=max_power)[0] == HOLDS
 

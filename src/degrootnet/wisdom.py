@@ -15,6 +15,7 @@ import numpy as np
 from .engine import GAP_TOL, _scan, estimate_influence
 from .errors import (
     BalanceViolation,
+    InvalidArgument,
     InvalidProbability,
     PreconditionUnmet,
     Unsupported,
@@ -129,9 +130,9 @@ class WisdomConfig:
 
     def __post_init__(self):
         if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise InvalidArgument("replicas must be >= 1")
         if self.t_max < 1:
-            raise ValueError("t_max must be >= 1")
+            raise InvalidArgument("t_max must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise InvalidProbability("all sizes must be >= 2")
         if not 0.0 <= self.gamma <= 1.0:
@@ -215,7 +216,7 @@ def check_mic3_rates(alpha_family, sizes) -> dict:
     positive slope at finite sizes.
     """
     if len(sizes) < 4:
-        raise ValueError("rate fitting needs at least 4 sizes")
+        raise InvalidArgument("rate fitting needs at least 4 sizes")
     totals = []
     ratios = []
     for n in sizes:
@@ -310,7 +311,7 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     at least 1, so the rank is never 0 even where that threshold reaches 1.
     """
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise InvalidArgument("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(1e-8, 4.0 / math.sqrt(replicas))
     scans = map_replicas(lambda i, rng: _scan(spec.start_state(rng), t_max, gap_tol=0.0),

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import degrootnet as dn
 from degrootnet.engine import FAILS, _scan
@@ -21,7 +22,6 @@ from degrootnet.fragmentation import (
     islands_distribution,
     metropolis_mixture,
     p_max,
-    p_max_by_cuts,
 )
 
 
@@ -66,6 +66,7 @@ def test_c02_dirichlet_conjugacy_beta22():
     ])
 
 
+@pytest.mark.slow
 def test_c03_ring_wisdom():
     target_var = 16.0 / 1100.0
     est5 = dn.estimate_influence(dn.ring_uniform_self(5), replicas=20000, t_max=2000,
@@ -142,6 +143,7 @@ def test_c06_arcsine_slowest():
     ])
 
 
+@pytest.mark.slow
 def test_c07_disagreement_masses():
     kappa, r = 0.3, 0.5
     spec = dn.FiniteMixture(atoms=(h_matrix(kappa), G_PERM), probs=(r, 1 - r))
@@ -159,6 +161,7 @@ def test_c07_disagreement_masses():
     ])
 
 
+@pytest.mark.slow
 def test_c08_two_point_disagreement():
     spec = dn.two_point_swap(0.4)
     rep = dn.disagreement_degree(spec, replicas=20000, t_max=101, seed=1008)
@@ -187,7 +190,7 @@ def test_c09_p_max_closed_forms():
         p_d = Fraction(int(rng.integers(1, 99)), 100)
         p_s = Fraction(int(rng.integers(int(p_d * 100), 100)), 100)
         dist = islands_distribution(g, p_s, p_d)
-        rep = p_max(dist) if len(dist.atoms) <= 20 else p_max_by_cuts(dist)
+        rep = p_max(dist)
         islands_ok &= rep.p_max == 1 - p_d
     p = Fraction(3, 10)
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -214,6 +217,7 @@ def test_c09_p_max_closed_forms():
     ])
 
 
+@pytest.mark.slow
 def test_c10_decay_rate():
     q = 0.3
     spec = metropolis_mixture(GraphDistribution(atoms=((K4, 1 - q), (TWO_EDGES, q))))
@@ -252,6 +256,7 @@ def test_c11_consensus_probability_formula():
     ])
 
 
+@pytest.mark.slow
 def test_c12_perturbation_variance():
     checks = []
     for eps in (2.0, 8.0, 32.0):

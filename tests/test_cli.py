@@ -166,6 +166,28 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             run(["energy"])
 
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(cli.engine, "estimate_influence", broken)
+        assert run(["influence", "--model", "ring", "--n", "3"]) == 1
+        assert "error: ValueError: internal fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["wisdom", "--sizes", "a,b"], "--sizes"),
+        (["rate", "--model", "ring", "--n", "3", "--tgrid", "1:x"], "--tgrid"),
+        (["simulate", "--model", "ring", "--n", "2", "--p0", "0.5,x"], "--p0"),
+        (["conjugacy", "--model", "ring", "--n", "2", "--phi", "2,x"], "--phi"),
+        (["simulate", "--model", "ring", "--n", "2"], "--p0"),
+        (["simulate", "--model", "ring", "--n", "2", "--p0", "0.5,2"], "--p0"),
+        (["simulate", "--model", "ring", "--n", "3", "--p0", "0.5,0.2"], "--p0"),
+        (["pmax"], "--dist or --islands"),
+        (["influence", "--model", "ring", "--n", "3", "--replicas", "0"], "replicas"),
+    ])
+    def test_bad_argument_is_usage_error_naming_it(self, capsys, argv, flag):
+        assert run(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
         code = run(["energy", "--mu", "uniform-indep", "--out", str(out)])

@@ -469,6 +469,19 @@ class TestLyapunov:
         assert np.linalg.norm(oracle, 2) == pytest.approx(lam**30, rel=1e-6)
 
 
+    def test_long_horizon_reads_the_process_not_roundoff(self):
+        # ||X^(t) - J|| = 0.4^(meetings so far), so the exact value is
+        # exp(E log|lambda_2|) = 0.4^0.5.  Each replica's log value lies in
+        # [log 0.4, 0], so by Hoeffding the mean of R of them is within the
+        # first term of its expectation except with probability 1e-6; the
+        # second bounds the bias of stopping at the floor (the 25th meeting).
+        replicas = 200
+        mu = 0.5 * math.log(0.4)
+        tol = -math.log(0.4) * math.sqrt(math.log(2 / 1e-6) / (2 * replicas)) - mu / 25
+        est = lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=500, replicas=replicas, seed=2)
+        assert abs(math.log(est) - mu) <= tol
+
+
 class TestDisagreement:
     def test_two_point_swap_masses(self):
         spec = two_point_swap(0.4)

@@ -19,6 +19,7 @@ from degrootnet import (
     p_max_by_cuts,
 )
 from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit
+from degrootnet.fragmentation import _by_subsets
 from degrootnet.generators import Fixed
 from degrootnet.matrices import make_stochastic
 
@@ -90,11 +91,16 @@ class TestPMax:
         assert rep.predicted_rate == pytest.approx(abs(math.log(0.3)))
 
     def test_size_limit(self):
-        atoms = tuple((graph(3, [(0, k % 2)] if False else [(0, 1)]), 1.0) for k in range(1))
+        # 490 atoms are past the subset limit, but n = 6 has only 32 cuts
         dist = islands_distribution(3, 0.5, 0.5)
         assert len(dist.atoms) > 20
+        assert p_max(dist).p_max == pytest.approx(0.5)
+        # n = 17 is past the cut limit: 20 atoms still go through the subset search
+        connected = ([graph(17, [(c, v) for v in range(17) if v != c]) for c in range(17)]
+                     + [graph(17, [(i, (i + s) % 17) for i in range(17)]) for s in range(1, 5)])
+        assert p_max(GraphDistribution(atoms=tuple((g, 1 / 20) for g in connected[:20]))).pi_g_empty
         with pytest.raises(SizeLimit):
-            p_max(dist)
+            p_max(GraphDistribution(atoms=tuple((g, 1 / 21) for g in connected)))
 
     def test_pruning_soundness_random_cases(self):
         rng = np.random.default_rng(31)
@@ -112,7 +118,7 @@ class TestPMax:
             raw = rng.random(len(atoms)) + 0.05
             probs = raw / raw.sum()
             dist = GraphDistribution(atoms=tuple(zip(atoms, probs)))
-            pruned = p_max(dist)
+            pruned = _by_subsets(dist)
             oracle = brute_p_max(dist)
             if oracle is None:
                 assert pruned.pi_g_empty
@@ -155,10 +161,7 @@ class TestIslandsClosedForm:
             p_d = Fraction(int(rng.integers(1, 99)), 100)
             p_s = Fraction(int(rng.integers(int(p_d * 100), 100)), 100)  # homophily: p_s >= p_d
             dist = islands_distribution(g, p_s, p_d)
-            if len(dist.atoms) <= 20:
-                rep = p_max(dist)
-            else:
-                rep = p_max_by_cuts(dist)
+            rep = p_max(dist)
             assert rep.p_max == 1 - p_d  # exact rational equality
 
     def test_pd_zero_never_connects(self):

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,9 @@ from degrootnet import (
     support,
     two_point_swap,
 )
+from degrootnet.cli import run
 from degrootnet.errors import InvalidProbability, NotStrictlyPositive, Unsupported
+from degrootnet.generators import _REGISTRY
 
 
 def flat(n):
@@ -162,8 +167,11 @@ class TestSupport:
         assert not desc.skeletons[0].all_true()
 
     def test_every_draw_lies_on_its_declared_support(self):
-        # the exact condition-(C) verdicts rest on draws never leaving support()
-        for name, spec in all_models().items():
+        # the exact condition-(C) verdicts rest on draws never leaving support();
+        # K7's weights 1/6 do not sum to exactly 1, so its atoms are renormalized
+        k7 = ~np.eye(7, dtype=bool)
+        specs = dict(all_models(), k7=UndirectedDegree(graphs=(k7,), probs=(1.0,)))
+        for name, spec in specs.items():
             try:
                 desc = support(spec)
             except Unsupported:
@@ -350,6 +358,7 @@ class TestStationarityAndDeterminism:
     IID_NAMES = ["encounter2x2", "two_point_swap", "dirichlet_ring", "perturbed",
                  "leader_follower", "islands", "undirected_degree"]
 
+    @pytest.mark.slow
     def test_iid_marginals_match_at_t1_and_t50(self):
         models = all_models()
         seeds = 5000
@@ -386,10 +395,40 @@ class TestStationarityAndDeterminism:
                 assert np.abs(x.sum(axis=1) - 1.0).max() < 1e-12
 
 
+def readme_spec_documents():
+    """The generator documents listed under README "Model specs (JSON)"."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("### Model specs (JSON)", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    # each document starts a line with "{"; its continuation lines are indented
+    return [json.loads("{" + doc) for doc in block.split("\n{")[1:]]
+
+
+def floats(doc):
+    """``doc`` with every number as a float, so 1 and 1.0 compare equal."""
+    if isinstance(doc, dict):
+        return {k: floats(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [floats(v) for v in doc]
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return float(doc)
+    return doc
+
+
 class TestSerialization:
+    def test_readme_documents_cover_every_model(self):
+        assert sorted(doc["model"] for doc in readme_spec_documents()) == sorted(_REGISTRY)
+
+    @pytest.mark.parametrize("doc", readme_spec_documents(), ids=lambda doc: doc["model"])
+    def test_readme_document_round_trips_and_runs(self, tmp_path, doc):
+        assert floats(GeneratorSpec.from_dict(doc).to_dict()) == floats(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check-c", "--spec", str(path), "--replicas", "20"]) == 0
+
     def test_round_trip_reproduces_streams(self):
         for name, spec in all_models().items():
-            clone = GeneratorSpec.from_dict(spec.to_dict())
+            clone = GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
             a = spec.start_state(5)
             b = clone.start_state(5)
             for _ in range(10):
