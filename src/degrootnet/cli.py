@@ -555,6 +555,8 @@ def _load_spec_file(path):
 
 def _cmd_skeleton(params):
     spec_a, spec_b = map(_load_spec_file, _required(params, "skeleton", ("spec_a", "spec_b")).values())
+    if spec_a.n != spec_b.n:
+        raise _UsageError(f"--spec-a has n = {spec_a.n} agents but --spec-b has n = {spec_b.n}")
     rep = engine.skeleton_equivalence_test(
         spec_a, spec_b,
         horizon=params["horizon"],
@@ -577,6 +579,8 @@ def _cmd_skeleton(params):
 def _cmd_semigroup(params):
     mats = _read_json(_required(params, "semigroup", ("support",))["support"],
                       lambda doc: [StochasticMatrix(m) for m in doc])
+    if len({m.n for m in mats}) > 1:
+        raise _UsageError(f"--support matrices differ in size: n = {', '.join(str(m.n) for m in mats)}")
     rep = engine.semigroup_explore(
         mats,
         max_len=params["max_len"],

@@ -52,6 +52,7 @@ from .seeding import map_replicas, replica_seed
 
 GAP_TOL = 1e-8
 RENORM_EVERY = 64
+MAX_ATOMS = 64  # disagreement_degree reports atoms only up to this many
 NORM_FLOOR = 2.0**-33  # per agent: 2^20 times the 2^-53 unit roundoff
 
 UNDETERMINED = "undetermined"
@@ -64,7 +65,6 @@ class BeliefState:
     p0: tuple
     p_t: tuple
     t: int = 0
-    gamma: float | None = None
 
     def __post_init__(self):
         for name, vec in (("p0", self.p0), ("p_t", self.p_t)):
@@ -75,17 +75,15 @@ class BeliefState:
                 raise InvalidProbability(f"{name} entries must lie in [0,1]")
         if len(self.p0) != len(self.p_t):
             raise DimensionMismatch("p0 and p_t must have equal length")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise InvalidProbability("gamma must lie in [0,1]")
 
     @property
     def n(self):
         return len(self.p0)
 
     @classmethod
-    def from_signals(cls, p0, gamma=None):
+    def from_signals(cls, p0):
         vals = tuple(float(v) for v in p0)
-        return cls(p0=vals, p_t=vals, t=0, gamma=gamma)
+        return cls(p0=vals, p_t=vals, t=0)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
-    """Apply p <- X_t p for ``steps`` periods."""
+    """Apply p <- X_t p for ``steps`` periods, clipped to [0,1] against roundoff."""
     if steps < 0:
         raise InvalidArgument("steps must be >= 0")
     if gen.spec.n != beliefs.n:
@@ -219,8 +217,7 @@ def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState
     p = np.asarray(beliefs.p_t, dtype=float)
     for _ in range(steps):
         p = gen.next_array() @ p
-    return BeliefState(p0=beliefs.p0, p_t=tuple(float(v) for v in p),
-                       t=beliefs.t + steps, gamma=beliefs.gamma)
+    return BeliefState(p0=beliefs.p0, p_t=tuple(float(v) for v in np.clip(p, 0.0, 1.0)), t=beliefs.t + steps)
 
 
 def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
@@ -245,14 +242,12 @@ def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
 
 
 def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
-                       gap_tol: float = GAP_TOL, seed: int = 0,
-                       workers: int = 1) -> InfluenceEstimate:
+                       gap_tol: float = GAP_TOL, seed: int = 0) -> InfluenceEstimate:
     """Monte Carlo sample of pi: one converged product row per replica.
 
     Replicas whose product has not reached gap_tol by t_max count as
     failures; NoConvergence is raised when fewer than half converge,
     signalling consensus failure of the process rather than a bug.
-    ``workers`` is accepted for compatibility; replicas run in index order.
     """
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
@@ -266,7 +261,7 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
             return None
         return prod[0], gap
 
-    results = map_replicas(one, replicas, seed, workers)
+    results = map_replicas(one, replicas, seed)
     samples = [r[0] for r in results if r is not None]
     gaps = [r[1] for r in results if r is not None]
     failures = replicas - len(samples)
@@ -455,10 +450,10 @@ class AtomicWeightPairs:
             raise InvalidProbability("atom masses must sum to 1")
 
 
-def _gauss_panels(order: int, depth: int = 20):
-    """Gauss-Legendre nodes/weights on [0,1] over dyadically refined panels."""
+def _gauss_panels(order: int):
+    """Gauss-Legendre nodes/weights on [0,1] over 20 dyadic refinements per end."""
     x, w = np.polynomial.legendre.leggauss(order)
-    lo = [0.0] + [2.0 ** (-k) for k in range(depth, 0, -1)]
+    lo = [0.0] + [2.0 ** (-k) for k in range(20, 0, -1)]
     breaks = lo + [1.0 - b for b in reversed(lo[:-1])]
     nodes, weights = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -536,13 +531,12 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
 
 
 def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
-                        atom_tol: float = 1e-4, seed: int = 0,
-                        max_atoms: int = 64) -> DisagreementReport:
+                        atom_tol: float = 1e-4, seed: int = 0) -> DisagreementReport:
     """Empirical law of X^(t_max): modal numeric rank plus clustered atoms.
 
     Limit products are clustered by greedy nearest-atom assignment with
     entrywise max-distance tolerance atom_tol; atoms are reported only
-    when the limits concentrate on at most max_atoms matrices.
+    when the limits concentrate on at most MAX_ATOMS matrices.
     """
     if replicas < 100:
         raise InvalidArgument("disagreement_degree needs at least 100 replicas")
@@ -568,7 +562,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
         else:
             atoms.append(prod)
             counts.append(1)
-            if len(atoms) > max_atoms:
+            if len(atoms) > MAX_ATOMS:
                 overflow = True
     histogram = {r: c / replicas for r, c in sorted(rank_counts.items())}
     eta = max(rank_counts, key=lambda r: (rank_counts[r], -r))
@@ -581,7 +575,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     return DisagreementReport(eta_estimate=int(eta), rank_histogram=histogram, support_atoms=support_atoms)
 
 
-def cyclicity_check(support, zero_tol: float = ZERO_TOL):
+def cyclicity_check(support):
     """Search for a partition cycle that every support matrix respects.
 
     A witness is an ordered tuple (A_1, ..., A_m) of pairwise-disjoint
@@ -597,7 +591,7 @@ def cyclicity_check(support, zero_tol: float = ZERO_TOL):
     if n > 12:
         raise SizeLimit("cyclicity_check enumerates partitions only up to n = 12")
     union_support = [frozenset(np.flatnonzero(
-        np.any([m[i] > zero_tol for m in mats], axis=0)).tolist()) for i in range(n)]
+        np.any([m[i] > ZERO_TOL for m in mats], axis=0)).tolist()) for i in range(n)]
 
     def follow(block):
         out = set()

@@ -24,10 +24,9 @@ from .errors import (
     Unsupported,
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
-from .matrices import StochasticMatrix, _connected
+from .matrices import PROB_TOL, StochasticMatrix, _connected
 from .seeding import map_replicas
 
-PROB_TOL = 1e-12
 MIN_EVENTS = 20
 # p_max enumerates at most 2^SUBSET_LIMIT atom subsets or 2^(CUT_LIMIT - 1) cuts.
 SUBSET_LIMIT = 20

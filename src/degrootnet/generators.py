@@ -21,10 +21,8 @@ from .errors import (
     NotStrictlyPositive,
     Unsupported,
 )
-from .matrices import StochasticMatrix, SkeletonMask, ZERO_TOL, _connected, is_strictly_positive
-
-PROB_TOL = 1e-12
-BALANCE_TOL = 1e-9
+from .matrices import (BALANCE_TOL, PROB_TOL, ZERO_TOL, SkeletonMask, StochasticMatrix, _connected,
+                       is_balanced, is_strictly_positive)
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ class DirichletRows(GeneratorSpec):
     @property
     def balanced(self) -> bool:
         """True iff row sums of alpha equal column sums componentwise."""
-        return bool(np.abs(self.alpha.sum(axis=1) - self.alpha.sum(axis=0)).max() <= BALANCE_TOL)
+        return is_balanced(self.alpha)
 
     def _draw(self, state):
         if self._dense:
@@ -734,14 +732,14 @@ def _graph_to_row_weights(adj: np.ndarray) -> np.ndarray:
     return a / deg[:, None]
 
 
-def _left_unit_eigenvector(T: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> np.ndarray:
+def _left_unit_eigenvector(T: np.ndarray) -> np.ndarray:
     """Influence vector of a strictly positive fixed network, by power iteration."""
     n = T.shape[0]
     s = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(100000):
         nxt = s @ T
         nxt /= nxt.sum()
-        if np.abs(nxt - s).max() < tol:
+        if np.abs(nxt - s).max() < 1e-13:
             return nxt
         s = nxt
     raise EigenvectorFailure("left eigenvector iteration did not converge")

@@ -20,6 +20,8 @@ from .errors import DimensionMismatch, InvalidArgument, NegativeEntry, Numerical
 ROW_TOL = 1e-12
 ZERO_TOL = 1e-12
 RANK_REL_TOL = 1e-8
+PROB_TOL = 1e-12
+BALANCE_TOL = 1e-9
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -35,7 +37,7 @@ class StochasticMatrix:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, row_tol: float = ROW_TOL):
+    def __init__(self, entries):
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
@@ -44,7 +46,7 @@ class StochasticMatrix:
             i, j = map(int, neg[0])
             raise NegativeEntry(i, j, float(arr[i, j]))
         sums = arr.sum(axis=1)
-        bad = np.argwhere(np.abs(sums - 1.0) > row_tol)
+        bad = np.argwhere(np.abs(sums - 1.0) > ROW_TOL)
         if bad.size:
             i = int(bad[0][0])
             raise RowSumViolation(i, float(sums[i]))
@@ -110,9 +112,9 @@ class RankReport:
     tol_used: float
 
 
-def make_stochastic(entries, row_tol: float = ROW_TOL) -> StochasticMatrix:
+def make_stochastic(entries) -> StochasticMatrix:
     """Validate and renormalize a raw array into a StochasticMatrix."""
-    return StochasticMatrix(entries, row_tol=row_tol)
+    return StochasticMatrix(entries)
 
 
 def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
@@ -122,25 +124,30 @@ def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
     return StochasticMatrix._trusted(a.entries @ b.entries)
 
 
-def skeleton(m: StochasticMatrix, zero_tol: float = ZERO_TOL) -> SkeletonMask:
-    """Zero-pattern mask: true wherever an entry exceeds zero_tol."""
-    return SkeletonMask(m.entries > zero_tol)
+def skeleton(m: StochasticMatrix) -> SkeletonMask:
+    """Zero-pattern mask: true wherever an entry exceeds ZERO_TOL."""
+    return SkeletonMask(m.entries > ZERO_TOL)
 
 
-def same_skeleton(a: StochasticMatrix, b: StochasticMatrix, zero_tol: float = ZERO_TOL) -> bool:
+def same_skeleton(a: StochasticMatrix, b: StochasticMatrix) -> bool:
     """True iff the two matrices have the same social topology."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot compare {a.n}x{a.n} with {b.n}x{b.n}")
-    return skeleton(a, zero_tol) == skeleton(b, zero_tol)
+    return skeleton(a) == skeleton(b)
 
 
-def is_strictly_positive(m: StochasticMatrix, zero_tol: float = ZERO_TOL) -> bool:
-    return bool((m.entries > zero_tol).all())
+def is_strictly_positive(m: StochasticMatrix) -> bool:
+    return bool((m.entries > ZERO_TOL).all())
 
 
-def is_bistochastic(m: StochasticMatrix, tol: float = 1e-9) -> bool:
-    """True iff every column also sums to 1 within tol."""
-    return bool(np.abs(m.entries.sum(axis=0) - 1.0).max() <= tol)
+def is_bistochastic(m: StochasticMatrix) -> bool:
+    """True iff every column also sums to 1 within BALANCE_TOL."""
+    return bool(np.abs(m.entries.sum(axis=0) - 1.0).max() <= BALANCE_TOL)
+
+
+def is_balanced(alpha: np.ndarray) -> bool:
+    """True iff the row sums of alpha equal its column sums within BALANCE_TOL."""
+    return bool(np.abs(alpha.sum(axis=1) - alpha.sum(axis=0)).max() <= BALANCE_TOL)
 
 
 def dobrushin_coefficient(m: StochasticMatrix) -> float:

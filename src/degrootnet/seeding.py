@@ -40,8 +40,7 @@ def map_replicas(fn, replicas: int, master_seed: int, workers: int = 1) -> list:
     """Run ``fn(replica_index, rng)`` for each replica, in index order.
 
     Replicas run one after another in the calling thread, each on its own
-    stream.  ``workers`` is accepted for compatibility and ignored: threads
-    measured slower than this loop, since the GIL serializes the small
-    numpy calls of a replica.
+    stream.  ``workers`` is ignored; the slot stays only because
+    perfbench/tracer.py passes four arguments when it wraps this loop.
     """
     return [fn(i, replica_rng(master_seed, i)) for i in range(replicas)]

@@ -21,11 +21,9 @@ from .errors import (
     Unsupported,
 )
 from .generators import GeneratorSpec
-from .matrices import StochasticMatrix, numeric_rank
+from .matrices import PROB_TOL, StochasticMatrix, is_balanced, numeric_rank
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
 from .seeding import map_replicas, replica_rng, replica_seed  # noqa: F401
-
-BALANCE_TOL = 1e-9
 
 # Finite-sample proxy for "the max influence share decays at a positive
 # rate": fitted log-log slopes below this are treated as non-vanishing.
@@ -94,7 +92,7 @@ class DiscreteSignal:
             raise InvalidProbability("values and probs must align")
         if (v < 0).any() or (v > 1).any():
             raise InvalidProbability("signal values must lie in [0,1]")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
+        if (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
             raise InvalidProbability("signal masses must sum to 1")
         if self.variance <= 0:
             raise InvalidProbability("signal law needs positive variance")
@@ -221,7 +219,7 @@ def check_mic3_rates(alpha_family, sizes) -> dict:
     ratios = []
     for n in sizes:
         alpha = np.asarray(alpha_family(n), dtype=float)
-        if np.abs(alpha.sum(axis=1) - alpha.sum(axis=0)).max() > BALANCE_TOL:
+        if not is_balanced(alpha):
             raise BalanceViolation(f"alpha for n={n} is not balanced")
         phi = alpha.sum(axis=1)
         totals.append(phi.sum())
@@ -235,22 +233,21 @@ def check_mic3_rates(alpha_family, sizes) -> dict:
 
 
 def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
-                             phi=None, t_max: int = 4000, gap_tol: float = GAP_TOL,
-                             workers: int = 1) -> dict:
+                             phi=None, t_max: int = 4000) -> dict:
     """Monte Carlo influence moments against the Dirichlet(phi) prediction.
 
     phi defaults to the generator's balance vector (row sums of its alpha),
     validated against the column sums; pass phi explicitly for processes
     such as the leader-follower network whose limit law is known to match
-    a balanced reference despite having no alpha of their own.  ``workers``
-    is accepted for compatibility; replicas run in index order.
+    a balanced reference despite having no alpha of their own.  Each
+    replica runs to the consensus gap GAP_TOL.
     """
     if phi is None:
         alpha = getattr(spec, "alpha", None)
         if alpha is None:
             raise Unsupported("spec has no alpha matrix; pass phi explicitly")
         alpha = np.asarray(alpha, dtype=float)
-        if np.abs(alpha.sum(axis=1) - alpha.sum(axis=0)).max() > BALANCE_TOL:
+        if not is_balanced(alpha):
             raise BalanceViolation("alpha row sums differ from column sums")
         phi = alpha.sum(axis=1)
     phi = np.asarray(phi, dtype=float)
@@ -258,8 +255,7 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     target_mean = phi / phi0
     target_var = phi * (phi0 - phi) / (phi0**2 * (phi0 + 1.0))
 
-    est = estimate_influence(spec, replicas=replicas, t_max=t_max, gap_tol=gap_tol,
-                             seed=seed, workers=workers)
+    est = estimate_influence(spec, replicas=replicas, t_max=t_max, seed=seed)
     samples = np.asarray(est.samples)
     r = samples.shape[0]
     mean = samples.mean(axis=0)

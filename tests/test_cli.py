@@ -188,6 +188,23 @@ class TestExitCodes:
         assert run(argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["semigroup", "skeleton"])
+    def test_inputs_of_different_sizes_are_a_usage_error_naming_them(self, tmp_path, capsys, command):
+        eye2, eye3 = np.eye(2).tolist(), np.eye(3).tolist()
+        if command == "semigroup":
+            inputs = {"--support": [eye2, eye3]}
+        else:
+            inputs = {"--spec-a": {"model": "fixed", "matrix": eye2}, "--spec-b": {"model": "fixed", "matrix": eye3}}
+        argv = [command]
+        for flag, doc in inputs.items():
+            path = tmp_path / (flag.strip("-") + ".json")
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert all(flag in err for flag in inputs)
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
         code = run(["energy", "--mu", "uniform-indep", "--out", str(out)])
@@ -247,6 +264,12 @@ class TestSimulate:
         assert lines[0] == "t,p_1,p_2"
         final = [float(v) for v in lines[-1].split(",")[1:]]
         assert final == [0.5, 0.5]
+
+    def test_roundoff_never_pushes_beliefs_out_of_range(self, capsys):
+        # seed 6's first ring draw has a row summing to 1 + 1 ulp, so X_1 p0 exceeds 1
+        argv = ["simulate", "--model", "ring", "--n", "5", "--p0", "1,1,1,1,1", "--steps", "200", "--seed", "6"]
+        assert run(argv) == EXIT_OK
+        assert "final=[1.0, 1.0, 1.0, 1.0, 1.0]" in capsys.readouterr().out
 
 
 # The smallest parameters each --model accepts, as flags or --config values.

@@ -53,6 +53,29 @@ G_PERM = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 SWAP = make_stochastic([[0, 1], [1, 0]])
 
 
+def positive_diagonal_iid_specs():
+    """The iid specs whose every draw has a positive diagonal, by name.
+
+    Those of all_models(), plus three that fail both oracles: Fixed(I), a
+    block-diagonal DirichletRows and an encounter model whose pair never meets.
+    """
+    block = np.zeros((4, 4))
+    block[:2, :2] = block[2:, 2:] = 1.0
+    specs = dict(all_models(), identity=Fixed(make_stochastic(np.eye(3))),
+                 block_dirichlet=DirichletRows(block), no_meetings=encounter_2x2(0.3, 0.0))
+    out = {}
+    for name, spec in specs.items():
+        try:
+            masks = [s.mask for s in spec.support().skeletons] if spec.is_iid else []
+        except Unsupported:
+            continue
+        if masks and all(m.diagonal().all() for m in masks):
+            out[name] = spec
+    assert list(out) == ["fixed", "encounter2x2", "dirichlet_ring", "dirichlet_dense", "perturbed",
+                         "mix_identity", "identity", "block_dirichlet", "no_meetings"]
+    return out
+
+
 def hg_mixture(kappa=0.3, r=0.5):
     return FiniteMixture(atoms=(h_matrix(kappa), G_PERM), probs=(r, 1 - r))
 
@@ -156,6 +179,16 @@ class TestAccumulate:
         acc = accumulate(Fixed(SWAP).start_state(0), 10, gap_tol=0.0)
         assert not acc.strict_positive_seen
 
+    def test_consensus_iff_second_eigenvalue_of_the_mean_below_one(self):
+        # Tahbaz-Salehi & Jadbabaie (IEEE TAC 2008): an iid process whose draws all
+        # have a positive diagonal reaches consensus a.s. iff |lambda_2(E[X])| < 1.
+        for name, spec in positive_diagonal_iid_specs().items():
+            lambda2 = np.sort(np.abs(np.linalg.eigvals(spec.mean_matrix().entries)))[-2]
+            contracts = bool(lambda2 < 1.0 - 1e-9)
+            for seed in range(5):
+                acc = accumulate(spec.start_state(seed), 20000, stop_when_converged=True)
+                assert (acc.consensus_time is not None) == contracts, (name, seed)
+
 
 class TestInfluence:
     def test_bistochastic_equal_influence(self):
@@ -198,13 +231,6 @@ class TestInfluence:
     def test_no_convergence_raises(self):
         with pytest.raises(NoConvergence):
             estimate_influence(Fixed(SWAP), replicas=20, t_max=100, seed=1)
-
-    def test_worker_count_does_not_change_results(self):
-        spec = ring_uniform_self(3)
-        a = estimate_influence(spec, replicas=60, t_max=2000, seed=11, workers=1)
-        b = estimate_influence(spec, replicas=60, t_max=2000, seed=11, workers=4)
-        assert a.samples == b.samples
-        assert a.mean == b.mean
 
     def test_bernoulli_weight_limit_masses(self):
         # scaled Bernoulli self-weights, x <= 1/2: the limit influence of
@@ -305,25 +331,11 @@ class TestConditionC:
         # With every skeleton's diagonal positive, a product of all atoms in turn
         # dominates each atom, so some product is positive iff the union graph is
         # strongly connected.
-        block = np.zeros((4, 4))
-        block[:2, :2] = block[2:, 2:] = 1.0
-        specs = dict(all_models(), identity=Fixed(make_stochastic(np.eye(3))),
-                     block_dirichlet=DirichletRows(block), no_meetings=encounter_2x2(0.3, 0.0))
-        checked = []
-        for name, spec in specs.items():
-            try:
-                masks = [s.mask for s in spec.support().skeletons] if spec.is_iid else []
-            except Unsupported:
-                continue
-            if not masks or not all(m.diagonal().all() for m in masks):
-                continue
-            union = np.logical_or.reduce(masks).astype(np.int64)
+        for name, spec in positive_diagonal_iid_specs().items():
+            union = np.logical_or.reduce([s.mask for s in spec.support().skeletons]).astype(np.int64)
             connected = bool(np.linalg.matrix_power(union, spec.n - 1).all())
             rep = check_condition_c(spec, replicas=50, seed=0)
             assert (rep.verdict == HOLDS) == connected, name
-            checked.append(name)
-        assert checked == ["fixed", "encounter2x2", "dirichlet_ring", "dirichlet_dense", "perturbed",
-                           "mix_identity", "identity", "block_dirichlet", "no_meetings"]
 
     def test_skeleton_closure_stops_at_its_cap(self):
         # the closure stops at the first pattern past the cap, then Monte Carlo decides

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degrootnet import (
     Ar1Mixture,
@@ -191,6 +193,26 @@ class TestSupport:
         spec = Ar1Mixture(0.5, flat(2), ring_uniform_self(2))
         with pytest.raises(Unsupported):
             support(spec)
+
+
+class TestDirichletDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
+    def test_zero_alpha_draws_nothing(self, n, density, seed):
+        # the sparse draw equals rng.gamma over the full alpha, normalized, and leaves
+        # the stream at the same point; a block sampler may draw the whole alpha at once
+        if density is None:
+            alpha = ring_uniform_self(n).alpha
+        else:
+            mask_rng = np.random.default_rng(seed)
+            alpha = np.where(mask_rng.random((n, n)) < density, mask_rng.uniform(0.1, 3.0, (n, n)), 0.0)
+            alpha[np.arange(n), np.arange(n)] += 1.0  # every row needs a positive entry
+        state = DirichletRows(alpha).start_state(seed)
+        full = np.random.default_rng(seed)
+        for _ in range(5):
+            g = full.gamma(alpha)
+            assert state.next_array().tobytes() == (g / g.sum(axis=1, keepdims=True)).tobytes()
+        assert state.rng.random() == full.random()
 
 
 class TestRingUniformSelf:
