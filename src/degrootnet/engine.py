@@ -16,7 +16,6 @@ through matrices._skeleton_closure, semigroup_explore with an epsilon net.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,13 +31,13 @@ from .errors import (
     NoConvergence,
     NotIid,
     SingularMass,
-    SizeLimit,
     Unsupported,
 )
 from .generators import GeneratorSpec, GeneratorState
 from .matrices import (
     FAILS,
     HOLDS,
+    PROB_TOL,
     SkeletonMask,
     StochasticMatrix,
     ZERO_TOL,
@@ -349,6 +348,8 @@ def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
     atoms = [m.entries for m in support]
     if not atoms:
         raise InvalidArgument("support must be nonempty")
+    if len({a.shape[0] for a in atoms}) > 1:
+        raise DimensionMismatch(f"support matrices differ in size: n = {', '.join(str(a.shape[0]) for a in atoms)}")
     elements: list[np.ndarray] = []
 
     def add(arr):
@@ -446,7 +447,7 @@ class AtomicWeightPairs:
             if mass < 0:
                 raise InvalidProbability("atom masses must be nonnegative")
             total += mass
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PROB_TOL:
             raise InvalidProbability("atom masses must sum to 1")
 
 
@@ -580,42 +581,35 @@ def cyclicity_check(support):
 
     A witness is an ordered tuple (A_1, ..., A_m) of pairwise-disjoint
     nonempty agent sets, m >= 2, such that every matrix moves all of A_s's
-    weight into A_{s+1} (indices mod m).  The search enumerates the first
-    set and follows row supports, which is exhaustive: any witness can be
-    shrunk to the union-of-supports chain it generates.
+    weight into A_{s+1} (indices mod m).  One exists iff some closed class
+    of the union graph has period d >= 2 (Seneta 2006, ch. 1); the witness
+    is that class's d cyclic classes, in order from the class of its
+    smallest agent.  Breadth-first levels from each agent decide both: an
+    agent is in a closed class iff every agent it reaches reaches it back,
+    and the period is the gcd of level[u] + 1 - level[v] over the class's
+    edges.
     """
     mats = [m.entries for m in support]
     if not mats:
         raise InvalidArgument("support must be nonempty")
-    n = mats[0].shape[0]
-    if n > 12:
-        raise SizeLimit("cyclicity_check enumerates partitions only up to n = 12")
-    union_support = [frozenset(np.flatnonzero(
-        np.any([m[i] > ZERO_TOL for m in mats], axis=0)).tolist()) for i in range(n)]
-
-    def follow(block):
-        out = set()
-        for i in block:
-            out |= union_support[i]
-        return frozenset(out)
-
-    for size in range(1, n + 1):
-        for first in itertools.combinations(range(n), size):
-            a1 = frozenset(first)
-            for m in range(2, n + 1):
-                blocks = [a1]
-                ok = True
-                for _ in range(m - 1):
-                    nxt = follow(blocks[-1])
-                    if not nxt or any(nxt & b for b in blocks):
-                        ok = False
-                        break
-                    blocks.append(nxt)
-                if not ok:
-                    continue
-                if follow(blocks[-1]) <= a1:
-                    witness = [sorted(b) for b in blocks]
-                    return {"cyclic": True, "witness_partition": witness}
+    union = np.any([m > ZERO_TOL for m in mats], axis=0)
+    successors = [np.flatnonzero(row).tolist() for row in union]
+    levels = []
+    for root in range(len(successors)):
+        level, order = {root: 0}, [root]
+        for u in order:
+            for v in successors[u]:
+                if v not in level:
+                    level[v] = level[u] + 1
+                    order.append(v)
+        levels.append(level)
+    for root, level in enumerate(levels):
+        if any(root not in levels[v] for v in level):
+            continue
+        period = math.gcd(*(level[u] + 1 - level[v] for u in level for v in successors[u]))
+        if period >= 2:
+            witness = [sorted(v for v in level if level[v] % period == k) for k in range(period)]
+            return {"cyclic": True, "witness_partition": witness}
     return {"cyclic": False, "witness_partition": None}
 
 

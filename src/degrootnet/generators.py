@@ -319,10 +319,13 @@ class PerturbedFixed(DirichletRows):
 class LeaderFollower(GeneratorSpec):
     """Two-step communication: a leader's draw steers every follower.
 
-    One uniform x per period.  Row 1 is (x, 1-x, 0, ...).  If x >= 1/2 the
-    followers keep their own beliefs (identity rows); otherwise follower i
-    pays full attention to agent i+1 (mod n).  Rows are correlated through
-    the single draw, yet the limiting influence law matches the independent
+    One uniform x per period, and the draw is ``_branch(x)``.  Row 1 is
+    (x, 1-x, 0, ...).  If x >= 1/2 the followers keep their own beliefs
+    (identity rows); otherwise follower i pays full attention to agent
+    i+1 (mod n).  Each branch has probability 1/2 and is affine in x with
+    conditional mean 3/4 or 1/4, so the branches at 3/4 and 1/4 give the
+    exact mean and the two skeletons.  Rows are correlated through the
+    single draw, yet the limiting influence law matches the independent
     ring with uniform self-weights.
     """
 
@@ -337,40 +340,24 @@ class LeaderFollower(GeneratorSpec):
     def n(self):
         return self.size
 
-    def _draw(self, state):
+    def _branch(self, x: float) -> np.ndarray:
         n = self.size
-        x = state.rng.random()
         out = np.zeros((n, n))
         out[0, 0] = x
         out[0, 1] = 1.0 - x
-        if x >= 0.5:
-            for i in range(1, n):
-                out[i, i] = 1.0
-        else:
-            for i in range(1, n):
-                out[i, (i + 1) % n] = 1.0
+        for i in range(1, n):
+            out[i, i if x >= 0.5 else (i + 1) % n] = 1.0
         return out
 
+    def _draw(self, state):
+        return self._branch(state.rng.random())
+
     def mean_matrix(self):
-        n = self.size
-        out = np.zeros((n, n))
-        out[0, 0] = out[0, 1] = 0.5
-        for i in range(1, n):
-            out[i, i] = 0.5
-            out[i, (i + 1) % n] = 0.5
-        return StochasticMatrix._trusted(out)
+        return StochasticMatrix._trusted(0.5 * self._branch(0.75) + 0.5 * self._branch(0.25))
 
     def support(self):
-        n = self.size
-        hi = np.zeros((n, n), dtype=bool)
-        lo = np.zeros((n, n), dtype=bool)
-        hi[0, 0] = hi[0, 1] = lo[0, 0] = lo[0, 1] = True
-        for i in range(1, n):
-            hi[i, i] = True
-            lo[i, (i + 1) % n] = True
-        return SupportDescriptor(
-            kind="continuous", skeletons=(SkeletonMask(hi), SkeletonMask(lo)), strictly_positive_prob=0.0
-        )
+        masks = tuple(SkeletonMask(self._branch(x) > 0) for x in (0.75, 0.25))
+        return SupportDescriptor(kind="continuous", skeletons=masks, strictly_positive_prob=0.0)
 
     def to_dict(self):
         return {"model": "leader_follower", "n": self.size}
@@ -384,7 +371,9 @@ class Islands(GeneratorSpec):
     links are each kept with probability p_s; one uniformly random
     cross-island pair is linked with probability p_d.  The interaction
     matrix is the degree-normalized adjacency, with a self-loop added to
-    any isolated agent so rows stay stochastic.
+    any isolated agent so rows stay stochastic.  Draws follow that recipe
+    step by step; the mean and the support both read ``_law()``, the exact
+    finite mixture over the graphs of ``islands_graph_atoms`` (g <= 4).
     """
 
     g: int
@@ -420,23 +409,16 @@ class Islands(GeneratorSpec):
             adj[i, j] = adj[j, i] = True
         return _graph_to_row_weights(adj)
 
+    def _law(self) -> FiniteMixture:
+        adjs, probs = zip(*islands_graph_atoms(self.g, self.p_s, self.p_d))
+        return FiniteMixture(atoms=tuple(StochasticMatrix._trusted(_graph_to_row_weights(adj)) for adj in adjs),
+                             probs=tuple(map(float, probs)))
+
     def mean_matrix(self):
-        acc = None
-        for adj, prob in islands_graph_atoms(self.g, self.p_s, self.p_d):
-            w = _graph_to_row_weights(adj)
-            acc = prob * w if acc is None else acc + prob * w
-        return StochasticMatrix._trusted(np.asarray(acc, dtype=float))
+        return self._law().mean_matrix()
 
     def support(self):
-        atoms = []
-        seen = set()
-        for adj, _prob in islands_graph_atoms(self.g, self.p_s, self.p_d):
-            m = StochasticMatrix._trusted(_graph_to_row_weights(adj))
-            key = m.entries.tobytes()
-            if key not in seen:
-                seen.add(key)
-                atoms.append(m)
-        return _finite_support(atoms)
+        return self._law().support()
 
     def to_dict(self):
         return {"model": "islands", "g": self.g, "p_s": self.p_s, "p_d": self.p_d}

@@ -205,6 +205,12 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert all(flag in err for flag in inputs)
 
+    def test_atom_masses_off_by_5e10_are_a_usage_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps([{"x": 1.0, "y": 0.0, "mass": 0.5}, {"x": 0.0, "y": 1.0, "mass": 0.5 + 5e-10}]))
+        assert run(["energy", "--mu", "atoms", "--atoms", str(path)]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
         code = run(["energy", "--mu", "uniform-indep", "--out", str(out)])

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degrootnet import (
     Ar1Mixture,
@@ -36,7 +39,7 @@ from degrootnet import (
 )
 from degrootnet import engine
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
-from degrootnet.errors import CapHit, NoConvergence, NotIid, SingularMass, Unsupported
+from degrootnet.errors import CapHit, DimensionMismatch, InvalidProbability, NoConvergence, NotIid, SingularMass, Unsupported
 from degrootnet.generators import Islands, UndirectedDegree
 from test_generators import all_models
 
@@ -362,6 +365,10 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="max_len"):
             semigroup_explore([flat(2)], max_len=0)
 
+    def test_matrices_of_different_sizes_are_rejected_naming_them(self):
+        with pytest.raises(DimensionMismatch, match="n = 2, 3"):
+            semigroup_explore([make_stochastic(np.eye(2)), make_stochastic(np.eye(3))], max_len=4)
+
     def test_explosion_guard(self):
         from degrootnet.errors import ExplosionGuard
 
@@ -459,6 +466,12 @@ class TestLogEnergy:
         with pytest.raises(SingularMass):
             log_energy(AtomicWeightPairs(atoms=(((0.3, 0.3), 1.0),)))
 
+    def test_masses_sum_to_one_within_prob_tol(self):
+        # the tolerance of every other probability sum in the package (1e-12)
+        with pytest.raises(InvalidProbability):
+            AtomicWeightPairs(atoms=(((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5 + 5e-10)))
+        AtomicWeightPairs(atoms=(((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5 + 5e-13)))
+
 
 class TestLyapunov:
     def test_flat_reports_zero(self):
@@ -528,7 +541,76 @@ class TestDisagreement:
         assert tv <= 0.05
 
 
+def enumerated_cyclicity(mats):
+    """The partition search cyclicity_check once ran, kept as an oracle: first blocks
+    by size, then in lexicographic order, followed through the union graph."""
+    n = mats[0].shape[0]
+    union_support = [frozenset(np.flatnonzero(np.any([m[i] > 1e-12 for m in mats], axis=0)).tolist())
+                     for i in range(n)]
+
+    def follow(block):
+        out = set()
+        for i in block:
+            out |= union_support[i]
+        return frozenset(out)
+
+    for size in range(1, n + 1):
+        for first in itertools.combinations(range(n), size):
+            a1 = frozenset(first)
+            for m in range(2, n + 1):
+                blocks = [a1]
+                ok = True
+                for _ in range(m - 1):
+                    nxt = follow(blocks[-1])
+                    if not nxt or any(nxt & b for b in blocks):
+                        ok = False
+                        break
+                    blocks.append(nxt)
+                if ok and follow(blocks[-1]) <= a1:
+                    return [sorted(b) for b in blocks]
+    return None
+
+
+def is_cyclicity_witness(support, blocks):
+    """Two or more disjoint nonempty blocks, each sending all its weight into the next."""
+    agents = [a for b in blocks for a in b]
+    if len(blocks) < 2 or not all(blocks) or len(agents) != len(set(agents)):
+        return False
+    for s, block in enumerate(blocks):
+        outside = np.ones(support[0].n, dtype=bool)
+        outside[blocks[(s + 1) % len(blocks)]] = False
+        if any((m.entries[np.ix_(block, outside)] > 0).any() for m in support):
+            return False
+    return True
+
+
 class TestCyclicity:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 3), density=st.floats(0.1, 0.7), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_partition_enumeration(self, n, k, density, seed):
+        rng = np.random.default_rng(seed)
+        support = []
+        for _ in range(k):
+            mask = rng.random((n, n)) < density
+            mask[np.arange(n), rng.integers(n, size=n)] |= ~mask.any(axis=1)  # no empty row
+            support.append(make_stochastic(mask / mask.sum(axis=1, keepdims=True)))
+        res = cyclicity_check(support)
+        assert res["cyclic"] == (enumerated_cyclicity([m.entries for m in support]) is not None)
+        if res["cyclic"]:
+            assert is_cyclicity_witness(support, res["witness_partition"])
+        else:
+            assert res["witness_partition"] is None
+
+    def test_thirteen_agents_in_three_cyclic_classes(self):
+        classes = [list(range(0, 5)), list(range(5, 9)), list(range(9, 13))]
+        spread, to_first = np.zeros((13, 13)), np.zeros((13, 13))
+        for s, block in enumerate(classes):
+            nxt = classes[(s + 1) % 3]
+            spread[np.ix_(block, nxt)] = 1.0 / len(nxt)
+            to_first[block, nxt[0]] = 1.0
+        res = cyclicity_check([make_stochastic(spread), make_stochastic(to_first)])
+        assert res == {"cyclic": True, "witness_partition": classes}
+
     def test_swap_support_is_cyclic(self):
         res = cyclicity_check([SWAP])
         assert res["cyclic"]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,24 +197,47 @@ class TestSupport:
             support(spec)
 
 
+def _ring_or_random_alpha(n, density, seed):
+    """The ring alpha for density None, else a random alpha with that share of positive entries."""
+    if density is None:
+        return ring_uniform_self(n).alpha
+    mask_rng = np.random.default_rng(seed)
+    alpha = np.where(mask_rng.random((n, n)) < density, mask_rng.uniform(0.1, 3.0, (n, n)), 0.0)
+    alpha[np.arange(n), np.arange(n)] += 1.0  # every row needs a positive entry
+    return alpha
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 class TestDirichletDraw:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
     def test_zero_alpha_draws_nothing(self, n, density, seed):
         # the sparse draw equals rng.gamma over the full alpha, normalized, and leaves
         # the stream at the same point; a block sampler may draw the whole alpha at once
-        if density is None:
-            alpha = ring_uniform_self(n).alpha
-        else:
-            mask_rng = np.random.default_rng(seed)
-            alpha = np.where(mask_rng.random((n, n)) < density, mask_rng.uniform(0.1, 3.0, (n, n)), 0.0)
-            alpha[np.arange(n), np.arange(n)] += 1.0  # every row needs a positive entry
+        alpha = _ring_or_random_alpha(n, density, seed)
         state = DirichletRows(alpha).start_state(seed)
         full = np.random.default_rng(seed)
         for _ in range(5):
             g = full.gamma(alpha)
             assert state.next_array().tobytes() == (g / g.sum(axis=1, keepdims=True)).tobytes()
         assert state.rng.random() == full.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_standard_gamma_is_unit_scale_gamma(self, n, density, seed):
+        # rng.standard_gamma(alpha) equals rng.gamma(alpha) bitwise and leaves the stream
+        # at the same point, so a block sampler may call the cheaper standard_gamma
+        alpha = _ring_or_random_alpha(n, density, seed)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert fast.standard_gamma(alpha).tobytes() == slow.gamma(alpha).tobytes()
+        assert fast.random() == slow.random()
 
 
 class TestRingUniformSelf:
@@ -263,6 +288,20 @@ class TestLeaderFollower:
                 assert np.array_equal(x[1:], shift[1:])
                 saw_lo = True
         assert saw_hi and saw_lo
+
+    @pytest.mark.parametrize("n, digest", [
+        (2, "2ddbe436863eab147c41777f06158e58b45c0946bc50369a73e2bccfa9db0c90"),
+        (3, "a6c51647e1d1b8a6f7f39a5899d16efe6682a53b289cc39c49f71605bacb4c35"),
+        (5, "defe955704701d662541af09d4cba90bc73b383b3be25c387617a54ee086e457"),
+        (8, "79361041c0fa26e95e7033a5660629a4562a9a7197cc7e5d35d111bfbab0de41"),
+    ])
+    def test_mean_skeletons_and_draws_are_pinned(self, n, digest):
+        # SHA-256 over the mean, both skeleton masks and the first 50 draws at seed 2024,
+        # recorded when the draw, the mean and the skeletons were built by three separate rules
+        spec = leader_follower(n)
+        state = spec.start_state(2024)
+        arrays = [spec.mean_matrix().entries] + [m.mask for m in spec.support().skeletons]
+        assert _digest(arrays + [state.next_array() for _ in range(50)]) == digest
 
     def test_rows_correlated_through_single_draw(self):
         spec = leader_follower(4)
@@ -320,6 +359,25 @@ class TestIslands:
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
             Islands(2, 1.2, 0.1)
+
+    @pytest.mark.parametrize("g, p_s, p_d, atoms, digest", [
+        (2, 0.8, 0.3, 20, "f54e68948da6f1cf99f4afe3418ea5ceedb0be6c006a8aa59a4860d2ab46e860"),
+        (3, 0.8, 0.3, 490, "5a85ea7a021bf6f3852a2ee98613535aee017ae17b0486cb80410cc0937b0352"),
+        (4, 0.7, 0.2, 24548, "1ba976af38c3f95d956519299e1c5b1238e23f504418a4cc9d58484664a88024"),
+    ])
+    def test_mean_and_support_are_pinned(self, g, p_s, p_d, atoms, digest):
+        # SHA-256 over the mean, the support atoms and their skeletons, recorded when
+        # the mean and the support enumerated the graph law separately
+        spec = islands_graphs(g, p_s, p_d)
+        sup = spec.support()
+        assert len(sup.atoms) == atoms
+        arrays = [spec.mean_matrix().entries] + [a.entries for a in sup.atoms] + [m.mask for m in sup.skeletons]
+        assert _digest(arrays) == digest
+
+    def test_exact_fraction_parameters_give_the_float_law(self):
+        exact = Islands(2, Fraction(4, 5), Fraction(3, 10))
+        assert np.abs(exact.mean_matrix().entries - islands_graphs(2, 0.8, 0.3).mean_matrix().entries).max() < 1e-15
+        assert len(exact.support().atoms) == 20
 
     def test_rows_stochastic_with_isolated_agents(self):
         spec = islands_graphs(2, 0.1, 0.1)  # isolation is common
