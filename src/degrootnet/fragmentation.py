@@ -24,7 +24,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
-from .matrices import PROB_TOL, StochasticMatrix, _connected
+from .matrices import PROB_TOL, ZERO_TOL, StochasticMatrix, _connected
 from .seeding import map_replicas
 
 MIN_EVENTS = 20
@@ -373,7 +373,7 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
         probes = map_replicas(lambda i, rng: [spec.start_state(rng).next_array() for _ in range(3)],
                               1, seed)[0]
     for e in probes:
-        if not np.allclose(e, e.T, atol=1e-12) or (np.diag(e) <= 0).any():
+        if not np.allclose(e, e.T, atol=ZERO_TOL) or (np.diag(e) <= 0).any():
             raise Unsupported("draws must be symmetric with positive diagonals")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)

@@ -9,6 +9,7 @@ same (seed, spec) yields bit-identical matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -200,7 +201,7 @@ class FiniteMixture(GeneratorSpec):
     def mean_matrix(self):
         acc = np.zeros((self.n, self.n))
         for a, p in zip(self.atoms, self.probs):
-            acc += p * a.entries
+            acc += float(p) * a.entries
         return StochasticMatrix._trusted(acc)
 
     def support(self):
@@ -223,7 +224,8 @@ class DirichletRows(GeneratorSpec):
 
     A zero alpha entry is a structural zero: that weight is 0 almost surely,
     so the positive pattern of alpha is the common skeleton of every draw.
-    Rows are sampled as independent Gamma draws normalized by their sum.
+    Rows are sampled as independent Gamma draws normalized by their sum; a
+    zero alpha entry gives 0 without consuming the stream.
     """
 
     alpha: np.ndarray
@@ -239,11 +241,6 @@ class DirichletRows(GeneratorSpec):
             raise InvalidProbability("every alpha row needs a positive entry")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
-        # Sparse draw path: sample gammas only where alpha is positive.
-        pos = np.flatnonzero(arr)
-        object.__setattr__(self, "_dense", bool(len(pos) == arr.size))
-        object.__setattr__(self, "_pos_idx", pos)
-        object.__setattr__(self, "_pos_alpha", arr.ravel()[pos].copy())
 
     @property
     def n(self):
@@ -260,13 +257,7 @@ class DirichletRows(GeneratorSpec):
         return is_balanced(self.alpha)
 
     def _draw(self, state):
-        if self._dense:
-            g = state.rng.gamma(self.alpha)
-        else:
-            n = self.alpha.shape[0]
-            g = np.zeros(n * n)
-            g[self._pos_idx] = state.rng.gamma(self._pos_alpha)
-            g = g.reshape(n, n)
+        g = state.rng.standard_gamma(self.alpha)
         return g / g.sum(axis=1, keepdims=True)
 
     def mean_matrix(self):
@@ -372,8 +363,9 @@ class Islands(GeneratorSpec):
     cross-island pair is linked with probability p_d.  The interaction
     matrix is the degree-normalized adjacency, with a self-loop added to
     any isolated agent so rows stay stochastic.  Draws follow that recipe
-    step by step; the mean and the support both read ``_law()``, the exact
-    finite mixture over the graphs of ``islands_graph_atoms`` (g <= 4).
+    step by step; the mean and the support both read ``_law``, the exact
+    finite mixture over the graphs of ``islands_graph_atoms`` (g <= 4),
+    built once per spec.
     """
 
     g: int
@@ -409,16 +401,17 @@ class Islands(GeneratorSpec):
             adj[i, j] = adj[j, i] = True
         return _graph_to_row_weights(adj)
 
+    @functools.cached_property
     def _law(self) -> FiniteMixture:
         adjs, probs = zip(*islands_graph_atoms(self.g, self.p_s, self.p_d))
         return FiniteMixture(atoms=tuple(StochasticMatrix._trusted(_graph_to_row_weights(adj)) for adj in adjs),
-                             probs=tuple(map(float, probs)))
+                             probs=probs)
 
     def mean_matrix(self):
-        return self._law().mean_matrix()
+        return self._law.mean_matrix()
 
     def support(self):
-        return self._law().support()
+        return self._law.support()
 
     def to_dict(self):
         return {"model": "islands", "g": self.g, "p_s": self.p_s, "p_d": self.p_d}
@@ -610,8 +603,6 @@ def mixing_identity_mixture(n: int, zeta: float) -> FiniteMixture:
 
 def _random_tree_edges(g, rng):
     """Uniform labeled spanning tree on g vertices via a random Pruefer code."""
-    if g == 2:
-        return [(0, 1)]
     code = [int(rng.integers(g)) for _ in range(g - 2)]
     return _decode_pruefer(code, g)
 
@@ -639,12 +630,7 @@ def _decode_pruefer(code, g):
 
 def _all_trees(g):
     """All labeled spanning trees on g vertices (g^(g-2) of them)."""
-    if g == 2:
-        return [[(0, 1)]]
-    trees = []
-    for code in itertools.product(range(g), repeat=g - 2):
-        trees.append(_decode_pruefer(list(code), g))
-    return trees
+    return [_decode_pruefer(code, g) for code in itertools.product(range(g), repeat=g - 2)]
 
 
 def _island_edge_patterns(g, p_s):
@@ -705,13 +691,9 @@ def islands_graph_atoms(g, p_s, p_d):
 def _graph_to_row_weights(adj: np.ndarray) -> np.ndarray:
     """Degree-normalized adjacency; isolated agents get a self-loop first."""
     a = adj.astype(float)
-    deg = a.sum(axis=1)
-    isolated = deg == 0
-    if isolated.any():
-        a = a.copy()
-        a[np.ix_(isolated, isolated)] = np.eye(int(isolated.sum()))
-        deg = a.sum(axis=1)
-    return a / deg[:, None]
+    isolated = np.flatnonzero(~adj.any(axis=1))
+    a[isolated, isolated] = 1.0
+    return a / a.sum(axis=1)[:, None]
 
 
 def _left_unit_eigenvector(T: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import GeneratorSpec
-from .matrices import PROB_TOL, StochasticMatrix, is_balanced, numeric_rank
+from .matrices import PROB_TOL, RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
 from .seeding import map_replicas, replica_rng, replica_seed  # noqa: F401
 
@@ -135,7 +135,7 @@ class WisdomConfig:
             raise InvalidProbability("all sizes must be >= 2")
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidProbability("gamma must lie in [0,1]")
-        if abs(self.signal_law.mean - self.gamma) > 1e-12:
+        if abs(self.signal_law.mean - self.gamma) > PROB_TOL:
             raise InvalidProbability("signal law mean must equal gamma")
         if self.signal_law.variance <= 0:
             raise InvalidProbability("signal law must have positive variance")
@@ -309,7 +309,7 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
     if rank_rel_tol is None:
-        rank_rel_tol = max(1e-8, 4.0 / math.sqrt(replicas))
+        rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
     scans = map_replicas(lambda i, rng: _scan(spec.start_state(rng), t_max, gap_tol=0.0),
                          replicas, seed)
     if not any(strict_seen for _, _, _, strict_seen, _ in scans) and not allow_no_positive:

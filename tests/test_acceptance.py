@@ -123,6 +123,11 @@ def test_c05_convergence_time_uniform():
     res = dn.convergence_time_2x2(dn.DirichletRows(np.ones((2, 2))), phi=phi,
                                   replicas=2000, seed=1005)
     ratio = res.mean_t_phi * 1.5 / (-math.log(phi))
+    # False-fail probability under the exact law (normal approximation, 2000 replicas):
+    # t_phi + 1 is the first passage of sum -log|x - y|, x, y iid uniform (mean 3/2,
+    # variance 5/4), over -log phi. By lattice convolution E[t_phi] = 8.99 and
+    # Var[t_phi] = 5.14 (the renewal approximation agrees within 0.03), so the ratio has mean
+    # 0.976 and SE 0.0055: the gate ends are 22.9 and 31.6 SE away, P = 6e-116.
     report(5, "two-agent convergence time matches the 1/I law (I = 3/2)", [
         (f"E[t_phi] * I / (-log phi) = {ratio:.4f} in [0.85, 1.15]", 0.85 <= ratio <= 1.15),
     ])
@@ -140,6 +145,11 @@ def test_c06_arcsine_slowest():
     order = ["arcsine", "uniform", "beta22", "beta55"]
     e_seq = [energies[k] for k in order]
     t_seq = [means[k] for k in order]
+    # The energies are quadratures with no sampling error. False-fail probability of the
+    # t_phi order under the exact laws (normal approximation, 2000 replicas per law, the
+    # first passage of C05 with x, y iid Beta(a, a)): E[t_phi] = 9.89 / 8.99 / 7.59 / 6.03
+    # and Var[t_phi] = 8.6 / 5.1 / 3.1 / 1.7 along the order, so the adjacent gaps are
+    # 10.9 / 21.8 / 31.9 SE; union P = 5e-28.
     report(6, "arcsine weights contract slowest (smallest energy, largest t_phi)", [
         ("I(arcsine) = log 4 within 1e-3", abs(energies["arcsine"] - math.log(4.0)) <= 1e-3),
         ("I ordering arcsine < uniform < Beta(2,2) < Beta(5,5)",
@@ -160,6 +170,10 @@ def test_c07_disagreement_masses():
             freqs["h03"] = f
         elif np.abs(m.entries - h_matrix(0.7).entries).max() < 1e-6:
             freqs["h07"] = f
+    # False-fail probability (normal approximation): each frequency is Binomial(20000, p)
+    # over 20000, so the 0.02 gates are 6.0 SE at p = 1/3 and 7.6 SE at p = 1/6,
+    # P = 2.0e-9 and 3.2e-14. Every product holding an h atom has rank 2, so the rank
+    # gate fails only if over 1% of replicas draw no h in 200 steps (2^-200 each).
     report(7, "stubborn-agent mixture: limit masses 1/3 and 1/6, second-degree disagreement", [
         ("freq(h_0.3) within 0.02 of 1/3", abs(freqs["h03"] - 1 / 3) <= 0.02),
         ("freq(h_0.7) within 0.02 of 1/6", abs(freqs["h07"] - 1 / 6) <= 0.02),
@@ -179,6 +193,12 @@ def test_c08_two_point_disagreement():
             masses["swap"] = f
     mr = dn.mean_rank_one_test(spec, replicas=20000, t_max=101, seed=1008,
                                allow_no_positive=True)
+    # False-fail probability (normal approximation): the product is the swap to the power
+    # Binomial(101, 0.6), so the identity frequency f is Binomial(20000, 1/2 - 1.3e-71)
+    # over 20000, SE 0.0035, and the mean limit is ((f, 1-f), (1-f, f)). Every gate reads
+    # |f - 1/2| on the same replicas: the mass gates 0.02 = 5.66 SE, P = 1.5e-8; the rank
+    # gate (rank 1 iff |2f - 1| <= 4/sqrt(20000)) 4.0 SE, P = 6.3e-5; the mean gate
+    # 0.01 = 2.83 SE, P = 4.7e-3, the largest of any gate here. It is stated, not loosened.
     report(8, "two-point swap: equal limit masses, flat rank-one average", [
         ("mass on identity within 0.02 of 0.5", abs(masses["eye"] - 0.5) <= 0.02),
         ("mass on swap within 0.02 of 0.5", abs(masses["swap"] - 0.5) <= 0.02),

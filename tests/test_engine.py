@@ -37,7 +37,7 @@ from degrootnet import (
     skeleton_equivalence_test,
     two_point_swap,
 )
-from degrootnet import engine
+from degrootnet import engine, generators
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
 from degrootnet.errors import CapHit, DimensionMismatch, InvalidProbability, NoConvergence, NotIid, SingularMass, Unsupported
 from degrootnet.generators import Islands, UndirectedDegree
@@ -667,6 +667,18 @@ class TestSkeletonEquivalence:
         assert rep.verdict_a.verdict == HOLDS
         assert rep.verdict_b.verdict == HOLDS
         assert rep.agree
+
+    def test_islands_law_is_enumerated_once_per_spec(self, monkeypatch):
+        calls = []
+        enumerate_atoms = generators.islands_graph_atoms
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_atoms(*args)
+
+        monkeypatch.setattr(generators, "islands_graph_atoms", counted)
+        skeleton_equivalence_test(Islands(2, 0.8, 0.3), Islands(2, 0.3, 0.8), horizon=8, replicas=10, seed=3)
+        assert len(calls) == 2
 
     def test_rejects_non_iid(self):
         ar1 = Ar1Mixture(0.5, flat(2), ring_uniform_self(2))

@@ -31,7 +31,7 @@ from degrootnet import (
 )
 from degrootnet.cli import run
 from degrootnet.errors import InvalidProbability, NotStrictlyPositive, Unsupported
-from degrootnet.generators import _REGISTRY
+from degrootnet.generators import _REGISTRY, _graph_to_row_weights
 
 
 def flat(n):
@@ -115,6 +115,11 @@ class TestMeanMatrix:
         t = make_stochastic([[0.7, 0.3], [0.4, 0.6]])
         spec = perturbed_fixed(t, 4.0)
         assert np.allclose(mean_matrix(spec).entries, t.entries)
+
+    def test_exact_fraction_probabilities(self):
+        eye, swap = make_stochastic(np.eye(2)), make_stochastic([[0.0, 1.0], [1.0, 0.0]])
+        mix = FiniteMixture(atoms=(eye, swap), probs=(Fraction(1, 2), Fraction(1, 2)))
+        assert np.array_equal(mix.mean_matrix().entries, np.full((2, 2), 0.5))
 
     def test_two_point_swap_mean(self):
         a = 0.4
@@ -218,8 +223,8 @@ class TestDirichletDraw:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
     def test_zero_alpha_draws_nothing(self, n, density, seed):
-        # the sparse draw equals rng.gamma over the full alpha, normalized, and leaves
-        # the stream at the same point; a block sampler may draw the whole alpha at once
+        # a zero alpha entry draws no gamma and gives a structural zero: the draw equals
+        # rng.gamma over the full alpha, normalized, and leaves the stream at the same point
         alpha = _ring_or_random_alpha(n, density, seed)
         state = DirichletRows(alpha).start_state(seed)
         full = np.random.default_rng(seed)
@@ -378,6 +383,30 @@ class TestIslands:
         exact = Islands(2, Fraction(4, 5), Fraction(3, 10))
         assert np.abs(exact.mean_matrix().entries - islands_graphs(2, 0.8, 0.3).mean_matrix().entries).max() < 1e-15
         assert len(exact.support().atoms) == 20
+
+    @pytest.mark.parametrize("g, digest", [
+        (2, "cfcbc10dffa670c1f9c4277b437c1d6a6648d0fbe44dc50d970efac04216b7c8"),
+        (3, "d8e05b53c86ff45eb9dfe1a07ab0434116796868a0dcee8866d28991cf2865b4"),
+        (4, "d1714548162b06faab0dd331d30d890ddadc07dc0260fe954e7497391823d7c0"),
+    ])
+    def test_draws_are_pinned(self, g, digest):
+        # SHA-256 over 300 draws at seed 11 and the stream's next uniform, recorded when
+        # g = 2 trees and isolated agents each took a branch of their own
+        state = islands_graphs(g, 0.6, 0.4).start_state(11)
+        arrays = [state.next_array() for _ in range(300)]
+        assert _digest(arrays + [np.array(state.rng.random())]) == digest
+
+    def test_row_weights_are_pinned(self):
+        # 40 random graphs for each n = 1..9, 231 of the 360 with an isolated agent
+        rng = np.random.default_rng(17)
+        adjs = []
+        for n in range(1, 10):
+            for _ in range(40):
+                upper = np.triu(rng.random((n, n)) < 0.3, 1)
+                adjs.append(upper | upper.T)
+        assert sum(bool((~a.any(axis=1)).any()) for a in adjs) == 231
+        digest = "dd7a1e9df16e8093f67687a9befb1b846baeb67822424c8fff03ef5fee5dfc15"
+        assert _digest([_graph_to_row_weights(a) for a in adjs]) == digest
 
     def test_rows_stochastic_with_isolated_agents(self):
         spec = islands_graphs(2, 0.1, 0.1)  # isolation is common
