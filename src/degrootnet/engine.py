@@ -2,13 +2,16 @@
 
 The engine owns the left-product accumulation X^(t) = X_t ... X_1 and the
 derived diagnostics (consensus gap, influence samples, condition checks,
-convergence times, disagreement structure).  Every Monte Carlo entry
-point gets its replica streams from seeding.map_replicas, the only replica
-loop, and keeps only its per-replica observation and the aggregation.
+convergence times, disagreement structure).
 
-_products is the single place where draws are multiplied into a running
-product and where its rows are renormalized; every product scan in the
-package reads X^(t) from it and keeps only its own observations.
+Products come from two loops that multiply and renormalize the same way.
+_lockstep advances the products of the replicas of a Monte Carlo run
+together, one batched matmul per step, each replica on its stream
+seeding.replica_rng(seed, i); every Monte Carlo entry point (here, in
+wisdom and in fragmentation) keeps only its observer of the stack and the
+aggregation.  _products advances one caller's state and leaves its stream
+exactly after the last step: accumulate reads it through _scan, and tests
+use it as the serial oracle of _lockstep.
 
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
@@ -43,14 +46,26 @@ from .matrices import (
     ZERO_TOL,
     _closure,
     _skeleton_closure,
-    boolean_product,  # noqa: F401  unused; perfbench/tracer.py patches engine.boolean_product
-    dobrushin_coefficient,
+    # boolean_product and dobrushin_coefficient are unused here; they stay
+    # bound because perfbench/tracer.py patches them on this module.
+    boolean_product,  # noqa: F401
+    dobrushin_coefficient,  # noqa: F401
+    dobrushin_coefficients,
     numeric_rank,
 )
-from .seeding import map_replicas, replica_seed
+from . import seeding
+# map_replicas is unused here; it stays bound because perfbench/tracer.py patches engine.map_replicas.
+from .seeding import map_replicas, replica_seed  # noqa: F401
 
 GAP_TOL = 1e-8
 RENORM_EVERY = 64
+# _lockstep runs CHUNK replicas at a time; their first block holds
+# FIRST_BLOCK draws per replica, each later one twice as many up to BLOCK,
+# and no block more than BLOCK_VALUES values (16 MiB)
+CHUNK = 256
+FIRST_BLOCK = 8
+BLOCK = 32
+BLOCK_VALUES = 1 << 21
 MAX_ATOMS = 64  # disagreement_degree reports atoms only up to this many
 NORM_FLOOR = 2.0**-33  # per agent: 2^20 times the 2^-53 unit roundoff
 
@@ -174,14 +189,6 @@ def _products(state: GeneratorState, t_max: int):
         yield prod
 
 
-def _final_product(state: GeneratorState, t_max: int) -> np.ndarray:
-    """Row-renormalized X^(t_max); the identity when t_max is 0."""
-    prod = np.eye(state.spec.n)
-    for prod in _products(state, t_max):
-        pass
-    return prod / prod.sum(axis=1, keepdims=True)
-
-
 def _scan(state: GeneratorState, t_max: int, gap_tol: float,
           stop_when_converged: bool = False):
     """Observe the consensus gap and positivity of every X^(t).
@@ -205,6 +212,89 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
                 break
     prod = prod / prod.sum(axis=1, keepdims=True)
     return prod, t_done, gap, strict_seen, consensus_time
+
+
+def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe,
+              multiply: bool = True, start=None) -> None:
+    """Advance replicas 0..replicas-1 of master seed ``seed`` in lockstep for t = 1..t_max.
+
+    Replica i's state is ``start(i, rng)`` on its stream seeding.replica_rng(seed, i),
+    by default ``spec.start_state(rng)``.  Replicas run CHUNK at a time, so
+    memory does not grow with the replica count.  Each step expands one
+    draw per replica from blocks of up to BLOCK draws (spec._block, from the
+    replica's own stream; short first blocks keep short runs from drawing
+    far past their stop) into one (R, n, n) stack and, with ``multiply``,
+    left-multiplies the stack of running products by it in one batched
+    matmul, renormalizing rows on the schedule of _products; the products
+    are then bitwise those of _products.  ``observe(t, idx, stack)`` sees
+    the products (without ``multiply``, the draws) of the replicas ``idx``
+    still running, in index order, and may return a boolean mask of those
+    that are finished: they leave the stack.  The stack is reused, so an
+    observer copies what it keeps.  A replica may draw up to k - 1 matrices
+    past its stop, from its own stream, so no other replica's output
+    changes.
+    """
+    n = spec.n
+
+    def start_state(i):
+        # looked up on seeding, where perfbench/tracer.py counts the streams
+        rng = seeding.replica_rng(seed, i)
+        return spec.start_state(rng) if start is None else start(i, rng)
+
+    for first in range(0, replicas, CHUNK):
+        idx = np.arange(first, min(first + CHUNK, replicas))
+        states = {i: start_state(i) for i in idx.tolist()}
+        prod = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
+        spare = np.empty_like(prod)
+        draws = np.zeros_like(prod)
+        k = j = 0
+        for t in range(1, t_max + 1):
+            if j == k:
+                k = max(1, min(2 * k or FIRST_BLOCK, BLOCK, t_max - t + 1,
+                               BLOCK_VALUES // (len(idx) * spec._width())))
+                block = np.stack([spec._block(states[i], k) for i in idx.tolist()])
+                j = 0
+            x = spec._expand(block[:, j], draws)
+            j += 1
+            if multiply:
+                prod, spare = np.matmul(x, prod, out=spare), prod
+                if t % RENORM_EVERY == 0:
+                    prod /= prod.sum(axis=2, keepdims=True)
+            done = observe(t, idx, prod if multiply else x)
+            if done is not None and done.any():
+                keep = ~done
+                idx, prod, block = idx[keep], prod[keep], block[keep]
+                spare, draws = spare[:len(idx)], draws[:len(idx)]
+                if not len(idx):
+                    break
+
+
+def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, gap_tol: float,
+                   stop_when_converged: bool = False, start=None) -> list:
+    """_scan of every replica, in lockstep: its five results per replica, in index order."""
+    n = spec.n
+    prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()
+    t_done = np.zeros(replicas, dtype=int)
+    gaps = np.full(replicas, 1.0 if n > 1 else 0.0)
+    strict_seen = np.zeros(replicas, dtype=bool)
+    consensus_time = np.zeros(replicas, dtype=int)  # 0 until the gap reaches gap_tol
+
+    def observe(t, idx, prod):
+        mn = prod.min(axis=1)
+        gap = (prod.max(axis=1) - mn).max(axis=1)
+        t_done[idx] = t
+        gaps[idx] = gap
+        strict_seen[idx] |= mn.min(axis=1) > ZERO_TOL
+        hit = (gap <= gap_tol) & (consensus_time[idx] == 0)
+        consensus_time[idx[hit]] = t
+        done = (hit & stop_when_converged) | (t == t_max)
+        prods[idx[done]] = prod[done]
+        return done
+
+    _lockstep(spec, replicas, seed, t_max, observe, start=start)
+    prods /= prods.sum(axis=2, keepdims=True)
+    return [(prods[i], int(t_done[i]), float(gaps[i]), bool(strict_seen[i]), int(consensus_time[i]) or None)
+            for i in range(replicas)]
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
@@ -253,16 +343,9 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
 
-    def one(i, rng):
-        state = spec.start_state(rng)
-        prod, _, gap, _, ctime = _scan(state, t_max, gap_tol, stop_when_converged=True)
-        if ctime is None:
-            return None
-        return prod[0], gap
-
-    results = map_replicas(one, replicas, seed)
-    samples = [r[0] for r in results if r is not None]
-    gaps = [r[1] for r in results if r is not None]
+    scans = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
+    samples = [prod[0] for prod, _, _, _, ctime in scans if ctime is not None]
+    gaps = [gap for _, _, gap, _, ctime in scans if ctime is not None]
     failures = replicas - len(samples)
     if len(samples) * 2 < replicas:
         raise NoConvergence(len(samples), replicas)
@@ -313,17 +396,16 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     # Monte Carlo branches share one pass: each replica reports whether a
     # partial product turned strictly positive and the contraction
     # coefficient of every partial product.
-    def one(i, rng):
-        positive = False
-        cs = np.empty(horizon)
-        for t, prod in enumerate(_products(spec.start_state(rng), horizon)):
-            positive = positive or bool(prod.min() > ZERO_TOL)
-            cs[t] = dobrushin_coefficient(StochasticMatrix._trusted(prod))
-        return positive, cs
+    positive = np.zeros(replicas, dtype=bool)
+    coefficients = np.empty((replicas, horizon))
 
-    positive, coefficients = zip(*map_replicas(one, replicas, seed))
-    if any(positive):
-        return ConditionCReport(HOLDS, "monte_carlo_positivity", sum(positive) / replicas, horizon)
+    def observe(t, idx, prod):
+        positive[idx] |= prod.min(axis=(1, 2)) > ZERO_TOL
+        coefficients[idx, t - 1] = dobrushin_coefficients(prod / prod.sum(axis=2, keepdims=True))
+
+    _lockstep(spec, replicas, seed, horizon, observe)
+    if positive.any():
+        return ConditionCReport(HOLDS, "monte_carlo_positivity", int(positive.sum()) / replicas, horizon)
     c_sums = np.zeros(horizon)
     c_sqsums = np.zeros(horizon)
     for cs in coefficients:
@@ -402,19 +484,18 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
     if t_cap < 1:
         raise InvalidArgument("t_cap must be >= 1")
 
-    def one(i, rng):
-        state = spec.start_state(rng)
-        spread = 1.0
-        for t in range(1, t_cap + 1):
-            x = state.next_array()
-            spread *= x[0, 0] - x[1, 0]
-            if abs(spread) < phi:
-                return t - 1, False
-        return t_cap, True  # still at least phi from consensus at t_cap
+    spread = np.ones(replicas)
+    t_phi = np.full(replicas, t_cap)  # t_cap: still at least phi from consensus
 
-    results = map_replicas(one, replicas, seed)
-    samples = [t_phi for t_phi, _ in results]
-    capped = sum(hit_cap for _, hit_cap in results)
+    def observe(t, idx, x):
+        spread[idx] *= x[:, 0, 0] - x[:, 1, 0]
+        hit = np.abs(spread[idx]) < phi
+        t_phi[idx[hit]] = t - 1
+        return hit
+
+    _lockstep(spec, replicas, seed, t_cap, observe, multiply=False)
+    samples = t_phi.tolist()
+    capped = samples.count(t_cap)  # a replica that comes within phi at t has t_phi = t - 1 < t_cap
     if capped > 0.01 * replicas:
         raise CapHit(f"{capped}/{replicas} replicas still above phi at t_cap={t_cap}")
     return Speed2x2Result(mean_t_phi=float(np.mean(samples)), samples=tuple(samples), capped=capped)
@@ -517,14 +598,18 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
 
-    def one(i, rng):
-        for t, prod in enumerate(_products(spec.start_state(rng), t_max), 1):
-            norm = float(np.linalg.norm(prod / prod.sum(axis=1, keepdims=True) - flat, 2))
-            if norm < n * NORM_FLOOR:
-                break
-        return math.log(norm) / t if norm > 0.0 else -math.inf
+    norms = np.empty(replicas)
+    times = np.empty(replicas, dtype=int)
 
-    avg = float(np.mean(map_replicas(one, replicas, seed)))
+    def observe(t, idx, prod):
+        norm = np.linalg.norm(prod / prod.sum(axis=2, keepdims=True) - flat, 2, axis=(1, 2))
+        norms[idx] = norm
+        times[idx] = t
+        return norm < n * NORM_FLOOR
+
+    _lockstep(spec, replicas, seed, t_max, observe)
+    avg = float(np.mean([math.log(norm) / t if norm > 0.0 else -math.inf
+                         for norm, t in zip(norms.tolist(), times.tolist())]))
     return math.exp(avg) if avg != -math.inf else 0.0
 
 
@@ -544,15 +629,12 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     if t_max < 0:
         raise InvalidArgument("t_max must be >= 0")
 
-    def one(i, rng):
-        prod = _final_product(spec.start_state(rng), t_max)
-        return numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank, prod
-
     rank_counts: dict[int, int] = {}
     atoms: list[np.ndarray] = []
     counts: list[int] = []
     overflow = False
-    for r, prod in map_replicas(one, replicas, seed):
+    for prod, *_ in _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0):
+        r = numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank
         rank_counts[r] = rank_counts.get(r, 0) + 1
         if overflow:
             continue

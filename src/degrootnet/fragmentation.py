@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _products
+from .engine import _lockstep
 from .errors import (
     DimensionMismatch,
     InsufficientEvents,
@@ -379,14 +379,15 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     flat = np.full((n, n), 1.0 / n)
     t_max = t_grid[-1]
 
-    def crossing_time(i, rng):
-        for t, prod in enumerate(_products(spec.start_state(rng), t_max), 1):
-            if np.linalg.norm(prod - flat, 2) < epsilon:
-                return t
-        return None
+    crossings = np.full(replicas, t_max + 1)  # past t_max: no crossing by then
 
-    crossings = map_replicas(crossing_time, replicas, seed)
-    counts = np.array([sum(1 for c in crossings if c is None or t < c) for t in t_grid])
+    def observe(t, idx, prod):
+        hit = np.linalg.norm(prod - flat, 2, axis=(1, 2)) < epsilon
+        crossings[idx[hit]] = t
+        return hit
+
+    _lockstep(spec, replicas, seed, t_max, observe)
+    counts = np.array([int((t < crossings).sum()) for t in t_grid])
     logprob = tuple(
         math.log(c / replicas) if c > 0 else -math.inf for c in counts
     )

@@ -94,6 +94,36 @@ class GeneratorSpec:
     def _draw(self, state: GeneratorState) -> np.ndarray:
         raise NotImplementedError
 
+    def draw_block(self, state: GeneratorState, k: int) -> np.ndarray:
+        """The next k draws in stream order, as a (k, n, n) array.
+
+        Bitwise equal to k calls of ``_draw``, and leaves the stream, ``aux``
+        and ``last`` where those calls would.
+        """
+        return self._expand(self._block(state, k), np.zeros((k, self.n, self.n)))
+
+    def _block(self, state: GeneratorState, k: int) -> np.ndarray:
+        """The values behind the next k draws, one row per draw (k >= 1).
+
+        By default the draws themselves; specs with a cheaper block draw
+        return less, and ``_expand`` turns rows back into matrices.
+        """
+        return np.stack([self._draw(state) for _ in range(k)])
+
+    def _width(self) -> int:
+        """Values in one row of ``_block``."""
+        return self.n * self.n
+
+    def _expand(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The draws of a stack of r ``_block`` rows, as an (r, n, n) array.
+
+        ``out`` is an (r, n, n) buffer that was zero when first handed over
+        and has since held only results of this method; the result may be
+        written into it.
+        """
+        out[...] = rows
+        return out
+
     def mean_matrix(self) -> StochasticMatrix:
         raise Unsupported(f"{self.kind} has no mean rule")
 
@@ -179,6 +209,7 @@ class FiniteMixture(GeneratorSpec):
             object.__setattr__(self, "_tr_cum", np.cumsum(tr, axis=1))
         object.__setattr__(self, "_cum", np.cumsum(p))
         object.__setattr__(self, "_arrays", tuple(a.entries for a in self.atoms))
+        object.__setattr__(self, "_stack", np.stack(self._arrays))
 
     @property
     def n(self):
@@ -198,6 +229,31 @@ class FiniteMixture(GeneratorSpec):
         state.aux = idx
         return self._arrays[idx]
 
+    def _block(self, state, k):
+        # atom indices
+        u = state.rng.random(k)
+        last = len(self.atoms) - 1
+        if self.transition is None:
+            idx = np.minimum(np.searchsorted(self._cum, u, side="right"), last)
+        else:
+            # each uniform's successor from every index, the start law last
+            succ = [np.minimum(np.searchsorted(c, u, side="right"), last).tolist()
+                    for c in (*self._tr_cum, self._cum)]
+            i = len(self.atoms) if state.aux is None else state.aux
+            idx = []
+            for j in range(k):
+                i = succ[i][j]
+                idx.append(i)
+            idx = np.array(idx)
+        state.aux = int(idx[-1])
+        return idx
+
+    def _width(self):
+        return 1
+
+    def _expand(self, rows, out):
+        return np.take(self._stack, rows, axis=0, out=out)
+
     def mean_matrix(self):
         acc = np.zeros((self.n, self.n))
         for a, p in zip(self.atoms, self.probs):
@@ -211,10 +267,10 @@ class FiniteMixture(GeneratorSpec):
         doc = {
             "model": "finite_mixture",
             "atoms": [a.entries.tolist() for a in self.atoms],
-            "probs": list(self.probs),
+            "probs": [float(p) for p in self.probs],
         }
         if self.transition is not None:
-            doc["transition"] = [list(row) for row in self.transition]
+            doc["transition"] = [[float(p) for p in row] for row in self.transition]
         return doc
 
 
@@ -241,6 +297,7 @@ class DirichletRows(GeneratorSpec):
             raise InvalidProbability("every alpha row needs a positive entry")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
+        object.__setattr__(self, "_positive", np.nonzero(arr > 0))
 
     @property
     def n(self):
@@ -259,6 +316,21 @@ class DirichletRows(GeneratorSpec):
     def _draw(self, state):
         g = state.rng.standard_gamma(self.alpha)
         return g / g.sum(axis=1, keepdims=True)
+
+    def _block(self, state, k):
+        # the positive alpha entries in row-major order, as _draw consumes them
+        positive = self.alpha[self._positive]
+        return state.rng.standard_gamma(np.broadcast_to(positive, (k, positive.size)))
+
+    def _width(self):
+        return self._positive[0].size
+
+    def _expand(self, rows, out):
+        # entries where alpha is zero are never written, so they stay zero
+        i, j = self._positive
+        out[:, i, j] = rows
+        out[:, i, j] = rows / out.sum(axis=2)[:, i]
+        return out
 
     def mean_matrix(self):
         return StochasticMatrix._trusted(self.alpha / self.alpha.sum(axis=1, keepdims=True))
@@ -331,17 +403,30 @@ class LeaderFollower(GeneratorSpec):
     def n(self):
         return self.size
 
-    def _branch(self, x: float) -> np.ndarray:
+    def _branch(self, x) -> np.ndarray:
+        """The draw for leader weight x, or the stack of draws for an array of them."""
+        x = np.asarray(x, dtype=float)
         n = self.size
-        out = np.zeros((n, n))
-        out[0, 0] = x
-        out[0, 1] = 1.0 - x
-        for i in range(1, n):
-            out[i, i if x >= 0.5 else (i + 1) % n] = 1.0
+        out = np.zeros(x.shape + (n, n))
+        out[..., 0, 0] = x
+        out[..., 0, 1] = 1.0 - x
+        followers = np.arange(1, n)
+        keep = (x >= 0.5)[..., None]
+        out[..., followers, followers] = keep
+        out[..., followers, (followers + 1) % n] = ~keep
         return out
 
     def _draw(self, state):
         return self._branch(state.rng.random())
+
+    def _block(self, state, k):
+        return state.rng.random(k)
+
+    def _width(self):
+        return 1
+
+    def _expand(self, rows, out):
+        return self._branch(rows)
 
     def mean_matrix(self):
         return StochasticMatrix._trusted(0.5 * self._branch(0.75) + 0.5 * self._branch(0.25))
@@ -454,7 +539,7 @@ class UndirectedDegree(FiniteMixture):
         return {
             "model": "undirected_degree",
             "graphs": [adj.astype(int).tolist() for adj in self.graphs],
-            "probs": list(self.probs),
+            "probs": [float(p) for p in self.probs],
         }
 
 
@@ -496,6 +581,18 @@ class Ar1Mixture(GeneratorSpec):
             nxt = (1.0 - self.xi) * prev + self.xi * self.source._draw(state)
         state.last = nxt
         return nxt
+
+    def _block(self, state, k):
+        # a block of source draws, then the recurrence of _draw over it
+        prev = self.t0.entries if state.last is None else state.last
+        out = np.empty((k, self.n, self.n))
+        if self.xi == 0.0:
+            out[...] = prev
+        else:
+            for j, source in enumerate(self.source.draw_block(state, k)):
+                prev = out[j] = (1.0 - self.xi) * prev + self.xi * source
+        state.last = prev
+        return out
 
     def mean_matrix(self):
         # Long-run (ergodic) mean: the source mean for xi > 0, T0 when frozen.

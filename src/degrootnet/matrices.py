@@ -159,12 +159,17 @@ def dobrushin_coefficient(m: StochasticMatrix) -> float:
     so c bounds the consensus gap of a left product by the product of
     factor coefficients.
     """
-    if m.n == 1:
-        return 0.0
-    e = m.entries
-    overlap = np.minimum(e[:, None, :], e[None, :, :]).sum(axis=2)
-    iu = np.triu_indices(m.n, 1)
-    return float(1.0 - overlap[iu].min())
+    return float(dobrushin_coefficients(m.entries))
+
+
+def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
+    """dobrushin_coefficient of each matrix in an (..., n, n) stack of row-stochastic arrays."""
+    n = stack.shape[-1]
+    if n == 1:
+        return np.zeros(stack.shape[:-2])
+    i, k = np.triu_indices(n, 1)
+    overlap = np.minimum(stack[..., i, :], stack[..., k, :]).sum(axis=-1)
+    return 1.0 - overlap.min(axis=-1)
 
 
 def lambda2_2x2(m: StochasticMatrix) -> float:

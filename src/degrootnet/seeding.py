@@ -6,9 +6,10 @@ golden-ratio increment 0x9E3779B97F4A7C15.  The derivation is fixed and
 documented so that alternate implementations can reproduce the streams;
 results depend on the replica index alone, never on the order replicas run.
 
-``map_replicas`` is the package's only replica loop: every Monte Carlo
-entry point hands it ``fn(i, rng)``, which builds replica ``i``'s state
-with ``spec.start_state(rng)`` and returns that replica's observation.
+Every Monte Carlo entry point runs its replicas through engine._lockstep,
+which builds replica ``i``'s state on ``replica_rng(master_seed, i)`` and
+advances the replicas together; ``map_replicas`` runs a function on each
+replica's stream in index order, for work that is not a product scan.
 """
 
 from __future__ import annotations

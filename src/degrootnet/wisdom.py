@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GAP_TOL, _scan, estimate_influence
+# _scan is unused here; it stays bound because perfbench/tracer.py patches wisdom._scan.
+from .engine import GAP_TOL, _scan, _scan_replicas, estimate_influence  # noqa: F401
 from .errors import (
     BalanceViolation,
     InvalidArgument,
@@ -23,7 +24,7 @@ from .errors import (
 from .generators import GeneratorSpec
 from .matrices import PROB_TOL, RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
-from .seeding import map_replicas, replica_rng, replica_seed  # noqa: F401
+from .seeding import replica_rng, replica_seed  # noqa: F401
 
 # Finite-sample proxy for "the max influence share decays at a positive
 # rate": fitted log-log slopes below this are treated as non-vanishing.
@@ -173,16 +174,18 @@ def run_wisdom(config: WisdomConfig) -> WisdomResult:
     for idx, n in enumerate(config.sizes):
         spec = config.family(n)
 
-        def one(i, rng):
-            p0 = np.clip(config.signal_law.sample(rng, n), 0.0, 1.0)
-            prod, _, _gap, _sp, ctime = _scan(spec.start_state(rng), config.t_max, config.gap_tol,
-                                              stop_when_converged=True)
-            pi = prod[0]
-            return None if ctime is None else (abs(float(pi @ p0) - config.gamma), float(pi.max()))
+        p0s = np.empty((config.replicas, n))
 
-        results = map_replicas(one, config.replicas, replica_seed(config.seed, idx))
-        errors = [r[0] for r in results if r is not None]
-        max_pis = [r[1] for r in results if r is not None]
+        def start(i, rng):
+            # each replica draws its signals first, then its networks
+            p0s[i] = np.clip(config.signal_law.sample(rng, n), 0.0, 1.0)
+            return spec.start_state(rng)
+
+        scans = _scan_replicas(spec, config.replicas, replica_seed(config.seed, idx), config.t_max,
+                               config.gap_tol, stop_when_converged=True, start=start)
+        converged = [(prod[0], p0) for p0, (prod, _, _, _, ctime) in zip(p0s, scans) if ctime is not None]
+        errors = [abs(float(pi @ p0) - config.gamma) for pi, p0 in converged]
+        max_pis = [float(pi.max()) for pi, _ in converged]
         frac = len(errors) / config.replicas
         if errors and 2 * len(errors) >= config.replicas:
             err = np.asarray(errors)
@@ -310,8 +313,7 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
-    scans = map_replicas(lambda i, rng: _scan(spec.start_state(rng), t_max, gap_tol=0.0),
-                         replicas, seed)
+    scans = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
     if not any(strict_seen for _, _, _, strict_seen, _ in scans) and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
     acc = scans[0][0]

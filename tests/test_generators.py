@@ -58,6 +58,12 @@ def all_models():
     }
 
 
+def block_models():
+    """all_models() plus a Markov mixture whose transition rows differ from its start law."""
+    sticky = encounter_2x2(0.3, 0.5, transition=((0.9, 0.1), (0.1, 0.9)))
+    return dict(all_models(), sticky_markov=sticky)
+
+
 def _undirected_pair():
     c4 = np.zeros((4, 4), dtype=bool)
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
@@ -463,6 +469,29 @@ class TestMarkovDependence:
         assert meets / 20_000 == pytest.approx(0.5, abs=0.02)
 
 
+class TestDrawBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(block_models())), k=st.sampled_from([1, 7, 64]),
+           warmup=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_sequential_draws_bitwise(self, name, k, warmup, seed):
+        spec = block_models()[name]
+        state, serial = spec.start_state(seed), spec.start_state(seed)
+        for _ in range(warmup):  # a block may start mid-stream, with aux and last set
+            spec._draw(state)
+            spec._draw(serial)
+        block = spec.draw_block(state, k)
+        want = [np.asarray(spec._draw(serial), dtype=float) for _ in range(k)]
+        assert block.shape == (k, spec.n, spec.n)
+        for got, x in zip(block, want):
+            assert got.tobytes() == x.tobytes()
+        assert state.aux == serial.aux
+        assert (state.last is None) == (serial.last is None)
+        if state.last is not None:
+            assert state.last.tobytes() == serial.last.tobytes()
+        # the stream stops where k single draws leave it
+        assert state.rng.random() == serial.rng.random()
+
+
 class TestStationarityAndDeterminism:
     IID_NAMES = ["encounter2x2", "two_point_swap", "dirichlet_ring", "perturbed",
                  "leader_follower", "islands", "undirected_degree"]
@@ -542,6 +571,23 @@ class TestSerialization:
             b = clone.start_state(5)
             for _ in range(10):
                 assert np.array_equal(a.next_array(), b.next_array()), name
+
+    def test_fraction_probs_round_trip_through_json(self):
+        third = Fraction(1, 3)
+        markov = FiniteMixture(atoms=(flat(2), make_stochastic(np.eye(2))), probs=(third, 2 * third),
+                               transition=((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))))
+        graphs = _undirected_pair().graphs
+        for spec in (markov, UndirectedDegree(graphs=graphs, probs=(third, 2 * third))):
+            clone = GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+            assert clone.probs == (1 / 3, 2 / 3)
+            a, b = spec.start_state(5), clone.start_state(5)
+            for _ in range(10):
+                assert np.array_equal(a.next_array(), b.next_array())
+        # float probs serialize to the same bytes as the probs themselves
+        spec = encounter_2x2(0.3, 0.5, transition=((0.5, 0.5), (0.5, 0.5)))
+        assert json.dumps(spec.to_dict()) == json.dumps(
+            {"model": "finite_mixture", "atoms": [a.entries.tolist() for a in spec.atoms],
+             "probs": list(spec.probs), "transition": [list(row) for row in spec.transition]})
 
     def test_unknown_model_rejected(self):
         with pytest.raises(Unsupported):

@@ -1,11 +1,14 @@
-"""The product accumulator engine._products and the scans built on it.
+"""The product loops engine._products and engine._lockstep, and the scans built on them.
 
-The property test compares _products bitwise with a plain reference loop
-across generator kinds.  The pinned values below were recorded before the
-scans were routed through _products; they cover outputs that no benchmark
-hash fixes, so any change in the order of floating-point operations shows
-up here.
+The property tests compare _products bitwise with a plain reference loop
+across generator kinds, and the lockstep kernel bytewise with _scan on each
+replica's stream.  The pinned values below were recorded before the scans
+were routed through _products; they cover outputs that no benchmark hash
+fixes, so any change in the order of floating-point operations shows up
+here.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from degrootnet import (
     DirichletRows,
     Islands,
     accumulate,
+    convergence_time_2x2,
     disagreement_degree,
     encounter_2x2,
     lyapunov_exponent,
@@ -24,8 +28,10 @@ from degrootnet import (
     ring_uniform_self,
     two_point_swap,
 )
-from degrootnet.engine import RENORM_EVERY, _products
-from test_generators import all_models
+from degrootnet import engine
+from degrootnet.engine import RENORM_EVERY, _products, _scan, _scan_replicas
+from degrootnet.seeding import replica_rng
+from test_generators import all_models, block_models
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -123,6 +129,43 @@ class TestProducts:
         for prod in _products(ring_uniform_self(n).start_state(3), 30000):
             drift = max(drift, float(np.abs(prod.sum(axis=1) - 1.0).max()))
         assert drift < bound
+
+
+class TestLockstep:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(block_models())), replicas=st.integers(1, 50),
+           t_max=st.integers(0, 200), stop=st.booleans(), gap_tol=st.sampled_from([0.0, 1e-3, 1e-8]),
+           small=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_serial_scans_bytewise(self, name, replicas, t_max, stop, gap_tol, small, seed):
+        # small: chunks of 7 replicas and a block budget that cuts blocks to a few draws, down to one
+        spec = block_models()[name]
+        with mock.patch.multiple(engine, CHUNK=7 if small else engine.CHUNK,
+                                 BLOCK_VALUES=60 if small else engine.BLOCK_VALUES):
+            got = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop)
+        assert len(got) == replicas
+        for i, (prod, t, gap, strict_seen, consensus_time) in enumerate(got):
+            want = _scan(spec.start_state(replica_rng(seed, i)), t_max, gap_tol, stop)
+            assert prod.tobytes() == want[0].tobytes(), (name, i)
+            assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), (name, i)
+            assert (t, strict_seen, consensus_time) == (want[1], want[3], want[4]), (name, i)
+
+    def test_two_agent_spread_matches_serial_draws(self):
+        spec = DirichletRows(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        phi, t_cap = 1e-6, 60
+        res = convergence_time_2x2(spec, phi=phi, replicas=300, t_cap=t_cap, seed=4)
+        want = []
+        for i in range(300):
+            state = spec.start_state(replica_rng(4, i))
+            spread, t_phi = 1.0, t_cap
+            for t in range(1, t_cap + 1):
+                x = state.next_array()
+                spread *= x[0, 0] - x[1, 0]
+                if abs(spread) < phi:
+                    t_phi = t - 1
+                    break
+            want.append(t_phi)
+        assert res.samples == tuple(want)
+        assert res.capped == sum(1 for t_phi in want if t_phi == t_cap)
 
 
 class TestPinnedValues:
