@@ -53,9 +53,8 @@ from .matrices import (
     dobrushin_coefficients,
     numeric_rank,
 )
-from . import seeding
 # map_replicas is unused here; it stays bound because perfbench/tracer.py patches engine.map_replicas.
-from .seeding import map_replicas, replica_seed  # noqa: F401
+from .seeding import map_replicas, replica_rngs, replica_seed  # noqa: F401
 
 GAP_TOL = 1e-8
 RENORM_EVERY = 64
@@ -220,12 +219,16 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
 
     Replica i's state is ``start(i, rng)`` on its stream seeding.replica_rng(seed, i),
     by default ``spec.start_state(rng)``.  Replicas run CHUNK at a time, so
-    memory does not grow with the replica count.  Each step expands one
-    draw per replica from blocks of up to BLOCK draws (spec._block, from the
-    replica's own stream; short first blocks keep short runs from drawing
-    far past their stop) into one (R, n, n) stack and, with ``multiply``,
-    left-multiplies the stack of running products by it in one batched
-    matmul, renormalizing rows on the schedule of _products; the products
+    memory does not grow with the replica count; seeding.replica_rngs builds
+    the streams of a chunk in one pass of array arithmetic, and they are
+    those of replica_rng (NumPy's SeedSequence and PCG64 seeding are fixed
+    algorithms under NEP 19, and the tests check them against default_rng).
+    Each step expands one draw per replica from blocks of up to BLOCK draws
+    (spec._block, from the replica's own stream; short first blocks keep
+    short runs from drawing far past their stop) into one (R, n, n) stack
+    with spec._expand and, with ``multiply``, left-multiplies the stack of
+    running products by it in one batched matmul, renormalizing rows on the
+    schedule of _products; the products
     are then bitwise those of _products.  ``observe(t, idx, stack)`` sees
     the products (without ``multiply``, the draws) of the replicas ``idx``
     still running, in index order, and may return a boolean mask of those
@@ -235,15 +238,14 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
     changes.
     """
     n = spec.n
-
-    def start_state(i):
-        # looked up on seeding, where perfbench/tracer.py counts the streams
-        rng = seeding.replica_rng(seed, i)
-        return spec.start_state(rng) if start is None else start(i, rng)
+    if start is None:
+        def start(i, rng):
+            return spec.start_state(rng)
 
     for first in range(0, replicas, CHUNK):
-        idx = np.arange(first, min(first + CHUNK, replicas))
-        states = {i: start_state(i) for i in idx.tolist()}
+        stop = min(first + CHUNK, replicas)
+        idx = np.arange(first, stop)
+        states = {i: start(i, rng) for i, rng in zip(range(first, stop), replica_rngs(seed, first, stop))}
         prod = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
         spare = np.empty_like(prod)
         draws = np.zeros_like(prod)
@@ -586,10 +588,13 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
                       seed: int = 0) -> float:
     """Empirical decay rate of ||X^(t) - (1/n) 11'|| up to horizon t_max.
 
-    Averages (1/t) log of the spectral norm over replicas and exponentiates;
-    a generator without contraction reports 1, exact rank-one products 0.
-    A replica stops at the first t whose norm is below n * NORM_FLOOR,
-    where the norm would measure rounding rather than the process.
+    A replica stops at its time tau, the first t whose norm is below
+    n * NORM_FLOOR (where the norm would measure rounding rather than the
+    process), or t_max.  The rate is the pooled sum of log norms over the
+    sum of the tau, exponentiated: by Wald's identity its ratio is
+    consistent, where the mean of log(norm) / tau would overstate the rate
+    because E[1/tau] > 1/E[tau].  A generator without contraction reports
+    1, exact rank-one products 0.
     """
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
@@ -608,9 +613,9 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
         return norm < n * NORM_FLOOR
 
     _lockstep(spec, replicas, seed, t_max, observe)
-    avg = float(np.mean([math.log(norm) / t if norm > 0.0 else -math.inf
-                         for norm, t in zip(norms.tolist(), times.tolist())]))
-    return math.exp(avg) if avg != -math.inf else 0.0
+    if (norms == 0.0).any():
+        return 0.0
+    return math.exp(float(np.log(norms).sum() / times.sum()))
 
 
 # --- disagreement ------------------------------------------------------------

@@ -106,7 +106,8 @@ class GeneratorSpec:
         """The values behind the next k draws, one row per draw (k >= 1).
 
         By default the draws themselves; specs with a cheaper block draw
-        return less, and ``_expand`` turns rows back into matrices.
+        return less, down to the stream call alone, and ``_expand`` turns
+        the rows of all replicas back into matrices at once.
         """
         return np.stack([self._draw(state) for _ in range(k)])
 
@@ -219,39 +220,38 @@ class FiniteMixture(GeneratorSpec):
     def is_iid(self):
         return self.transition is None
 
+    def _index(self, cum, u):
+        """Atom indices of uniforms ``u`` under cumulative law ``cum``."""
+        return np.minimum(np.searchsorted(cum, u, side="right"), len(self.atoms) - 1)
+
     def _draw(self, state):
-        if self.transition is None or state.aux is None:
-            cum = self._cum
-        else:
-            cum = self._tr_cum[state.aux]
-        idx = int(np.searchsorted(cum, state.rng.random(), side="right"))
-        idx = min(idx, len(self.atoms) - 1)
-        state.aux = idx
-        return self._arrays[idx]
+        if self.transition is None:
+            return self._arrays[self._index(self._cum, state.rng.random())]
+        cum = self._cum if state.aux is None else self._tr_cum[state.aux]
+        state.aux = int(self._index(cum, state.rng.random()))
+        return self._arrays[state.aux]
 
     def _block(self, state, k):
-        # atom indices
+        # iid: the uniforms, which _expand maps to atoms; Markov: atom indices
         u = state.rng.random(k)
-        last = len(self.atoms) - 1
         if self.transition is None:
-            idx = np.minimum(np.searchsorted(self._cum, u, side="right"), last)
-        else:
-            # each uniform's successor from every index, the start law last
-            succ = [np.minimum(np.searchsorted(c, u, side="right"), last).tolist()
-                    for c in (*self._tr_cum, self._cum)]
-            i = len(self.atoms) if state.aux is None else state.aux
-            idx = []
-            for j in range(k):
-                i = succ[i][j]
-                idx.append(i)
-            idx = np.array(idx)
-        state.aux = int(idx[-1])
-        return idx
+            return u
+        # each uniform's successor from every index, the start law last
+        succ = [self._index(c, u).tolist() for c in (*self._tr_cum, self._cum)]
+        i = len(self.atoms) if state.aux is None else state.aux
+        idx = []
+        for j in range(k):
+            i = succ[i][j]
+            idx.append(i)
+        state.aux = i
+        return np.array(idx)
 
     def _width(self):
         return 1
 
     def _expand(self, rows, out):
+        if self.transition is None:
+            rows = self._index(self._cum, rows)
         return np.take(self._stack, rows, axis=0, out=out)
 
     def mean_matrix(self):
@@ -298,6 +298,7 @@ class DirichletRows(GeneratorSpec):
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
         object.__setattr__(self, "_positive", np.nonzero(arr > 0))
+        object.__setattr__(self, "_positive_alpha", arr[self._positive])
 
     @property
     def n(self):
@@ -319,11 +320,10 @@ class DirichletRows(GeneratorSpec):
 
     def _block(self, state, k):
         # the positive alpha entries in row-major order, as _draw consumes them
-        positive = self.alpha[self._positive]
-        return state.rng.standard_gamma(np.broadcast_to(positive, (k, positive.size)))
+        return state.rng.standard_gamma(self._positive_alpha, size=(k, self._positive_alpha.size))
 
     def _width(self):
-        return self._positive[0].size
+        return self._positive_alpha.size
 
     def _expand(self, rows, out):
         # entries where alpha is zero are never written, so they stay zero

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import degrootnet as dn
-from degrootnet.engine import FAILS, _scan
+from degrootnet.engine import FAILS, _scan_replicas
 from degrootnet.fragmentation import (
     Graph,
     GraphDistribution,
@@ -316,12 +316,10 @@ def test_c13_ar1_interpolation():
     means = {}
     for xi in (0.0, 0.5, 1.0):
         spec = dn.Ar1Mixture(xi, t0, source)
-        times = []
-        for i in range(1000):
-            state = spec.start_state(30000 + i)
-            _, _, _, _, ct = _scan(state, 5000, 1e-8, stop_when_converged=True)
-            times.append(ct if ct is not None else 5000)
-        means[xi] = float(np.mean(times))
+        # replica i scans start_state(30000 + i), the kernel's stream unused
+        scans = _scan_replicas(spec, 1000, 0, 5000, 1e-8, True,
+                               start=lambda i, rng: spec.start_state(30000 + i))
+        means[xi] = float(np.mean([ct if ct is not None else 5000 for *_, ct in scans]))
     report(13, "sticky-weight interpolation: xi = 1/2 beats both endpoints", [
         (f"mean t(xi=0.5) = {means[0.5]:.1f} < t(xi=0) = {means[0.0]:.1f}",
          means[0.5] < means[0.0]),

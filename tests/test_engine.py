@@ -506,6 +506,18 @@ class TestLyapunov:
         est = lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=500, replicas=replicas, seed=2)
         assert abs(math.log(est) - mu) <= tol
 
+    def test_rate_is_not_biased_by_the_stopping_time(self):
+        # Every replica stops at its 25th meeting (0.4^25 < 2 * NORM_FLOOR <
+        # 0.4^24), so the pooled estimate is log(est) = 25 R log(0.4) / S,
+        # where S, the sum of the stopping times, is the number of fair
+        # coin flips up to the 25R-th meeting.  It misses mu by more than
+        # 1% iff S < 50R/1.01 or S > 50R/0.99: probability 5.8e-7 by the
+        # exact binomial tails at R = 5000.  The mean of the per-replica
+        # 25 log(0.4) / tau overstates |mu| by about Var(tau)/E[tau]^2 = 2%.
+        mu = 0.5 * math.log(0.4)
+        est = lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=500, replicas=5000, seed=3)
+        assert abs(math.log(est) - mu) <= 0.01 * abs(mu)
+
 
 class TestDisagreement:
     def test_two_point_swap_masses(self):
