@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, betaln
 
 from .errors import (
     CapHit,
@@ -556,6 +555,7 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
     -log((Q(u)-Q(v))/(u-v)) that is smooth across the diagonal, where it
     equals log f(Q(u)).  Tensor Gauss-Legendre on dyadically refined
     panels then resolves the endpoint behavior of the quantile map.
+    This branch is the package's one use of scipy, imported on its first call.
     """
     if isinstance(mu_2x2, AtomicWeightPairs):
         total = 0.0
@@ -572,6 +572,8 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
     a, b = mu_2x2.a, mu_2x2.b
     order = int(np.clip(quad_points // 32, 6, 24))
     u, w = _gauss_panels(order)
+    from scipy.special import betaincinv, betaln
+
     q = betaincinv(a, b, u)
     # log density at the quantile points: the diagonal limit of the correction
     logf = (a - 1.0) * np.log(q) + (b - 1.0) * np.log1p(-q) - betaln(a, b)
@@ -634,11 +636,27 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     if t_max < 0:
         raise InvalidArgument("t_max must be >= 0")
 
+    # only the products at t_max are read: renormalized once, as _scan_replicas does
+    n = spec.n
+    prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()
+
+    def observe(t, idx, prod):
+        if t == t_max:
+            prods[idx] = prod
+
+    _lockstep(spec, replicas, seed, t_max, observe)
+    prods /= prods.sum(axis=2, keepdims=True)
+    return _disagreement_report(prods, atom_tol)
+
+
+def _disagreement_report(prods, atom_tol: float) -> DisagreementReport:
+    """Rank histogram and clustered atoms of a sample of limit products, in replica order."""
+    replicas = len(prods)
     rank_counts: dict[int, int] = {}
     atoms: list[np.ndarray] = []
     counts: list[int] = []
     overflow = False
-    for prod, *_ in _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0):
+    for prod in prods:
         r = numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank
         rank_counts[r] = rank_counts.get(r, 0) + 1
         if overflow:

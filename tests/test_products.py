@@ -11,12 +11,14 @@ here.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degrootnet import (
     Ar1Mixture,
     DirichletRows,
+    FiniteMixture,
     Islands,
     accumulate,
     convergence_time_2x2,
@@ -29,7 +31,7 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine
-from degrootnet.engine import RENORM_EVERY, _products, _scan, _scan_replicas
+from degrootnet.engine import RENORM_EVERY, _disagreement_report, _products, _scan, _scan_replicas
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models
 
@@ -166,6 +168,26 @@ class TestLockstep:
             want.append(t_phi)
         assert res.samples == tuple(want)
         assert res.capped == sum(1 for t_phi in want if t_phi == t_cap)
+
+    @pytest.mark.parametrize("name", sorted(dict(all_models(), stubborn=None)))
+    def test_disagreement_matches_serial_scans_bytewise(self, name):
+        # stubborn: the mixture of h(0.3) and a transposition whose limits have two atoms
+        h = make_stochastic([[0, 0, 1], [0, 0, 1], [0.3, 0.7, 0]])
+        swap = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        spec = dict(all_models(), stubborn=FiniteMixture(atoms=(h, swap), probs=(0.5, 0.5)))[name]
+        for t_max, seed in [(0, 5), (1, 6), (70, 7)]:
+            # 100 replicas in four chunks; the report's input is kept to compare it too
+            with mock.patch.multiple(engine, CHUNK=32, _disagreement_report=mock.Mock(wraps=_disagreement_report)):
+                got = disagreement_degree(spec, replicas=100, t_max=t_max, seed=seed)
+                got_prods = engine._disagreement_report.call_args.args[0]
+            prods = np.array([_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0)[0] for i in range(100)])
+            assert got_prods.tobytes() == prods.tobytes(), (name, t_max)
+            want = _disagreement_report(prods, 1e-4)
+            assert (got.eta_estimate, got.rank_histogram) == (want.eta_estimate, want.rank_histogram), (name, t_max)
+            assert (got.support_atoms is None) == (want.support_atoms is None), (name, t_max)
+            for (m, mass), (m_want, mass_want) in zip(got.support_atoms or (), want.support_atoms or (), strict=True):
+                assert m.entries.tobytes() == m_want.entries.tobytes(), (name, t_max)
+                assert np.float64(mass).tobytes() == np.float64(mass_want).tobytes(), (name, t_max)
 
 
 class TestPinnedValues:
