@@ -11,7 +11,11 @@ seeding.replica_rng(seed, i); every Monte Carlo entry point (here, in
 wisdom and in fragmentation) keeps only its observer of the stack and the
 aggregation.  _products advances one caller's state and leaves its stream
 exactly after the last step: accumulate reads it through _scan, and tests
-use it as the serial oracle of _lockstep.
+use it as the serial oracle of _lockstep.  Both draw through
+GeneratorSpec.draw_block, _lockstep in blocks of up to BLOCK draws per
+replica and _products one draw at a time (next_array is a block of one);
+a stream's draws do not depend on the block size, so the two loops see
+the same matrices.
 
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
@@ -20,6 +24,7 @@ through matrices._skeleton_closure, semigroup_explore with an epsilon net.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .errors import (
     InvalidProbability,
     NoConvergence,
     NotIid,
+    NumericalFailure,
     SingularMass,
     Unsupported,
 )
@@ -40,6 +46,7 @@ from .matrices import (
     FAILS,
     HOLDS,
     PROB_TOL,
+    RANK_REL_TOL,
     SkeletonMask,
     StochasticMatrix,
     ZERO_TOL,
@@ -407,13 +414,9 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     _lockstep(spec, replicas, seed, horizon, observe)
     if positive.any():
         return ConditionCReport(HOLDS, "monte_carlo_positivity", int(positive.sum()) / replicas, horizon)
-    c_sums = np.zeros(horizon)
-    c_sqsums = np.zeros(horizon)
-    for cs in coefficients:
-        c_sums += cs
-        c_sqsums += cs * cs
-    means = c_sums / replicas
-    ses = np.sqrt(np.maximum(c_sqsums / replicas - means**2, 0.0) / replicas)
+    means = coefficients.sum(axis=0) / replicas
+    sq_means = (coefficients * coefficients).sum(axis=0) / replicas
+    ses = np.sqrt(np.maximum(sq_means - means**2, 0.0) / replicas)
     return ConditionCReport(UNDETERMINED, "contraction_integral", float((means + 3.0 * ses).min()), horizon)
 
 
@@ -650,17 +653,20 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
 
 
 def _disagreement_report(prods, atom_tol: float) -> DisagreementReport:
-    """Rank histogram and clustered atoms of a sample of limit products, in replica order."""
+    """Rank histogram and clustered atoms of a sample of limit products, in replica order.
+
+    The ranks are numeric_rank's, from one batched SVD of the stack with
+    its rows renormalized as StochasticMatrix._trusted does.
+    """
     replicas = len(prods)
-    rank_counts: dict[int, int] = {}
+    try:
+        sv = np.linalg.svd(prods / prods.sum(axis=2, keepdims=True), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    rank_counts = Counter((sv > RANK_REL_TOL * sv[:, :1]).sum(axis=1).tolist())
     atoms: list[np.ndarray] = []
     counts: list[int] = []
-    overflow = False
     for prod in prods:
-        r = numeric_rank(StochasticMatrix._trusted(prod)).numeric_rank
-        rank_counts[r] = rank_counts.get(r, 0) + 1
-        if overflow:
-            continue
         for k, atom in enumerate(atoms):
             if np.max(np.abs(atom - prod)) <= atom_tol:
                 counts[k] += 1
@@ -669,11 +675,11 @@ def _disagreement_report(prods, atom_tol: float) -> DisagreementReport:
             atoms.append(prod)
             counts.append(1)
             if len(atoms) > MAX_ATOMS:
-                overflow = True
+                break
     histogram = {r: c / replicas for r, c in sorted(rank_counts.items())}
     eta = max(rank_counts, key=lambda r: (rank_counts[r], -r))
     support_atoms = None
-    if not overflow:
+    if len(atoms) <= MAX_ATOMS:
         order = np.argsort(counts)[::-1]
         support_atoms = tuple(
             (StochasticMatrix._trusted(atoms[k]), counts[k] / replicas) for k in order

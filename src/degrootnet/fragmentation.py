@@ -25,7 +25,7 @@ from .errors import (
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
 from .matrices import PROB_TOL, ZERO_TOL, StochasticMatrix, _connected
-from .seeding import map_replicas
+from .seeding import replica_rng
 
 MIN_EVENTS = 20
 # p_max enumerates at most 2^SUBSET_LIMIT atom subsets or 2^(CUT_LIMIT - 1) cuts.
@@ -370,8 +370,7 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
         probes = [atom.entries for atom in desc.atoms]
     else:
         # probe with the first three draws of replica 0's stream
-        probes = map_replicas(lambda i, rng: [spec.start_state(rng).next_array() for _ in range(3)],
-                              1, seed)[0]
+        probes = spec.draw_block(spec.start_state(replica_rng(seed, 0)), 3)
     for e in probes:
         if not np.allclose(e, e.T, atol=ZERO_TOL) or (np.diag(e) <= 0).any():
             raise Unsupported("draws must be symmetric with positive diagonals")

@@ -58,7 +58,7 @@ class GeneratorState:
         self.aux = None       # previous support index, for Markov dependence
 
     def next_array(self) -> np.ndarray:
-        return self.spec._draw(self)
+        return self.spec.draw_block(self, 1)[0]
 
 
 def sample_next(state: GeneratorState) -> StochasticMatrix:
@@ -91,25 +91,23 @@ class GeneratorSpec:
     def start_state(self, seed) -> GeneratorState:
         return GeneratorState(self, seed)
 
-    def _draw(self, state: GeneratorState) -> np.ndarray:
-        raise NotImplementedError
-
     def draw_block(self, state: GeneratorState, k: int) -> np.ndarray:
         """The next k draws in stream order, as a (k, n, n) array.
 
-        Bitwise equal to k calls of ``_draw``, and leaves the stream, ``aux``
-        and ``last`` where those calls would.
+        The one draw of every spec: ``next_array`` is a block of one.  The
+        stream does not depend on the block size, so one block of k leaves
+        the draws, the stream, ``aux`` and ``last`` where k blocks of one do.
         """
         return self._expand(self._block(state, k), np.zeros((k, self.n, self.n)))
 
     def _block(self, state: GeneratorState, k: int) -> np.ndarray:
         """The values behind the next k draws, one row per draw (k >= 1).
 
-        By default the draws themselves; specs with a cheaper block draw
-        return less, down to the stream call alone, and ``_expand`` turns
-        the rows of all replicas back into matrices at once.
+        Either the draws themselves or less, down to the stream call alone;
+        ``_expand`` then turns the rows of all replicas back into matrices
+        at once.
         """
-        return np.stack([self._draw(state) for _ in range(k)])
+        raise NotImplementedError
 
     def _width(self) -> int:
         """Values in one row of ``_block``."""
@@ -158,8 +156,8 @@ class Fixed(GeneratorSpec):
     def n(self):
         return self.matrix.n
 
-    def _draw(self, state):
-        return self.matrix.entries
+    def _block(self, state, k):
+        return np.broadcast_to(self.matrix.entries, (k, self.n, self.n))
 
     def mean_matrix(self):
         return self.matrix
@@ -209,8 +207,7 @@ class FiniteMixture(GeneratorSpec):
                 raise InvalidProbability("probs must be stationary for the transition")
             object.__setattr__(self, "_tr_cum", np.cumsum(tr, axis=1))
         object.__setattr__(self, "_cum", np.cumsum(p))
-        object.__setattr__(self, "_arrays", tuple(a.entries for a in self.atoms))
-        object.__setattr__(self, "_stack", np.stack(self._arrays))
+        object.__setattr__(self, "_stack", np.stack([a.entries for a in self.atoms]))
 
     @property
     def n(self):
@@ -223,13 +220,6 @@ class FiniteMixture(GeneratorSpec):
     def _index(self, cum, u):
         """Atom indices of uniforms ``u`` under cumulative law ``cum``."""
         return np.minimum(np.searchsorted(cum, u, side="right"), len(self.atoms) - 1)
-
-    def _draw(self, state):
-        if self.transition is None:
-            return self._arrays[self._index(self._cum, state.rng.random())]
-        cum = self._cum if state.aux is None else self._tr_cum[state.aux]
-        state.aux = int(self._index(cum, state.rng.random()))
-        return self._arrays[state.aux]
 
     def _block(self, state, k):
         # iid: the uniforms, which _expand maps to atoms; Markov: atom indices
@@ -314,12 +304,8 @@ class DirichletRows(GeneratorSpec):
         """True iff row sums of alpha equal column sums componentwise."""
         return is_balanced(self.alpha)
 
-    def _draw(self, state):
-        g = state.rng.standard_gamma(self.alpha)
-        return g / g.sum(axis=1, keepdims=True)
-
     def _block(self, state, k):
-        # the positive alpha entries in row-major order, as _draw consumes them
+        # one gamma variate per positive alpha entry, in row-major order
         return state.rng.standard_gamma(self._positive_alpha, size=(k, self._positive_alpha.size))
 
     def _width(self):
@@ -416,9 +402,6 @@ class LeaderFollower(GeneratorSpec):
         out[..., followers, (followers + 1) % n] = ~keep
         return out
 
-    def _draw(self, state):
-        return self._branch(state.rng.random())
-
     def _block(self, state, k):
         return state.rng.random(k)
 
@@ -447,10 +430,10 @@ class Islands(GeneratorSpec):
     links are each kept with probability p_s; one uniformly random
     cross-island pair is linked with probability p_d.  The interaction
     matrix is the degree-normalized adjacency, with a self-loop added to
-    any isolated agent so rows stay stochastic.  Draws follow that recipe
-    step by step; the mean and the support both read ``_law``, the exact
-    finite mixture over the graphs of ``islands_graph_atoms`` (g <= 4),
-    built once per spec.
+    any isolated agent so rows stay stochastic.  A block of draws runs that
+    recipe step by step, once per matrix; the mean and the support both
+    read ``_law``, the exact finite mixture over the graphs of
+    ``islands_graph_atoms`` (g <= 4), built once per spec.
     """
 
     g: int
@@ -473,18 +456,21 @@ class Islands(GeneratorSpec):
     def homophily(self) -> bool:
         return self.p_s > self.p_d
 
-    def _draw(self, state):
+    def _block(self, state, k):
         g, n = self.g, self.n
-        adj = np.zeros((n, n), dtype=bool)
-        for base in (0, g):
-            for (u, v) in _random_tree_edges(g, state.rng):
-                if state.rng.random() < self.p_s:
-                    adj[base + u, base + v] = adj[base + v, base + u] = True
-        i = int(state.rng.integers(g))
-        j = g + int(state.rng.integers(g))
-        if state.rng.random() < self.p_d:
-            adj[i, j] = adj[j, i] = True
-        return _graph_to_row_weights(adj)
+        out = np.empty((k, n, n))
+        for x in out:
+            adj = np.zeros((n, n), dtype=bool)
+            for base in (0, g):
+                for (u, v) in _random_tree_edges(g, state.rng):
+                    if state.rng.random() < self.p_s:
+                        adj[base + u, base + v] = adj[base + v, base + u] = True
+            i = int(state.rng.integers(g))
+            j = g + int(state.rng.integers(g))
+            if state.rng.random() < self.p_d:
+                adj[i, j] = adj[j, i] = True
+            x[...] = _graph_to_row_weights(adj)
+        return out
 
     @functools.cached_property
     def _law(self) -> FiniteMixture:
@@ -573,17 +559,8 @@ class Ar1Mixture(GeneratorSpec):
     def is_iid(self):
         return self.xi >= 1.0
 
-    def _draw(self, state):
-        prev = self.t0.entries if state.last is None else state.last
-        if self.xi == 0.0:
-            nxt = prev
-        else:
-            nxt = (1.0 - self.xi) * prev + self.xi * self.source._draw(state)
-        state.last = nxt
-        return nxt
-
     def _block(self, state, k):
-        # a block of source draws, then the recurrence of _draw over it
+        # a block of source draws, then the recurrence over it
         prev = self.t0.entries if state.last is None else state.last
         out = np.empty((k, self.n, self.n))
         if self.xi == 0.0:

@@ -41,6 +41,7 @@ from degrootnet import engine, generators
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
 from degrootnet.errors import CapHit, DimensionMismatch, InvalidProbability, NoConvergence, NotIid, SingularMass, Unsupported
 from degrootnet.generators import Islands, UndirectedDegree
+from degrootnet.matrices import dobrushin_coefficients
 from test_generators import all_models
 
 
@@ -329,6 +330,28 @@ class TestConditionC:
         spec = FiniteMixture(atoms=(a, b), probs=(0.5, 0.5), transition=((1.0, 0.0), (0.0, 1.0)))
         rep = check_condition_c(spec, horizon=200, replicas=200, seed=0)
         assert (rep.verdict, rep.method) == (UNDETERMINED, "contraction_integral")
+
+    def test_contraction_evidence_equals_a_replica_by_replica_sum(self, monkeypatch):
+        # the reference sums the recorded per-step coefficients one replica at a time;
+        # with an identity transition each replica keeps its first atom, so they differ
+        a = make_stochastic([[0.5, 0.5], [0.0, 1.0]])
+        b = make_stochastic([[1.0, 0.0], [0.3, 0.7]])
+        spec = FiniteMixture(atoms=(a, b), probs=(0.5, 0.5), transition=((1.0, 0.0), (0.0, 1.0)))
+        steps = []
+
+        def record(stack):
+            steps.append(dobrushin_coefficients(stack))
+            return steps[-1]
+        monkeypatch.setattr(engine, "dobrushin_coefficients", record)
+        rep = check_condition_c(spec, horizon=40, replicas=200, seed=0)
+        assert (rep.method, len(steps)) == ("contraction_integral", 40)
+        sums, sqsums = np.zeros(40), np.zeros(40)
+        for cs in np.array(steps).T:
+            sums += cs
+            sqsums += cs * cs
+        means = sums / 200
+        ses = np.sqrt(np.maximum(sqsums / 200 - means**2, 0.0) / 200)
+        assert rep.evidence == float((means + 3.0 * ses).min())
 
     def test_positive_diagonals_hold_iff_union_graph_is_strongly_connected(self):
         # With every skeleton's diagonal positive, a product of all atoms in turn

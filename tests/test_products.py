@@ -32,6 +32,7 @@ from degrootnet import (
 )
 from degrootnet import engine
 from degrootnet.engine import RENORM_EVERY, _disagreement_report, _products, _scan, _scan_replicas
+from degrootnet.matrices import StochasticMatrix, numeric_rank
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models
 
@@ -184,6 +185,9 @@ class TestLockstep:
             assert got_prods.tobytes() == prods.tobytes(), (name, t_max)
             want = _disagreement_report(prods, 1e-4)
             assert (got.eta_estimate, got.rank_histogram) == (want.eta_estimate, want.rank_histogram), (name, t_max)
+            # the batched SVD ranks the products as numeric_rank does, one at a time
+            ranks = [numeric_rank(StochasticMatrix._trusted(p)).numeric_rank for p in prods]
+            assert got.rank_histogram == {r: ranks.count(r) / 100 for r in sorted(set(ranks))}, (name, t_max)
             assert (got.support_atoms is None) == (want.support_atoms is None), (name, t_max)
             for (m, mass), (m_want, mass_want) in zip(got.support_atoms or (), want.support_atoms or (), strict=True):
                 assert m.entries.tobytes() == m_want.entries.tobytes(), (name, t_max)
