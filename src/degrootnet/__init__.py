@@ -36,14 +36,9 @@ from .generators import (
     UndirectedDegree,
     bernoulli_2x2,
     encounter_2x2,
-    islands_graphs,
-    leader_follower,
-    mean_matrix,
     mixing_identity_mixture,
-    perturbed_fixed,
     ring_uniform_self,
     sample_next,
-    support,
     two_point_swap,
 )
 from .engine import (
@@ -67,8 +62,6 @@ from .engine import (
     skeleton_equivalence_test,
 )
 from .wisdom import (
-    BernoulliSignal,
-    DiscreteSignal,
     UniformSignal,
     WisdomConfig,
     WisdomResult,

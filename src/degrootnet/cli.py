@@ -128,13 +128,13 @@ _MODELS = {
     "two-point-swap": (generators.two_point_swap, ("a",)),
     "bernoulli2x2": (generators.bernoulli_2x2, ("x", "pa", "pb")),
     "ring": (generators.ring_uniform_self, ("n",)),
-    "leader-follower": (generators.leader_follower, ("n",)),
+    "leader-follower": (generators.LeaderFollower, ("n",)),
     "beta2x2": (lambda alpha: generators.DirichletRows(np.full((2, 2), float(alpha))), ("alpha",)),
     "dirichlet": (lambda alpha_matrix: generators.DirichletRows(np.asarray(alpha_matrix, dtype=float)),
                   ("alpha_matrix",)),
-    "perturbed": (lambda matrix, eps: generators.perturbed_fixed(StochasticMatrix(matrix), eps),
+    "perturbed": (lambda matrix, eps: generators.PerturbedFixed(StochasticMatrix(matrix), eps),
                   ("matrix", "eps")),
-    "islands": (generators.islands_graphs, ("g", "ps", "pd")),
+    "islands": (generators.Islands, ("g", "ps", "pd")),
     "fixed": (lambda matrix: generators.Fixed(StochasticMatrix(matrix)), ("matrix",)),
     "fixed-ring": (lambda n: generators.Fixed(StochasticMatrix(np.roll(np.eye(n), 1, axis=1))), ("n",)),
     "mix-identity": (generators.mixing_identity_mixture, ("n", "zeta")),
@@ -270,7 +270,6 @@ def make_parser() -> _Parser:
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--atoms", default=None, help="JSON list of {x, y, mass}")
-    p.add_argument("--quad-points", type=int, default=256)
 
     p = sub.add_parser("pmax", help="most likely disconnected collection")
     _add_common(p)
@@ -292,7 +291,6 @@ def make_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--replicas", type=int, default=2000)
     p.add_argument("--tmax", type=int, default=200)
-    p.add_argument("--atom-tol", type=float, default=1e-4)
 
     p = sub.add_parser("check-c", help="primitivity (consensus certificate) check")
     _add_common(p)
@@ -311,7 +309,6 @@ def make_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--support", default=None, help="JSON list of matrices")
     p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--dedup-tol", type=float, default=1e-9)
 
     p = sub.add_parser("conjugacy", help="Dirichlet influence-law verification")
     _add_common(p)
@@ -331,6 +328,14 @@ def _collect_params(parser: _Parser, argv, args) -> dict:
         sub = parser.commands[args.command]
         typed = {action.dest for action in sub._actions if action.type is not None}
         values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
+        # a key that names no parameter would otherwise be ignored; alpha_matrix
+        # is the one parameter with no flag, read by --model dirichlet
+        known = {action.dest for action in sub._actions if action.default is not argparse.SUPPRESS}
+        if "model" in known:
+            known.add("alpha_matrix")
+        unknown = [k for k in doc if k not in ("command", "config") and k.replace("-", "_") not in known]
+        if unknown:
+            raise _UsageError(f"{args.command} takes no parameter {', '.join(map(repr, unknown))}")
         # argparse applies a flag's type to string defaults only, so a typed
         # value goes in as the text it would have on the command line
         sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
@@ -393,7 +398,7 @@ def _cmd_influence(params):
         seed=params["seed"],
     )
     header = ["replica", "gap"] + [f"pi_{i+1}" for i in range(spec.n)]
-    rows = [(k, float(g), *s) for k, (s, g) in enumerate(zip(est.samples, est.per_replica_gap))]
+    rows = [(i, float(g), *s) for i, s, g in zip(est.replica_index, est.samples, est.per_replica_gap)]
     doc = {
         "mean": list(est.mean),
         "variance": list(est.variance),
@@ -412,7 +417,6 @@ def _cmd_wisdom(params):
     cfg = wisdom.WisdomConfig(
         family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
         sizes=sizes,
-        gamma=params["gamma"],
         signal_law=wisdom.UniformSignal(params["gamma"], params["signal_width"]),
         replicas=params["replicas"],
         t_max=params["tmax"],
@@ -456,7 +460,7 @@ def _cmd_speed2x2(params):
 
 def _cmd_energy(params):
     mu = build_energy_mu(params)
-    value = engine.log_energy(mu, quad_points=params["quad_points"])
+    value = engine.log_energy(mu)
     doc = {"i_mu": value}
     summary = f"energy: I_mu={value:.10f}"
     return [(value,)], ["i_mu"], doc, summary, EXIT_OK
@@ -518,7 +522,6 @@ def _cmd_disagree(params):
         spec,
         replicas=params["replicas"],
         t_max=params["tmax"],
-        atom_tol=params["atom_tol"],
         seed=params["seed"],
     )
     header = ["rank", "frequency"]
@@ -581,11 +584,7 @@ def _cmd_semigroup(params):
                       lambda doc: [StochasticMatrix(m) for m in doc])
     if len({m.n for m in mats}) > 1:
         raise _UsageError(f"--support matrices differ in size: n = {', '.join(str(m.n) for m in mats)}")
-    rep = engine.semigroup_explore(
-        mats,
-        max_len=params["max_len"],
-        dedup_tol=params["dedup_tol"],
-    )
+    rep = engine.semigroup_explore(mats, max_len=params["max_len"])
     doc = {
         "min_rank": rep.min_rank,
         "elements": rep.elements,

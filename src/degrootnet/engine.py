@@ -72,6 +72,16 @@ FIRST_BLOCK = 8
 BLOCK = 32
 BLOCK_VALUES = 1 << 21
 MAX_ATOMS = 64  # disagreement_degree reports atoms only up to this many
+# disagreement_degree merges a limit product into an atom within this
+# entrywise max distance: far above the roundoff of a t_max-step product,
+# far below the distance between distinct atoms of the laws studied
+ATOM_TOL = 1e-4
+# semigroup_explore treats two products within this entrywise max distance
+# as one element of its epsilon net
+DEDUP_TOL = 1e-9
+# Gauss-Legendre order per dyadic panel of log_energy's Beta-marginal
+# integral: 8 nodes on each of 40 panels per axis
+QUAD_ORDER = 8
 NORM_FLOOR = 2.0**-33  # per agent: 2^20 times the 2^-53 unit roundoff
 
 UNDETERMINED = "undetermined"
@@ -118,9 +128,14 @@ class ProductAccumulator:
 
 @dataclass(frozen=True)
 class InfluenceEstimate:
-    """Monte Carlo sample of the random influence vector pi."""
+    """Monte Carlo sample of the random influence vector pi.
+
+    ``replica_index[k]`` is the replica whose product gave ``samples[k]``
+    and ``per_replica_gap[k]``; replicas that failed to converge are absent.
+    """
 
     samples: tuple
+    replica_index: tuple
     per_replica_gap: tuple
     mean: tuple
     variance: tuple
@@ -352,14 +367,16 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("t_max must be >= 1")
 
     scans = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
-    samples = [prod[0] for prod, _, _, _, ctime in scans if ctime is not None]
-    gaps = [gap for _, _, gap, _, ctime in scans if ctime is not None]
+    converged = [i for i, scan in enumerate(scans) if scan[4] is not None]
+    samples = [scans[i][0][0] for i in converged]
+    gaps = [scans[i][2] for i in converged]
     failures = replicas - len(samples)
     if len(samples) * 2 < replicas:
         raise NoConvergence(len(samples), replicas)
     stack = np.array(samples)
     return InfluenceEstimate(
         samples=tuple(tuple(float(v) for v in s) for s in samples),
+        replica_index=tuple(converged),
         per_replica_gap=tuple(float(g) for g in gaps),
         mean=tuple(float(v) for v in stack.mean(axis=0)),
         variance=tuple(float(v) for v in stack.var(axis=0, ddof=1)) if len(samples) > 1 else tuple(0.0 for _ in range(spec.n)),
@@ -401,15 +418,17 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
         if verdict in (HOLDS, FAILS):
             return ConditionCReport(verdict, "skeleton_semigroup", float(evidence), horizon)
 
-    # Monte Carlo branches share one pass: each replica reports whether a
-    # partial product turned strictly positive and the contraction
-    # coefficient of every partial product.
+    # Monte Carlo branches share one pass: each replica records the
+    # contraction coefficient of every partial product until one turns
+    # strictly positive, and then leaves the pass.  The coefficients are
+    # read only when no replica turned positive, so when all ran to the horizon.
     positive = np.zeros(replicas, dtype=bool)
     coefficients = np.empty((replicas, horizon))
 
     def observe(t, idx, prod):
-        positive[idx] |= prod.min(axis=(1, 2)) > ZERO_TOL
+        positive[idx] = prod.min(axis=(1, 2)) > ZERO_TOL
         coefficients[idx, t - 1] = dobrushin_coefficients(prod / prod.sum(axis=2, keepdims=True))
+        return positive[idx]
 
     _lockstep(spec, replicas, seed, horizon, observe)
     if positive.any():
@@ -420,13 +439,12 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     return ConditionCReport(UNDETERMINED, "contraction_integral", float((means + 3.0 * ses).min()), horizon)
 
 
-def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
-                      cap: int = 4000) -> SemigroupReport:
+def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport:
     """Breadth-first product generation from a finite support.
 
-    Deduplicates elements by entrywise max distance (an epsilon net) and
-    reports every rank-one element found plus the minimal numeric rank.
-    A positive finding (rank-one element) is a certificate; absence is
+    Deduplicates elements by entrywise max distance DEDUP_TOL (an epsilon
+    net) and reports every rank-one element found plus the minimal numeric
+    rank.  A positive finding (rank-one element) is a certificate; absence is
     only evidence, since products are truncated at max_len.
     """
     if max_len < 1:
@@ -440,7 +458,7 @@ def semigroup_explore(support, max_len: int, dedup_tol: float = 1e-9,
 
     def add(arr):
         for known in elements:
-            if np.max(np.abs(known - arr)) <= dedup_tol:
+            if np.max(np.abs(known - arr)) <= DEDUP_TOL:
                 return False
         elements.append(arr)
         return True
@@ -549,7 +567,7 @@ def _gauss_panels(order: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def log_energy(mu_2x2, quad_points: int = 256) -> float:
+def log_energy(mu_2x2) -> float:
     """Expected log(1/|lambda_2|) of one 2x2 draw under the weight law mu.
 
     For Beta-marginal pairs the integral is computed in quantile space:
@@ -557,7 +575,8 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
     exact uniform energy 3/2 plus a divided-difference correction
     -log((Q(u)-Q(v))/(u-v)) that is smooth across the diagonal, where it
     equals log f(Q(u)).  Tensor Gauss-Legendre on dyadically refined
-    panels then resolves the endpoint behavior of the quantile map.
+    panels (QUAD_ORDER nodes each) then resolves the endpoint behavior of
+    the quantile map.
     This branch is the package's one use of scipy, imported on its first call.
     """
     if isinstance(mu_2x2, AtomicWeightPairs):
@@ -570,11 +589,8 @@ def log_energy(mu_2x2, quad_points: int = 256) -> float:
         return total
     if not isinstance(mu_2x2, BetaMarginalPair):
         raise Unsupported("log_energy needs a BetaMarginalPair or AtomicWeightPairs descriptor")
-    if quad_points < 64:
-        raise InvalidArgument("quad_points must be >= 64")
     a, b = mu_2x2.a, mu_2x2.b
-    order = int(np.clip(quad_points // 32, 6, 24))
-    u, w = _gauss_panels(order)
+    u, w = _gauss_panels(QUAD_ORDER)
     from scipy.special import betaincinv, betaln
 
     q = betaincinv(a, b, u)
@@ -627,12 +643,16 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
 
 
 def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
-                        atom_tol: float = 1e-4, seed: int = 0) -> DisagreementReport:
+                        seed: int = 0) -> DisagreementReport:
     """Empirical law of X^(t_max): modal numeric rank plus clustered atoms.
 
-    Limit products are clustered by greedy nearest-atom assignment with
-    entrywise max-distance tolerance atom_tol; atoms are reported only
-    when the limits concentrate on at most MAX_ATOMS matrices.
+    The products X^(t_max) of ``replicas`` replicas are the sample.  The
+    rank histogram counts their numeric ranks, and the modal rank is the
+    estimate of the degree of disagreement eta.  The products are
+    clustered in replica order: each joins the first atom within entrywise
+    max distance ATOM_TOL or starts a new one.  Atoms and their
+    frequencies are reported only when the products concentrate on at most
+    MAX_ATOMS matrices; otherwise ``support_atoms`` is None.
     """
     if replicas < 100:
         raise InvalidArgument("disagreement_degree needs at least 100 replicas")
@@ -649,10 +669,10 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
 
     _lockstep(spec, replicas, seed, t_max, observe)
     prods /= prods.sum(axis=2, keepdims=True)
-    return _disagreement_report(prods, atom_tol)
+    return _disagreement_report(prods)
 
 
-def _disagreement_report(prods, atom_tol: float) -> DisagreementReport:
+def _disagreement_report(prods) -> DisagreementReport:
     """Rank histogram and clustered atoms of a sample of limit products, in replica order.
 
     The ranks are numeric_rank's, from one batched SVD of the stack with
@@ -668,7 +688,7 @@ def _disagreement_report(prods, atom_tol: float) -> DisagreementReport:
     counts: list[int] = []
     for prod in prods:
         for k, atom in enumerate(atoms):
-            if np.max(np.abs(atom - prod)) <= atom_tol:
+            if np.max(np.abs(atom - prod)) <= ATOM_TOL:
                 counts[k] += 1
                 break
         else:

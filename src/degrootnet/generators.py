@@ -66,15 +66,6 @@ def sample_next(state: GeneratorState) -> StochasticMatrix:
     return StochasticMatrix._trusted(state.next_array())
 
 
-def mean_matrix(spec: "GeneratorSpec") -> StochasticMatrix:
-    """Exact expectation of one draw under the generating process."""
-    return spec.mean_matrix()
-
-
-def support(spec: "GeneratorSpec") -> SupportDescriptor:
-    return spec.support()
-
-
 class GeneratorSpec:
     """Base class for network generating processes."""
 
@@ -124,6 +115,7 @@ class GeneratorSpec:
         return out
 
     def mean_matrix(self) -> StochasticMatrix:
+        """Exact expectation of one draw under the generating process."""
         raise Unsupported(f"{self.kind} has no mean rule")
 
     def support(self) -> SupportDescriptor:
@@ -605,18 +597,6 @@ def ring_uniform_self(n: int) -> DirichletRows:
         alpha[i, i] = 1.0
         alpha[i, (i + 1) % n] = 1.0
     return DirichletRows(alpha)
-
-
-def leader_follower(n: int) -> LeaderFollower:
-    return LeaderFollower(n)
-
-
-def perturbed_fixed(T: StochasticMatrix, epsilon: float) -> PerturbedFixed:
-    return PerturbedFixed(T, epsilon)
-
-
-def islands_graphs(g: int, p_s: float, p_d: float) -> Islands:
-    return Islands(g, p_s, p_d)
 
 
 def encounter_2x2(epsilon: float, p_meet: float, transition=None) -> FiniteMixture:

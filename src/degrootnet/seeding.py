@@ -16,7 +16,8 @@ SeedSequence and PCG64 seeding are fixed algorithms under NumPy's stream
 compatibility policy (NEP 19), so the Generators are those of
 ``replica_rng``; the tests check their states and draws against
 ``default_rng``.  ``map_replicas`` runs a function on each replica's stream
-in index order, for work that is not a product scan.
+in index order; nothing in the package calls it, and it stays because
+perfbench/tracer.py wraps it.
 """
 
 from __future__ import annotations

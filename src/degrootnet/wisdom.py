@@ -22,7 +22,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import GeneratorSpec
-from .matrices import PROB_TOL, RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank
+from .matrices import RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
 from .seeding import replica_rng, replica_seed  # noqa: F401
 
@@ -59,60 +59,6 @@ class UniformSignal:
         return rng.uniform(self.gamma - self.half_width, self.gamma + self.half_width, size=n)
 
 
-@dataclass(frozen=True)
-class BernoulliSignal:
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidProbability("Bernoulli signals need gamma in (0,1) for positive variance")
-
-    @property
-    def mean(self):
-        return self.gamma
-
-    @property
-    def variance(self):
-        return self.gamma * (1.0 - self.gamma)
-
-    def sample(self, rng, n):
-        return (rng.random(n) < self.gamma).astype(float)
-
-
-@dataclass(frozen=True)
-class DiscreteSignal:
-    """Finite support on [0,1] with given masses."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if len(v) != len(p) or len(v) == 0:
-            raise InvalidProbability("values and probs must align")
-        if (v < 0).any() or (v > 1).any():
-            raise InvalidProbability("signal values must lie in [0,1]")
-        if (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
-            raise InvalidProbability("signal masses must sum to 1")
-        if self.variance <= 0:
-            raise InvalidProbability("signal law needs positive variance")
-
-    @property
-    def mean(self):
-        return float(np.dot(self.values, self.probs))
-
-    @property
-    def variance(self):
-        v = np.asarray(self.values)
-        return float(np.dot(self.probs, (v - self.mean) ** 2))
-
-    def sample(self, rng, n):
-        cum = np.cumsum(self.probs)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        return np.asarray(self.values, dtype=float)[np.minimum(idx, len(self.values) - 1)]
-
-
 # --- wisdom experiment -------------------------------------------------------
 
 
@@ -120,8 +66,7 @@ class DiscreteSignal:
 class WisdomConfig:
     family: object            # callable n -> GeneratorSpec
     sizes: tuple
-    gamma: float
-    signal_law: object
+    signal_law: object        # mean, variance and sample(rng, n); its mean is the target
     replicas: int
     t_max: int
     gap_tol: float = GAP_TOL
@@ -134,10 +79,6 @@ class WisdomConfig:
             raise InvalidArgument("t_max must be >= 1")
         if any(n < 2 for n in self.sizes):
             raise InvalidProbability("all sizes must be >= 2")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidProbability("gamma must lie in [0,1]")
-        if abs(self.signal_law.mean - self.gamma) > PROB_TOL:
-            raise InvalidProbability("signal law mean must equal gamma")
         if self.signal_law.variance <= 0:
             raise InvalidProbability("signal law must have positive variance")
 
@@ -157,19 +98,18 @@ class WisdomSizeResult:
 class WisdomResult:
     per_size: tuple
 
-    def by_n(self):
-        return {r.n: r for r in self.per_size}
-
 
 def run_wisdom(config: WisdomConfig) -> WisdomResult:
     """Consensus-error diagnostics per society size.
 
-    Each replica draws signals with mean gamma, runs the product to the
-    gap tolerance, and scores |pi . p0 - gamma|; the consensus value is
-    read off the converged product, not a truncated trajectory.  A size
+    Each replica draws signals from the signal law, runs the product to the
+    gap tolerance, and scores |pi . p0 - gamma| against the law's mean
+    gamma; the consensus value is read off the converged product, not a
+    truncated trajectory.  A size
     whose replicas mostly fail to converge is reported with NaN error
     statistics rather than aborting the remaining sizes.
     """
+    gamma = config.signal_law.mean
     out = []
     for idx, n in enumerate(config.sizes):
         spec = config.family(n)
@@ -184,7 +124,7 @@ def run_wisdom(config: WisdomConfig) -> WisdomResult:
         scans = _scan_replicas(spec, config.replicas, replica_seed(config.seed, idx), config.t_max,
                                config.gap_tol, stop_when_converged=True, start=start)
         converged = [(prod[0], p0) for p0, (prod, _, _, _, ctime) in zip(p0s, scans) if ctime is not None]
-        errors = [abs(float(pi @ p0) - config.gamma) for pi, p0 in converged]
+        errors = [abs(float(pi @ p0) - gamma) for pi, p0 in converged]
         max_pis = [float(pi.max()) for pi, _ in converged]
         frac = len(errors) / config.replicas
         if errors and 2 * len(errors) >= config.replicas:

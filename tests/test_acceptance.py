@@ -138,7 +138,7 @@ def test_c06_arcsine_slowest():
     energies = {}
     means = {}
     for label, a in [("arcsine", 0.5), ("uniform", 1.0), ("beta22", 2.0), ("beta55", 5.0)]:
-        energies[label] = dn.log_energy(dn.BetaMarginalPair(a, a), 256)
+        energies[label] = dn.log_energy(dn.BetaMarginalPair(a, a))
         spec = dn.DirichletRows(np.full((2, 2), a))
         means[label] = dn.convergence_time_2x2(spec, phi=phi, replicas=2000,
                                                seed=1006 + int(10 * a)).mean_t_phi
@@ -293,7 +293,7 @@ def test_c11_consensus_probability_formula():
 def test_c12_perturbation_variance():
     checks = []
     for eps in (2.0, 8.0, 32.0):
-        spec = dn.perturbed_fixed(flat(2), eps)
+        spec = dn.PerturbedFixed(flat(2), eps)
         est = dn.estimate_influence(spec, replicas=20000, t_max=500, gap_tol=1e-8,
                                     seed=1013 + int(eps))
         target = 0.25 / (eps + 1.0)

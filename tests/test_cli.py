@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from degrootnet.cli import (
     run,
     serialize_config,
 )
+from degrootnet.engine import GAP_TOL, _scan
 from degrootnet.fragmentation import islands_distribution
-from degrootnet.generators import GeneratorSpec
+from degrootnet.generators import GeneratorSpec, ring_uniform_self
+from degrootnet.seeding import replica_rng
 
 
 def read(path):
@@ -127,6 +130,17 @@ class TestExitCodes:
         assert run([str(path) if a == "{}" else a for a in argv]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"command": "speed2x2", "replica": 10, "phi": 0.01}, "'replica'"),
+        ({"command": "disagree", "model": "ring", "n": 3, "atom_tol": 1e-3}, "'atom_tol'"),
+        ({"command": "energy", "quad-points": 256}, "'quad-points'"),
+    ])
+    def test_config_key_that_names_no_parameter_is_usage_error(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert run([cfg["command"], "--config", str(path)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text("[1]")
@@ -229,6 +243,20 @@ class TestInfluenceCommand:
         assert len(lines) == 501  # one row per replica sample
         pis = np.array([[float(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
         assert np.abs(pis.mean(axis=0) - 0.5).max() < 1e-6
+
+    def test_replica_column_names_the_converged_replicas(self, tmp_path):
+        # with t_max 100 some replicas fail; each row keeps its own replica's index
+        out = tmp_path / "inf.csv"
+        assert run(["influence", "--model", "ring", "--n", "5", "--replicas", "12", "--tmax", "100",
+                    "--seed", "3", "--out", str(out)]) == EXIT_OK
+        spec = ring_uniform_self(5)
+        scans = {i: _scan(spec.start_state(replica_rng(3, i)), 100, GAP_TOL, True) for i in range(12)}
+        want = [i for i, scan in scans.items() if scan[4] is not None]
+        rows = [line.split(",") for line in read(out).splitlines()[1:]]
+        assert len(want) < 12
+        assert [int(row[0]) for row in rows] == want
+        for row in rows:
+            assert [float(v) for v in row[2:]] == scans[int(row[0])][0][0].tolist()
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         argv = ["influence", "--model", "ring", "--n", "4", "--replicas", "80",
@@ -500,6 +528,16 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
         assert run(["energy", "--config", str(path)]) == EXIT_OK
         assert "I_mu=1.3862943611" in capsys.readouterr().out
+
+
+def test_every_flag_readme_names_is_a_flag_of_some_subcommand():
+    options = {opt for sub in cli.make_parser().commands.values() for action in sub._actions
+               for opt in action.option_strings}
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    # lines that run pytest name pytest's flags
+    lines = [line for line in read(readme).splitlines() if "pytest" not in line]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+    assert named and named <= options, sorted(named - options)
 
 
 class TestFloatFormatting:

@@ -399,7 +399,7 @@ class TestSemigroup:
         raws = rng.random((2, 3, 3)) + 0.05
         dense = [make_stochastic(r / r.sum(axis=1, keepdims=True)) for r in raws]
         with pytest.raises(ExplosionGuard):
-            semigroup_explore(dense, max_len=12, dedup_tol=1e-12, cap=50)
+            semigroup_explore(dense, max_len=12, cap=50)
 
     def test_h_g_closure_structure(self):
         kappa = 0.3
@@ -466,20 +466,26 @@ def brute_energy_oracle(quantile, n_grid=1500):
 
 class TestLogEnergy:
     def test_uniform_value_and_oracle(self):
-        assert log_energy(BetaMarginalPair(1, 1), 256) == pytest.approx(1.5, abs=1e-9)
+        assert log_energy(BetaMarginalPair(1, 1)) == pytest.approx(1.5, abs=1e-9)
         assert brute_energy_oracle(lambda u: u) == pytest.approx(1.5, abs=2e-3)
 
     def test_arcsine_value_and_oracle(self):
         from scipy.special import betaincinv
 
-        val = log_energy(BetaMarginalPair(0.5, 0.5), 256)
+        val = log_energy(BetaMarginalPair(0.5, 0.5))
         assert val == pytest.approx(math.log(4.0), abs=1e-5)
         oracle = brute_energy_oracle(lambda u: betaincinv(0.5, 0.5, u))
         assert oracle == pytest.approx(math.log(4.0), abs=5e-3)
 
     def test_beta_values_frozen(self):
-        assert log_energy(BetaMarginalPair(2, 2), 256) == pytest.approx(1.75, abs=1e-4)
-        assert log_energy(BetaMarginalPair(5, 5), 256) == pytest.approx(2.160119, abs=1e-3)
+        assert log_energy(BetaMarginalPair(2, 2)) == pytest.approx(1.75, abs=1e-4)
+        assert log_energy(BetaMarginalPair(5, 5)) == pytest.approx(2.160119, abs=1e-3)
+
+    def test_beta_values_pinned_bitwise(self):
+        # recorded when the quadrature order was derived from a quad_points argument of 256
+        want = {0.5: "0x1.62e42fefa39e7p+0", 1: "0x1.8000000000000p+0",
+                2: "0x1.c000000001344p+0", 5: "0x1.147ec7ecb8636p+1"}
+        assert {a: log_energy(BetaMarginalPair(a, a)).hex() for a in want} == want
 
     def test_atom_pair_boundary_case(self):
         mu = AtomicWeightPairs(atoms=(((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)))
@@ -728,7 +734,7 @@ MONTE_CARLO_ENTRY_POINTS = {
     "lyapunov_exponent": lambda r: lyapunov_exponent(ring_uniform_self(3), t_max=10, replicas=r),
     "decay_rate_estimate": lambda r: decay_rate_estimate(encounter_2x2(0.3, 0.5), 0.5, [1, 2], replicas=r),
     "mean_rank_one_test": lambda r: mean_rank_one_test(ring_uniform_self(3), replicas=r, t_max=10),
-    "WisdomConfig": lambda r: WisdomConfig(family=ring_uniform_self, sizes=(3,), gamma=0.5,
+    "WisdomConfig": lambda r: WisdomConfig(family=ring_uniform_self, sizes=(3,),
                                            signal_law=UniformSignal(0.5), replicas=r, t_max=10),
 }
 
@@ -743,7 +749,7 @@ def test_monte_carlo_entry_points_reject_empty_runs(entry, replicas):
 HORIZON_ENTRY_POINTS = {
     "estimate_influence": lambda t: estimate_influence(ring_uniform_self(3), replicas=4, t_max=t),
     "lyapunov_exponent": lambda t: lyapunov_exponent(ring_uniform_self(3), t_max=t, replicas=4),
-    "WisdomConfig": lambda t: WisdomConfig(family=ring_uniform_self, sizes=(3,), gamma=0.5,
+    "WisdomConfig": lambda t: WisdomConfig(family=ring_uniform_self, sizes=(3,),
                                            signal_law=UniformSignal(0.5), replicas=4, t_max=t),
 }
 

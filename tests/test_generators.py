@@ -15,18 +15,15 @@ from degrootnet import (
     Fixed,
     GeneratorSpec,
     Islands,
+    LeaderFollower,
+    PerturbedFixed,
     UndirectedDegree,
     bernoulli_2x2,
     encounter_2x2,
-    islands_graphs,
-    leader_follower,
     make_stochastic,
-    mean_matrix,
     mixing_identity_mixture,
-    perturbed_fixed,
     ring_uniform_self,
     sample_next,
-    support,
     two_point_swap,
 )
 from degrootnet.cli import run
@@ -49,9 +46,9 @@ def all_models():
         "markov_encounter": encounter_2x2(0.3, 0.5, transition=((0.5, 0.5), (0.5, 0.5))),
         "dirichlet_ring": ring_uniform_self(5),
         "dirichlet_dense": DirichletRows(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])),
-        "perturbed": perturbed_fixed(flat(2), 8.0),
-        "leader_follower": leader_follower(4),
-        "islands": islands_graphs(2, 0.8, 0.3),
+        "perturbed": PerturbedFixed(flat(2), 8.0),
+        "leader_follower": LeaderFollower(4),
+        "islands": Islands(2, 0.8, 0.3),
         "undirected_degree": undirected,
         "mix_identity": mixing_identity_mixture(3, 0.5),
         "ar1": Ar1Mixture(0.5, make_stochastic([[0.9, 0.1], [0.1, 0.9]]), ring_uniform_self(2)),
@@ -115,12 +112,12 @@ class TestMeanMatrix:
     def test_mix_identity_mean(self):
         n, zeta = 4, 0.3
         expected = (1 - zeta) * np.eye(n) + zeta * np.full((n, n), 1.0 / n)
-        assert np.allclose(mean_matrix(mixing_identity_mixture(n, zeta)).entries, expected)
+        assert np.allclose(mixing_identity_mixture(n, zeta).mean_matrix().entries, expected)
 
     def test_perturbed_mean_is_t(self):
         t = make_stochastic([[0.7, 0.3], [0.4, 0.6]])
-        spec = perturbed_fixed(t, 4.0)
-        assert np.allclose(mean_matrix(spec).entries, t.entries)
+        spec = PerturbedFixed(t, 4.0)
+        assert np.allclose(spec.mean_matrix().entries, t.entries)
 
     def test_exact_fraction_probabilities(self):
         eye, swap = make_stochastic(np.eye(2)), make_stochastic([[0.0, 1.0], [1.0, 0.0]])
@@ -129,7 +126,7 @@ class TestMeanMatrix:
 
     def test_two_point_swap_mean(self):
         a = 0.4
-        assert np.allclose(mean_matrix(two_point_swap(a)).entries, [[a, 1 - a], [1 - a, a]])
+        assert np.allclose(two_point_swap(a).mean_matrix().entries, [[a, 1 - a], [1 - a, a]])
 
     def test_empirical_mean_within_5e3_all_models(self):
         for name, spec in all_models().items():
@@ -146,49 +143,49 @@ class TestMeanMatrix:
                 state = spec.start_state(123)
                 for _ in range(draws):
                     acc += state.next_array()
-            err = np.abs(acc / draws - mean_matrix(spec).entries).max()
+            err = np.abs(acc / draws - spec.mean_matrix().entries).max()
             assert err < 5e-3, f"{name}: empirical mean off by {err}"
 
 
 class TestSupport:
     def test_encounter_atoms(self):
-        desc = support(encounter_2x2(0.3, 0.5))
+        desc = encounter_2x2(0.3, 0.5).support()
         assert desc.kind == "finite"
         mats = sorted(a.entries.tolist() for a in desc.atoms)
         assert mats == sorted([np.eye(2).tolist(), [[0.7, 0.3], [0.3, 0.7]]])
 
     def test_two_point_swap_atoms(self):
-        desc = support(two_point_swap(0.4))
+        desc = two_point_swap(0.4).support()
         mats = sorted(a.entries.tolist() for a in desc.atoms)
         assert mats == sorted([np.eye(2).tolist(), [[0.0, 1.0], [1.0, 0.0]]])
 
     def test_zero_probability_atoms_are_not_listed(self):
-        desc = support(encounter_2x2(0.3, 0.0))
+        desc = encounter_2x2(0.3, 0.0).support()
         assert [a.entries.tolist() for a in desc.atoms] == [np.eye(2).tolist()]
         assert [s.mask.tolist() for s in desc.skeletons] == [np.eye(2, dtype=bool).tolist()]
         graphs = _undirected_pair().graphs
-        desc = support(UndirectedDegree(graphs=graphs, probs=(0.0, 1.0)))
+        desc = UndirectedDegree(graphs=graphs, probs=(0.0, 1.0)).support()
         assert [a.entries.tolist() for a in desc.atoms] == [(graphs[1] / 2.0).tolist()]
 
     def test_dirichlet_full_support(self):
-        desc = support(DirichletRows(np.ones((3, 3))))
+        desc = DirichletRows(np.ones((3, 3))).support()
         assert desc.kind == "continuous"
         assert desc.strictly_positive_prob == 1.0
         assert desc.skeletons[0].all_true()
 
     def test_dirichlet_structural_zeros(self):
-        desc = support(ring_uniform_self(4))
+        desc = ring_uniform_self(4).support()
         assert desc.strictly_positive_prob == 0.0
         assert not desc.skeletons[0].all_true()
 
     def test_every_draw_lies_on_its_declared_support(self):
-        # the exact condition-(C) verdicts rest on draws never leaving support();
+        # the exact condition-(C) verdicts rest on draws never leaving spec.support();
         # K7's weights 1/6 do not sum to exactly 1, so its atoms are renormalized
         k7 = ~np.eye(7, dtype=bool)
         specs = dict(all_models(), k7=UndirectedDegree(graphs=(k7,), probs=(1.0,)))
         for name, spec in specs.items():
             try:
-                desc = support(spec)
+                desc = spec.support()
             except Unsupported:
                 continue
             atoms = {a.entries.tobytes() for a in desc.atoms}
@@ -205,7 +202,7 @@ class TestSupport:
     def test_ar1_support_unsupported(self):
         spec = Ar1Mixture(0.5, flat(2), ring_uniform_self(2))
         with pytest.raises(Unsupported):
-            support(spec)
+            spec.support()
 
 
 def _ring_or_random_alpha(n, density, seed):
@@ -283,7 +280,7 @@ class TestRingUniformSelf:
 
 class TestLeaderFollower:
     def test_branches(self):
-        spec = leader_follower(5)
+        spec = LeaderFollower(5)
         state = spec.start_state(9)
         eye = np.eye(5)
         shift = np.roll(np.eye(5), 1, axis=1)
@@ -309,13 +306,13 @@ class TestLeaderFollower:
     def test_mean_skeletons_and_draws_are_pinned(self, n, digest):
         # SHA-256 over the mean, both skeleton masks and the first 50 draws at seed 2024,
         # recorded when the draw, the mean and the skeletons were built by three separate rules
-        spec = leader_follower(n)
+        spec = LeaderFollower(n)
         state = spec.start_state(2024)
         arrays = [spec.mean_matrix().entries] + [m.mask for m in spec.support().skeletons]
         assert _digest(arrays + [state.next_array() for _ in range(50)]) == digest
 
     def test_rows_correlated_through_single_draw(self):
-        spec = leader_follower(4)
+        spec = LeaderFollower(4)
         state = spec.start_state(13)
         for _ in range(200):
             x = state.next_array()
@@ -326,25 +323,25 @@ class TestLeaderFollower:
 class TestPerturbedFixed:
     def test_requires_strictly_positive(self):
         with pytest.raises(NotStrictlyPositive):
-            perturbed_fixed(make_stochastic(np.eye(2)), 2.0)
+            PerturbedFixed(make_stochastic(np.eye(2)), 2.0)
 
     def test_influence_vector_of_t(self):
         t = make_stochastic([[0.7, 0.3], [0.4, 0.6]])
-        spec = perturbed_fixed(t, 2.0)
+        spec = PerturbedFixed(t, 2.0)
         s = spec.s
         assert np.allclose(s @ t.entries, s, atol=1e-12)
         assert s.sum() == pytest.approx(1.0)
 
     def test_alpha_balance(self):
         t = make_stochastic([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
-        spec = perturbed_fixed(t, 8.0)
+        spec = PerturbedFixed(t, 8.0)
         alpha = spec.alpha
         assert np.abs(alpha.sum(axis=0) - alpha.sum(axis=1)).max() < 1e-9
 
     def test_large_epsilon_concentrates_on_s(self):
         t = make_stochastic([[0.7, 0.3], [0.4, 0.6]])
-        tight = perturbed_fixed(t, 400.0)
-        loose = perturbed_fixed(t, 4.0)
+        tight = PerturbedFixed(t, 400.0)
+        loose = PerturbedFixed(t, 4.0)
         dev_tight = max(
             np.abs(tight.start_state(s).next_array() - t.entries).max() for s in range(50)
         )
@@ -355,7 +352,7 @@ class TestPerturbedFixed:
 
 class TestIslands:
     def test_no_cross_when_pd_zero(self):
-        spec = islands_graphs(3, 0.7, 0.0)
+        spec = Islands(3, 0.7, 0.0)
         state = spec.start_state(4)
         cross = slice(3, 6)
         for _ in range(200):
@@ -364,8 +361,8 @@ class TestIslands:
             assert x[cross, :3].sum() == 0.0
 
     def test_homophily_flag(self):
-        assert islands_graphs(2, 0.8, 0.3).homophily
-        assert not islands_graphs(2, 0.3, 0.8).homophily
+        assert Islands(2, 0.8, 0.3).homophily
+        assert not Islands(2, 0.3, 0.8).homophily
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):
@@ -379,7 +376,7 @@ class TestIslands:
     def test_mean_and_support_are_pinned(self, g, p_s, p_d, atoms, digest):
         # SHA-256 over the mean, the support atoms and their skeletons, recorded when
         # the mean and the support enumerated the graph law separately
-        spec = islands_graphs(g, p_s, p_d)
+        spec = Islands(g, p_s, p_d)
         sup = spec.support()
         assert len(sup.atoms) == atoms
         arrays = [spec.mean_matrix().entries] + [a.entries for a in sup.atoms] + [m.mask for m in sup.skeletons]
@@ -387,7 +384,7 @@ class TestIslands:
 
     def test_exact_fraction_parameters_give_the_float_law(self):
         exact = Islands(2, Fraction(4, 5), Fraction(3, 10))
-        assert np.abs(exact.mean_matrix().entries - islands_graphs(2, 0.8, 0.3).mean_matrix().entries).max() < 1e-15
+        assert np.abs(exact.mean_matrix().entries - Islands(2, 0.8, 0.3).mean_matrix().entries).max() < 1e-15
         assert len(exact.support().atoms) == 20
 
     @pytest.mark.parametrize("g, digest", [
@@ -398,7 +395,7 @@ class TestIslands:
     def test_draws_are_pinned(self, g, digest):
         # SHA-256 over 300 draws at seed 11 and the stream's next uniform, recorded when
         # g = 2 trees and isolated agents each took a branch of their own
-        state = islands_graphs(g, 0.6, 0.4).start_state(11)
+        state = Islands(g, 0.6, 0.4).start_state(11)
         arrays = [state.next_array() for _ in range(300)]
         assert _digest(arrays + [np.array(state.rng.random())]) == digest
 
@@ -415,7 +412,7 @@ class TestIslands:
         assert _digest([_graph_to_row_weights(a) for a in adjs]) == digest
 
     def test_rows_stochastic_with_isolated_agents(self):
-        spec = islands_graphs(2, 0.1, 0.1)  # isolation is common
+        spec = Islands(2, 0.1, 0.1)  # isolation is common
         state = spec.start_state(5)
         for _ in range(200):
             x = state.next_array()

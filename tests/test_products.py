@@ -21,6 +21,7 @@ from degrootnet import (
     FiniteMixture,
     Islands,
     accumulate,
+    check_condition_c,
     convergence_time_2x2,
     disagreement_degree,
     encounter_2x2,
@@ -31,7 +32,7 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine
-from degrootnet.engine import RENORM_EVERY, _disagreement_report, _products, _scan, _scan_replicas
+from degrootnet.engine import HOLDS, RENORM_EVERY, _disagreement_report, _products, _scan, _scan_replicas
 from degrootnet.matrices import StochasticMatrix, numeric_rank
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models
@@ -183,7 +184,7 @@ class TestLockstep:
                 got_prods = engine._disagreement_report.call_args.args[0]
             prods = np.array([_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0)[0] for i in range(100)])
             assert got_prods.tobytes() == prods.tobytes(), (name, t_max)
-            want = _disagreement_report(prods, 1e-4)
+            want = _disagreement_report(prods)
             assert (got.eta_estimate, got.rank_histogram) == (want.eta_estimate, want.rank_histogram), (name, t_max)
             # the batched SVD ranks the products as numeric_rank does, one at a time
             ranks = [numeric_rank(StochasticMatrix._trusted(p)).numeric_rank for p in prods]
@@ -192,6 +193,20 @@ class TestLockstep:
             for (m, mass), (m_want, mass_want) in zip(got.support_atoms or (), want.support_atoms or (), strict=True):
                 assert m.entries.tobytes() == m_want.entries.tobytes(), (name, t_max)
                 assert np.float64(mass).tobytes() == np.float64(mass_want).tobytes(), (name, t_max)
+
+    @pytest.mark.parametrize("name", sorted(dict(all_models(), islands3=None)))
+    def test_condition_c_positives_match_serial_scans(self, name):
+        # is_iid False sends every spec to the Monte Carlo pass, where a replica
+        # leaves the stack once its product turns strictly positive
+        spec = dict(all_models(), islands3=Islands(3, 0.8, 0.3))[name]
+        horizon, replicas, seed = 40, 30, 9
+        with mock.patch.object(type(spec), "is_iid", False), mock.patch.object(engine, "CHUNK", 8):
+            rep = check_condition_c(spec, horizon=horizon, replicas=replicas, seed=seed)
+        positives = sum(_scan(spec.start_state(replica_rng(seed, i)), horizon, 0.0)[3] for i in range(replicas))
+        if positives:
+            assert (rep.verdict, rep.method, rep.evidence) == (HOLDS, "monte_carlo_positivity", positives / replicas)
+        else:
+            assert rep.method == "contraction_integral"
 
 
 class TestPinnedValues:
@@ -231,6 +246,15 @@ class TestPinnedValues:
             0.25355807108257, 0.24847535997269696, 0.2608072632395252, 0.2371593057052078,
             0.2535580704570364, 0.2484753614194126, 0.260807264485239, 0.23715930363831206,
         ]
+
+    def test_stubborn_mixture_atom_masses(self):
+        # C07's stubborn-agent mixture, recorded when the atom tolerance was an argument set to 1e-4
+        h = make_stochastic([[0, 0, 1], [0, 0, 1], [0.3, 0.7, 0]])
+        swap = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        rep = disagreement_degree(FiniteMixture(atoms=(h, swap), probs=(0.5, 0.5)), replicas=400, t_max=200,
+                                  seed=1007)
+        assert [mass for _, mass in rep.support_atoms] == [0.3375, 0.3125, 0.19, 0.16]
+        assert rep.rank_histogram == {2: 1.0}
 
     def test_disagreement_without_steps_keeps_identity(self):
         rep = disagreement_degree(ring_uniform_self(4), replicas=100, t_max=0)

@@ -6,24 +6,22 @@ import pytest
 from degrootnet import (
     DirichletRows,
     Fixed,
+    LeaderFollower,
+    PerturbedFixed,
     UniformSignal,
-    BernoulliSignal,
     WisdomConfig,
     check_mic3_rates,
     consensus_probability,
     dirichlet_conjugacy_test,
     encounter_2x2,
-    leader_follower,
     make_stochastic,
     mean_rank_one_test,
     mixing_identity_mixture,
-    perturbed_fixed,
     ring_uniform_self,
     run_wisdom,
     two_point_swap,
 )
 from degrootnet.errors import BalanceViolation, InvalidProbability, PreconditionUnmet
-from degrootnet.seeding import replica_rng
 
 
 def flat(n):
@@ -50,24 +48,12 @@ class TestSignals:
         sig = UniformSignal(0.5, 0.25)
         assert sig.variance == pytest.approx(0.25**2 / 3)
 
-    def test_bernoulli_moments(self):
-        sig = BernoulliSignal(0.3)
-        assert sig.mean == 0.3
-        assert sig.variance == pytest.approx(0.21)
-        draws = sig.sample(replica_rng(0, 0), 20000)
-        assert draws.mean() == pytest.approx(0.3, abs=0.01)
-
-    def test_config_rejects_mismatched_mean(self):
-        with pytest.raises(InvalidProbability):
-            WisdomConfig(family=ring_uniform_self, sizes=(4,), gamma=0.4,
-                         signal_law=UniformSignal(0.5, 0.25), replicas=10, t_max=100)
-
 
 class TestRunWisdom:
     def test_mixing_identity_family_is_wise(self):
         cfg = WisdomConfig(
             family=lambda n: mixing_identity_mixture(n, 0.5),
-            sizes=(4, 8, 16), gamma=0.5, signal_law=UniformSignal(0.5, 0.25),
+            sizes=(4, 8, 16), signal_law=UniformSignal(0.5, 0.25),
             replicas=400, t_max=400, seed=3,
         )
         res = run_wisdom(cfg)
@@ -81,7 +67,7 @@ class TestRunWisdom:
     def test_ring_e_max_pi_decreases_when_doubling(self):
         cfg = WisdomConfig(
             family=ring_uniform_self,
-            sizes=(4, 8, 16), gamma=0.5, signal_law=UniformSignal(0.5, 0.25),
+            sizes=(4, 8, 16), signal_law=UniformSignal(0.5, 0.25),
             replicas=300, t_max=4000, gap_tol=1e-6, seed=4,
         )
         res = run_wisdom(cfg)
@@ -93,7 +79,7 @@ class TestRunWisdom:
             return Fixed(make_stochastic(np.roll(np.eye(n), 1, axis=1)))
 
         cfg = WisdomConfig(
-            family=fixed_ring, sizes=(4, 6), gamma=0.5,
+            family=fixed_ring, sizes=(4, 6),
             signal_law=UniformSignal(0.5, 0.25), replicas=50, t_max=200, seed=5,
         )
         res = run_wisdom(cfg)
@@ -113,7 +99,7 @@ class TestRunWisdom:
             variances.append(np.mean(est.variance))
             assert max(est.mean) <= 2.5 / n  # max mean influence vanishes
         cfg = WisdomConfig(
-            family=ring_uniform_self, sizes=sizes, gamma=0.5,
+            family=ring_uniform_self, sizes=sizes,
             signal_law=UniformSignal(0.5, 0.25), replicas=300, t_max=4000,
             gap_tol=1e-6, seed=7,
         )
@@ -126,7 +112,7 @@ class TestRunWisdom:
     def test_star_family_not_wise(self):
         cfg = WisdomConfig(
             family=lambda n: DirichletRows(star_alpha(n)),
-            sizes=(5, 9, 17), gamma=0.5, signal_law=UniformSignal(0.5, 0.25),
+            sizes=(5, 9, 17), signal_law=UniformSignal(0.5, 0.25),
             replicas=400, t_max=2000, seed=8,
         )
         res = run_wisdom(cfg)
@@ -173,7 +159,7 @@ class TestConjugacy:
         assert res["var_err"] < 0.005
 
     def test_perturbed_fixed_matches_dirichlet_eps_s(self):
-        spec = perturbed_fixed(flat(2), 8.0)
+        spec = PerturbedFixed(flat(2), 8.0)
         res = dirichlet_conjugacy_test(spec, replicas=4000, seed=10)
         assert res["phi"] == pytest.approx((4.0, 4.0))
         assert res["pass"]
@@ -187,7 +173,7 @@ class TestConjugacy:
 
     def test_leader_follower_shares_ring_limit(self):
         n = 3
-        res = dirichlet_conjugacy_test(leader_follower(n), replicas=4000, seed=11,
+        res = dirichlet_conjugacy_test(LeaderFollower(n), replicas=4000, seed=11,
                                        phi=[2.0] * n)
         assert res["pass"]
 
@@ -205,7 +191,7 @@ class TestPerturbationBound:
         from degrootnet import estimate_influence
 
         n, eps, tau = 4, 32.0, 0.2
-        spec = perturbed_fixed(flat(n), eps)
+        spec = PerturbedFixed(flat(n), eps)
         est = estimate_influence(spec, replicas=2000, t_max=2000, seed=21)
         samples = np.asarray(est.samples)
         exceed = (np.abs(samples - 1.0 / n).max(axis=1) >= tau).mean()
