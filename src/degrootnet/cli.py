@@ -2,7 +2,9 @@
 
 Every subcommand accepts flags, ``--config file.json`` holding the same
 parameters, or both: a flag on the command line beats the config value,
-which beats the default stated in ``make_parser``.  ``_MODELS`` maps each
+which beats the default stated in ``_SUBCOMMANDS``; a config's ``command``
+key, which serialize_config writes, must name the subcommand run.  A run
+builds the flags of the named subcommand only.  ``_MODELS`` maps each
 ``--model`` name to its constructor and the flags it reads.  Results go to
 ``--out`` as CSV or JSON with floats printed at 17 significant digits,
 which round-trips doubles exactly.  Replica i of master seed m uses the
@@ -225,98 +227,98 @@ def _add_model_flags(p):
     p.add_argument("--matrix", default=None, help="JSON file holding a matrix")
 
 
-def make_parser() -> _Parser:
+# Each subcommand: its help, whether it takes the model flags, and its own flags.
+_SUBCOMMANDS = {
+    "simulate": ("evolve a belief vector and write the trajectory", True, (
+        ("--p0", dict(default=None, help="comma-separated initial beliefs")),
+        ("--steps", dict(type=int, default=100)),
+    )),
+    "influence": ("Monte Carlo influence-vector estimate", True, (
+        ("--replicas", dict(type=int, default=1000)),
+        ("--tmax", dict(type=int, default=2000)),
+        ("--gap-tol", dict(type=float, default=engine.GAP_TOL)),
+    )),
+    "wisdom": ("consensus-error diagnostics across sizes", False, (
+        ("--family", dict(choices=("fixed-ring", "leader-follower", "mix-identity", "ring"),
+                          default="ring", help="a --model that takes only --n (and --zeta)")),
+        ("--sizes", dict(default="5,10,20")),
+        ("--gamma", dict(type=float, default=0.5)),
+        ("--signal-width", dict(type=float, default=0.25)),
+        ("--zeta", dict(type=float, default=0.5)),
+        ("--replicas", dict(type=int, default=500)),
+        ("--tmax", dict(type=int, default=20000)),
+        ("--gap-tol", dict(type=float, default=engine.GAP_TOL)),
+    )),
+    "speed2x2": ("two-agent convergence times", False, (
+        ("--mu", dict(default="uniform-indep", help="uniform-indep | arcsine-indep | beta-indep (with --a/--b)")),
+        ("--a", dict(type=float, default=None)),
+        ("--b", dict(type=float, default=None)),
+        ("--phi", dict(type=float, default=1e-6)),
+        ("--replicas", dict(type=int, default=2000)),
+        ("--tcap", dict(type=int, default=None)),
+    )),
+    "energy": ("logarithmic energy of a 2x2 weight law", False, (
+        ("--mu", dict(default="uniform-indep")),
+        ("--a", dict(type=float, default=None)),
+        ("--b", dict(type=float, default=None)),
+        ("--atoms", dict(default=None, help="JSON list of {x, y, mass}")),
+    )),
+    "pmax": ("most likely disconnected collection", False, (
+        ("--dist", dict(default=None, help="GraphDistribution JSON file")),
+        ("--islands", dict(default=None, help="g,p_s,p_d triple, e.g. 2,0.8,0.3")),
+        ("--method", dict(choices=("subsets", "cuts"), default=None,
+                          help="accepted for compatibility; the smaller exact enumeration is chosen")),
+    )),
+    "rate": ("decay rate of the consensus-gap tail", True, (
+        ("--dist", dict(default=None, help="GraphDistribution JSON (lazy-Metropolis coupling)")),
+        ("--epsilon", dict(type=float, default=0.5)),
+        ("--tgrid", dict(default="1:40")),
+        ("--replicas", dict(type=int, default=20000)),
+    )),
+    "disagree": ("empirical law of the limiting product", True, (
+        ("--replicas", dict(type=int, default=2000)),
+        ("--tmax", dict(type=int, default=200)),
+    )),
+    "check-c": ("primitivity (consensus certificate) check", True, (
+        ("--horizon", dict(type=int, default=64)),
+        ("--replicas", dict(type=int, default=200)),
+    )),
+    "skeleton": ("same-topology consensus equivalence", False, (
+        ("--spec-a", dict(required=False, default=None)),
+        ("--spec-b", dict(required=False, default=None)),
+        ("--horizon", dict(type=int, default=64)),
+        ("--replicas", dict(type=int, default=200)),
+    )),
+    "semigroup": ("product closure of a finite support", False, (
+        ("--support", dict(default=None, help="JSON list of matrices")),
+        ("--max-len", dict(type=int, default=12)),
+    )),
+    "conjugacy": ("Dirichlet influence-law verification", True, (
+        ("--replicas", dict(type=int, default=5000)),
+        ("--tmax", dict(type=int, default=4000)),
+        ("--phi", dict(default=None, help="comma-separated reference phi override")),
+    )),
+}
+
+
+def make_parser(command: str | None = None) -> _Parser:
+    """The CLI parser; with ``command``, only that subcommand gets its flags.
+
+    Every subcommand name is registered with its help either way, so the
+    top-level help and the invalid-choice error do not depend on
+    ``command``.  A run builds a fresh parser, since --config values become
+    its defaults.
+    """
     parser = _Parser(prog="degrootnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="evolve a belief vector and write the trajectory")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--p0", default=None, help="comma-separated initial beliefs")
-    p.add_argument("--steps", type=int, default=100)
-
-    p = sub.add_parser("influence", help="Monte Carlo influence-vector estimate")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--replicas", type=int, default=1000)
-    p.add_argument("--tmax", type=int, default=2000)
-    p.add_argument("--gap-tol", type=float, default=engine.GAP_TOL)
-
-    p = sub.add_parser("wisdom", help="consensus-error diagnostics across sizes")
-    _add_common(p)
-    p.add_argument("--family", choices=("fixed-ring", "leader-follower", "mix-identity", "ring"),
-                   default="ring", help="a --model that takes only --n (and --zeta)")
-    p.add_argument("--sizes", default="5,10,20")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--signal-width", type=float, default=0.25)
-    p.add_argument("--zeta", type=float, default=0.5)
-    p.add_argument("--replicas", type=int, default=500)
-    p.add_argument("--tmax", type=int, default=20000)
-    p.add_argument("--gap-tol", type=float, default=engine.GAP_TOL)
-
-    p = sub.add_parser("speed2x2", help="two-agent convergence times")
-    _add_common(p)
-    p.add_argument("--mu", default="uniform-indep",
-                   help="uniform-indep | arcsine-indep | beta-indep (with --a/--b)")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--phi", type=float, default=1e-6)
-    p.add_argument("--replicas", type=int, default=2000)
-    p.add_argument("--tcap", type=int, default=None)
-
-    p = sub.add_parser("energy", help="logarithmic energy of a 2x2 weight law")
-    _add_common(p)
-    p.add_argument("--mu", default="uniform-indep")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--atoms", default=None, help="JSON list of {x, y, mass}")
-
-    p = sub.add_parser("pmax", help="most likely disconnected collection")
-    _add_common(p)
-    p.add_argument("--dist", default=None, help="GraphDistribution JSON file")
-    p.add_argument("--islands", default=None, help="g,p_s,p_d triple, e.g. 2,0.8,0.3")
-    p.add_argument("--method", choices=("subsets", "cuts"), default=None,
-                   help="accepted for compatibility; the smaller exact enumeration is chosen")
-
-    p = sub.add_parser("rate", help="decay rate of the consensus-gap tail")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--dist", default=None, help="GraphDistribution JSON (lazy-Metropolis coupling)")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--tgrid", default="1:40")
-    p.add_argument("--replicas", type=int, default=20000)
-
-    p = sub.add_parser("disagree", help="empirical law of the limiting product")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--replicas", type=int, default=2000)
-    p.add_argument("--tmax", type=int, default=200)
-
-    p = sub.add_parser("check-c", help="primitivity (consensus certificate) check")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--horizon", type=int, default=64)
-    p.add_argument("--replicas", type=int, default=200)
-
-    p = sub.add_parser("skeleton", help="same-topology consensus equivalence")
-    _add_common(p)
-    p.add_argument("--spec-a", required=False, default=None)
-    p.add_argument("--spec-b", required=False, default=None)
-    p.add_argument("--horizon", type=int, default=64)
-    p.add_argument("--replicas", type=int, default=200)
-
-    p = sub.add_parser("semigroup", help="product closure of a finite support")
-    _add_common(p)
-    p.add_argument("--support", default=None, help="JSON list of matrices")
-    p.add_argument("--max-len", type=int, default=12)
-
-    p = sub.add_parser("conjugacy", help="Dirichlet influence-law verification")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--replicas", type=int, default=5000)
-    p.add_argument("--tmax", type=int, default=4000)
-    p.add_argument("--phi", default=None, help="comma-separated reference phi override")
-
+    for name, (help_text, model_flags, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_common(p)
+            if model_flags:
+                _add_model_flags(p)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
     parser.commands = sub.choices
     return parser
 
@@ -325,6 +327,8 @@ def _collect_params(parser: _Parser, argv, args) -> dict:
     """Parameters of a run: flags given in argv, then --config values, then parser defaults."""
     if args.config:
         doc = _read_json(args.config, dict)
+        if doc.get("command", args.command) != args.command:
+            raise _UsageError(f"the config is for {doc['command']!r}, not {args.command!r}")
         sub = parser.commands[args.command]
         typed = {action.dest for action in sub._actions if action.type is not None}
         values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
@@ -635,7 +639,8 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = make_parser()
+    # argv[0] is the subcommand whenever the parse can succeed
+    parser = make_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

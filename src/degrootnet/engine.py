@@ -17,6 +17,14 @@ replica and _products one draw at a time (next_array is a block of one);
 a stream's draws do not depend on the block size, so the two loops see
 the same matrices.
 
+_scan_replicas, the lockstep form of _scan behind the influence samples,
+computes the full consensus gap of a product only where the cheap two-row
+bound max_j |P[0,j] - P[1,j]| is within gap_tol, and at t_max; it tests
+positivity only until a replica's first strictly positive product.  Both
+gates are exact: the bound never exceeds the gap in floating point, since
+per column the exact spread is at least the exact two-row difference and
+rounding is monotone, and positivity is a sticky OR.
+
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
 """
@@ -292,9 +300,35 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
                     break
 
 
+def _two_row_bound(prod: np.ndarray) -> np.ndarray:
+    """max_j |P[0,j] - P[1,j]| of each product in the (R, n, n) stack (0 when n = 1).
+
+    Never above _gap, in floating point too: per column the exact spread is
+    at least the exact |P[0,j] - P[1,j]|, and rounding is monotone.
+    """
+    return np.abs(prod[:, 0] - prod[:, min(1, prod.shape[1] - 1)]).max(axis=1)
+
+
+def _gap(prod: np.ndarray) -> np.ndarray:
+    """The consensus gap max_j (max_i P[i,j] - min_i P[i,j]) of each product in the stack."""
+    return (prod.max(axis=1) - prod.min(axis=1)).max(axis=1)
+
+
 def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, gap_tol: float,
                    stop_when_converged: bool = False, start=None) -> list:
-    """_scan of every replica, in lockstep: its five results per replica, in index order."""
+    """_scan of every replica, in lockstep: its five results per replica, in index order.
+
+    The observer does little on a typical step.  It computes the two-row
+    bound of each running product and the full gap only for the replicas
+    whose bound is <= gap_tol and that have not yet converged, and for all
+    of them at t_max.  It tests positivity only for the replicas that have
+    not yet seen a strictly positive product.  It writes t, the gap and the
+    product only at a replica's stop.  The results stay bitwise those of
+    _scan for two reasons.  The bound never exceeds the gap in floating
+    point (see _two_row_bound), so no first crossing of gap_tol is skipped.
+    And strict positivity is recorded as a sticky OR, so a test skipped once
+    it has been seen changes nothing.
+    """
     n = spec.n
     prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()
     t_done = np.zeros(replicas, dtype=int)
@@ -303,15 +337,23 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     consensus_time = np.zeros(replicas, dtype=int)  # 0 until the gap reaches gap_tol
 
     def observe(t, idx, prod):
-        mn = prod.min(axis=1)
-        gap = (prod.max(axis=1) - mn).max(axis=1)
-        t_done[idx] = t
-        gaps[idx] = gap
-        strict_seen[idx] |= mn.min(axis=1) > ZERO_TOL
-        hit = (gap <= gap_tol) & (consensus_time[idx] == 0)
+        unseen = ~strict_seen[idx]
+        if unseen.any():
+            strict_seen[idx[unseen]] = prod[unseen].min(axis=(1, 2)) > ZERO_TOL
+        fresh = consensus_time[idx] == 0
+        check = (t == t_max) | (fresh & (_two_row_bound(prod) <= gap_tol))
+        if not check.any():
+            return None
+        gap = np.full(len(idx), np.nan)  # never <= gap_tol where it is not computed
+        gap[check] = _gap(prod[check])
+        hit = fresh & (gap <= gap_tol)
         consensus_time[idx[hit]] = t
         done = (hit & stop_when_converged) | (t == t_max)
-        prods[idx[done]] = prod[done]
+        if done.any():
+            stopped = idx[done]
+            t_done[stopped] = t
+            gaps[stopped] = gap[done]
+            prods[stopped] = prod[done]
         return done
 
     _lockstep(spec, replicas, seed, t_max, observe, start=start)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run([cfg["command"], "--config", str(path)]) == EXIT_USAGE
         assert key in capsys.readouterr().err
+
+    def test_config_for_another_subcommand_is_usage_error_naming_both(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
+        assert run(["speed2x2", "--config", str(path), "--replicas", "10", "--phi", "0.01"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad config: ") and "'energy'" in err and "'speed2x2'" in err
+        # the same file drives the subcommand it names
+        assert run(["energy", "--config", str(path)]) == EXIT_OK
+        assert "I_mu=1.3862943611" in capsys.readouterr().out
 
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -528,6 +539,41 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
         assert run(["energy", "--config", str(path)]) == EXIT_OK
         assert "I_mu=1.3862943611" in capsys.readouterr().out
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+    def test_one_subcommand_parser_has_the_full_parsers_flags(self, command):
+        def flags(parser):
+            return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+                    for a in parser.commands[command]._actions]
+
+        full, one = cli.make_parser(), cli.make_parser(command)
+        assert flags(one) == flags(full)
+        # every name stays registered with its help
+        assert one.format_help() == full.format_help()
+        for argv in ([], ["bogus"]):
+            with pytest.raises(cli._UsageError) as want:
+                full.parse_args(argv)
+            with pytest.raises(cli._UsageError) as got:
+                one.parse_args(argv)
+            assert str(got.value) == str(want.value)
+
+    def test_run_builds_the_named_subcommand_only(self, capsys):
+        with mock.patch.object(cli, "make_parser", wraps=cli.make_parser) as make:
+            assert run(["energy"]) == EXIT_OK
+            assert run(["bogus"]) == EXIT_USAGE
+        assert make.call_args_list == [mock.call("energy"), mock.call(None)]
+        assert list(cli._SUBCOMMANDS) == list(cli._COMMANDS)
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_config_defaults_do_not_carry_into_the_next_run(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
+        assert run(["energy", "--config", str(path)]) == EXIT_OK
+        assert "I_mu=1.3862943611" in capsys.readouterr().out
+        assert run(["energy"]) == EXIT_OK
+        assert "I_mu=1.5000000000" in capsys.readouterr().out
 
 
 def test_every_flag_readme_names_is_a_flag_of_some_subcommand():

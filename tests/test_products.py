@@ -1,8 +1,9 @@
 """The product loops engine._products and engine._lockstep, and the scans built on them.
 
 The property tests compare _products bitwise with a plain reference loop
-across generator kinds, and the lockstep kernel bytewise with _scan on each
-replica's stream.  The pinned values below were recorded before the scans
+across generator kinds, the lockstep kernel bytewise with _scan on each
+replica's stream, and the two-row bound that gates the lockstep scan's gap
+with the gap itself, bit for bit.  The pinned values below were recorded before the scans
 were routed through _products; they cover outputs that no benchmark hash
 fixes, so any change in the order of floating-point operations shows up
 here.
@@ -19,6 +20,7 @@ from degrootnet import (
     Ar1Mixture,
     DirichletRows,
     FiniteMixture,
+    Fixed,
     Islands,
     accumulate,
     check_condition_c,
@@ -32,7 +34,16 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine
-from degrootnet.engine import HOLDS, RENORM_EVERY, _disagreement_report, _products, _scan, _scan_replicas
+from degrootnet.engine import (
+    HOLDS,
+    RENORM_EVERY,
+    _disagreement_report,
+    _gap,
+    _products,
+    _scan,
+    _scan_replicas,
+    _two_row_bound,
+)
 from degrootnet.matrices import StochasticMatrix, numeric_rank
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models
@@ -81,6 +92,45 @@ def ar1(draw):
 
 
 SPECS = st.one_of(dirichlet_rows(), markov_mixture(), islands(), ar1())
+
+
+@st.composite
+def stochastic_stacks(draw):
+    """A (k, n, n) stack of row-stochastic matrices, some near or at consensus."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.dirichlet(np.full(n, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=(k, n))
+    stack[rng.random((k, n, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    shape = draw(st.sampled_from(["random", "near", "rows_0_1_equal", "consensus"]))
+    if shape == "near":
+        # a common row plus a perturbation a few units in the last place and up
+        scale = draw(st.sampled_from([1e-17, 1e-15, 1e-12, 1e-9]))
+        stack = stack[:, :1] + scale * rng.random((k, n, n))
+    elif shape == "rows_0_1_equal":
+        stack[:, 1] = stack[:, 0]
+    elif shape == "consensus":
+        stack[:] = stack[:, :1]
+    stack += (stack.sum(axis=2, keepdims=True) == 0)  # a row of zeros becomes a row of ones
+    return stack / stack.sum(axis=2, keepdims=True)
+
+
+class TestTwoRowBound:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=stochastic_stacks())
+    def test_never_exceeds_the_gap_bitwise(self, stack):
+        # the lockstep scan computes the full gap only where this bound is
+        # within gap_tol, so a bound above the gap would skip a crossing
+        bound, gap = _two_row_bound(stack), _gap(stack)
+        for p, b, g in zip(stack, bound, gap):
+            assert g == float((p.max(axis=0) - p.min(axis=0)).max())  # _scan's gap
+            assert b <= g
+            if np.array_equal(p[0], p[1]):
+                assert b == 0.0
+            if (p == p[0]).all():
+                assert g == 0.0
+
+    def test_one_agent(self):
+        assert _two_row_bound(np.ones((3, 1, 1))).tolist() == _gap(np.ones((3, 1, 1))).tolist() == [0.0] * 3
 
 
 class TestProducts:
@@ -152,6 +202,26 @@ class TestLockstep:
             assert prod.tobytes() == want[0].tobytes(), (name, i)
             assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), (name, i)
             assert (t, strict_seen, consensus_time) == (want[1], want[3], want[4]), (name, i)
+
+    @pytest.mark.parametrize("stop", [True, False])
+    @pytest.mark.parametrize("gap_tol", [0.0, 1e-8])
+    @pytest.mark.parametrize("case", ["rows_0_1_equal", "one_agent", "no_steps"])
+    def test_matches_serial_scans_where_the_bound_is_loose(self, case, gap_tol, stop):
+        # rows_0_1_equal: the bound is 0 on every step and the gap stays 1
+        spec, t_max = {
+            "rows_0_1_equal": (Fixed(make_stochastic([[.5, .5, 0], [.5, .5, 0], [0, 0, 1]])), 3 * RENORM_EVERY),
+            "one_agent": (Fixed(make_stochastic([[1.0]])), 70),
+            "no_steps": (ring_uniform_self(4), 0),
+        }[case]
+        got = _scan_replicas(spec, 5, 13, t_max, gap_tol, stop)
+        for i, (prod, t, gap, strict_seen, consensus_time) in enumerate(got):
+            want = _scan(spec.start_state(replica_rng(13, i)), t_max, gap_tol, stop)
+            assert prod.tobytes() == want[0].tobytes(), i
+            assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), i
+            assert (t, strict_seen, consensus_time) == (want[1], want[3], want[4]), i
+        if case == "rows_0_1_equal":
+            assert _two_row_bound(got[0][0][None]).tolist() == [0.0]
+            assert (got[0][2], got[0][4]) == (1.0, None)
 
     def test_two_agent_spread_matches_serial_draws(self):
         spec = DirichletRows(np.array([[0.5, 0.5], [0.5, 0.5]]))
