@@ -418,15 +418,16 @@ def _cmd_influence(params):
 def _cmd_wisdom(params):
     with _user_input("--sizes"):
         sizes = tuple(int(s) for s in str(params["sizes"]).split(","))
-    cfg = wisdom.WisdomConfig(
-        family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
-        sizes=sizes,
-        signal_law=wisdom.UniformSignal(params["gamma"], params["signal_width"]),
-        replicas=params["replicas"],
-        t_max=params["tmax"],
-        gap_tol=params["gap_tol"],
-        seed=params["seed"],
-    )
+    with _user_input("wisdom"):
+        cfg = wisdom.WisdomConfig(
+            family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
+            sizes=sizes,
+            signal_law=wisdom.UniformSignal(params["gamma"], params["signal_width"]),
+            replicas=params["replicas"],
+            t_max=params["tmax"],
+            gap_tol=params["gap_tol"],
+            seed=params["seed"],
+        )
     res = wisdom.run_wisdom(cfg)
     header = ["n", "mean_abs_error", "q50", "q90", "e_max_pi", "var_max_pi", "convergence_fraction"]
     rows = [

@@ -45,7 +45,6 @@ from .errors import (
     InvalidProbability,
     NoConvergence,
     NotIid,
-    NumericalFailure,
     SingularMass,
     Unsupported,
 )
@@ -54,18 +53,21 @@ from .matrices import (
     FAILS,
     HOLDS,
     PROB_TOL,
-    RANK_REL_TOL,
     SkeletonMask,
     StochasticMatrix,
-    ZERO_TOL,
     _closure,
     _skeleton_closure,
-    # boolean_product and dobrushin_coefficient are unused here; they stay
-    # bound because perfbench/tracer.py patches them on this module.
+    # boolean_product, dobrushin_coefficient and numeric_rank are unused here;
+    # they stay bound because perfbench/tracer.py patches them on this module.
     boolean_product,  # noqa: F401
+    consensus_gaps,
     dobrushin_coefficient,  # noqa: F401
     dobrushin_coefficients,
-    numeric_rank,
+    first_within,
+    numeric_rank,  # noqa: F401
+    numeric_ranks,
+    skeletons,
+    strictly_positive,
 )
 # map_replicas is unused here; it stays bound because perfbench/tracer.py patches engine.map_replicas.
 from .seeding import map_replicas, replica_rngs, replica_seed  # noqa: F401
@@ -230,10 +232,8 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
     gap = 1.0 if n > 1 else 0.0
     t_done = 0
     for t_done, prod in enumerate(_products(state, t_max), 1):
-        mn = prod.min(axis=0)
-        gap = float((prod.max(axis=0) - mn).max())
-        if not strict_seen and mn.min() > ZERO_TOL:
-            strict_seen = True
+        gap = float(consensus_gaps(prod))
+        strict_seen = strict_seen or bool(strictly_positive(prod))
         if consensus_time is None and gap <= gap_tol:
             consensus_time = t_done
             if stop_when_converged:
@@ -303,20 +303,15 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
 def _two_row_bound(prod: np.ndarray) -> np.ndarray:
     """max_j |P[0,j] - P[1,j]| of each product in the (R, n, n) stack (0 when n = 1).
 
-    Never above _gap, in floating point too: per column the exact spread is
-    at least the exact |P[0,j] - P[1,j]|, and rounding is monotone.
+    Never above consensus_gaps, in floating point too: per column the exact
+    spread is at least the exact |P[0,j] - P[1,j]|, and rounding is monotone.
     """
     return np.abs(prod[:, 0] - prod[:, min(1, prod.shape[1] - 1)]).max(axis=1)
 
 
-def _gap(prod: np.ndarray) -> np.ndarray:
-    """The consensus gap max_j (max_i P[i,j] - min_i P[i,j]) of each product in the stack."""
-    return (prod.max(axis=1) - prod.min(axis=1)).max(axis=1)
-
-
 def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, gap_tol: float,
-                   stop_when_converged: bool = False, start=None) -> list:
-    """_scan of every replica, in lockstep: its five results per replica, in index order.
+                   stop_when_converged: bool = False, start=None) -> tuple:
+    """_scan of every replica in lockstep, as five arrays over the replicas (consensus time 0 for None).
 
     The observer does little on a typical step.  It computes the two-row
     bound of each running product and the full gap only for the replicas
@@ -339,13 +334,13 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     def observe(t, idx, prod):
         unseen = ~strict_seen[idx]
         if unseen.any():
-            strict_seen[idx[unseen]] = prod[unseen].min(axis=(1, 2)) > ZERO_TOL
+            strict_seen[idx[unseen]] = strictly_positive(prod[unseen])
         fresh = consensus_time[idx] == 0
         check = (t == t_max) | (fresh & (_two_row_bound(prod) <= gap_tol))
         if not check.any():
             return None
         gap = np.full(len(idx), np.nan)  # never <= gap_tol where it is not computed
-        gap[check] = _gap(prod[check])
+        gap[check] = consensus_gaps(prod[check])
         hit = fresh & (gap <= gap_tol)
         consensus_time[idx[hit]] = t
         done = (hit & stop_when_converged) | (t == t_max)
@@ -358,8 +353,7 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
 
     _lockstep(spec, replicas, seed, t_max, observe, start=start)
     prods /= prods.sum(axis=2, keepdims=True)
-    return [(prods[i], int(t_done[i]), float(gaps[i]), bool(strict_seen[i]), int(consensus_time[i]) or None)
-            for i in range(replicas)]
+    return prods, t_done, gaps, strict_seen, consensus_time
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
@@ -408,22 +402,19 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
 
-    scans = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
-    converged = [i for i, scan in enumerate(scans) if scan[4] is not None]
-    samples = [scans[i][0][0] for i in converged]
-    gaps = [scans[i][2] for i in converged]
-    failures = replicas - len(samples)
+    prods, _, gaps, _, consensus_time = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
+    converged = np.flatnonzero(consensus_time)
+    samples = prods[converged, 0]
     if len(samples) * 2 < replicas:
         raise NoConvergence(len(samples), replicas)
-    stack = np.array(samples)
     return InfluenceEstimate(
-        samples=tuple(tuple(float(v) for v in s) for s in samples),
-        replica_index=tuple(converged),
-        per_replica_gap=tuple(float(g) for g in gaps),
-        mean=tuple(float(v) for v in stack.mean(axis=0)),
-        variance=tuple(float(v) for v in stack.var(axis=0, ddof=1)) if len(samples) > 1 else tuple(0.0 for _ in range(spec.n)),
-        max_component_mean=float(stack.max(axis=1).mean()),
-        failures=failures,
+        samples=tuple(map(tuple, samples.tolist())),
+        replica_index=tuple(converged.tolist()),
+        per_replica_gap=tuple(gaps[converged].tolist()),
+        mean=tuple(samples.mean(axis=0).tolist()),
+        variance=tuple(samples.var(axis=0, ddof=1).tolist()) if len(samples) > 1 else (0.0,) * spec.n,
+        max_component_mean=float(samples.max(axis=1).mean()),
+        failures=replicas - len(samples),
     )
 
 
@@ -468,7 +459,7 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     coefficients = np.empty((replicas, horizon))
 
     def observe(t, idx, prod):
-        positive[idx] = prod.min(axis=(1, 2)) > ZERO_TOL
+        positive[idx] = strictly_positive(prod)
         coefficients[idx, t - 1] = dobrushin_coefficients(prod / prod.sum(axis=2, keepdims=True))
         return positive[idx]
 
@@ -499,9 +490,8 @@ def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport
     elements: list[np.ndarray] = []
 
     def add(arr):
-        for known in elements:
-            if np.max(np.abs(known - arr)) <= DEDUP_TOL:
-                return False
+        if first_within(elements, arr, DEDUP_TOL) is not None:
+            return False
         elements.append(arr)
         return True
 
@@ -509,14 +499,12 @@ def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport
         if len(elements) > cap:
             raise ExplosionGuard(f"semigroup exploration exceeded {cap} elements")
 
-    skeletons = frozenset(SkeletonMask(e > ZERO_TOL) for e in elements)
     members = tuple(StochasticMatrix._trusted(e) for e in elements)
-    ranks = [numeric_rank(m).numeric_rank for m in members]
-    rank_one = tuple(m for m, r in zip(members, ranks) if r == 1)
+    ranks = numeric_ranks(np.array([m.entries for m in members]))
     return SemigroupReport(
-        skeletons=skeletons,
-        min_rank=min(ranks),
-        rank_one_atoms=rank_one,
+        skeletons=frozenset(map(SkeletonMask, skeletons(np.array(elements)))),
+        min_rank=int(ranks.min()),
+        rank_one_atoms=tuple(m for m, r in zip(members, ranks) if r == 1),
         members=members,
     )
 
@@ -649,10 +637,13 @@ def log_energy(mu_2x2) -> float:
 
 def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
                       seed: int = 0) -> float:
-    """Empirical decay rate of ||X^(t) - (1/n) 11'|| up to horizon t_max.
+    """Empirical decay rate of the distance to consensus up to horizon t_max.
 
-    A replica stops at its time tau, the first t whose norm is below
-    n * NORM_FLOOR (where the norm would measure rounding rather than the
+    The distance is ||(I - J) P||_2 = ||P - 1 colmean(P)||_2, with P the
+    row-renormalized X^(t) and J = (1/n) 11': 0 iff the rows of P agree,
+    whatever the limit row pi, where ||P - J|| tends to ||1 (pi - u)||.  A
+    replica stops at its time tau, the first t whose norm is below n *
+    NORM_FLOOR (where the norm would measure rounding rather than the
     process), or t_max.  The rate is the pooled sum of log norms over the
     sum of the tau, exponentiated: by Wald's identity its ratio is
     consistent, where the mean of log(norm) / tau would overstate the rate
@@ -663,17 +654,15 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
         raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
-    n = spec.n
-    flat = np.full((n, n), 1.0 / n)
-
     norms = np.empty(replicas)
     times = np.empty(replicas, dtype=int)
 
     def observe(t, idx, prod):
-        norm = np.linalg.norm(prod / prod.sum(axis=2, keepdims=True) - flat, 2, axis=(1, 2))
+        p = prod / prod.sum(axis=2, keepdims=True)
+        norm = np.linalg.norm(p - p.mean(axis=1, keepdims=True), 2, axis=(1, 2))
         norms[idx] = norm
         times[idx] = t
-        return norm < n * NORM_FLOOR
+        return norm < spec.n * NORM_FLOOR
 
     _lockstep(spec, replicas, seed, t_max, observe)
     if (norms == 0.0).any():
@@ -702,8 +691,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("t_max must be >= 0")
 
     # only the products at t_max are read: renormalized once, as _scan_replicas does
-    n = spec.n
-    prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()
+    prods = np.tile(np.eye(spec.n), (replicas, 1, 1))
 
     def observe(t, idx, prod):
         if t == t_max:
@@ -717,27 +705,22 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
 def _disagreement_report(prods) -> DisagreementReport:
     """Rank histogram and clustered atoms of a sample of limit products, in replica order.
 
-    The ranks are numeric_rank's, from one batched SVD of the stack with
-    its rows renormalized as StochasticMatrix._trusted does.
+    The ranks are numeric_ranks' of the stack with its rows renormalized
+    as StochasticMatrix._trusted does.
     """
     replicas = len(prods)
-    try:
-        sv = np.linalg.svd(prods / prods.sum(axis=2, keepdims=True), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    rank_counts = Counter((sv > RANK_REL_TOL * sv[:, :1]).sum(axis=1).tolist())
+    rank_counts = Counter(numeric_ranks(prods / prods.sum(axis=2, keepdims=True)).tolist())
     atoms: list[np.ndarray] = []
     counts: list[int] = []
     for prod in prods:
-        for k, atom in enumerate(atoms):
-            if np.max(np.abs(atom - prod)) <= ATOM_TOL:
-                counts[k] += 1
-                break
-        else:
-            atoms.append(prod)
-            counts.append(1)
-            if len(atoms) > MAX_ATOMS:
-                break
+        k = first_within(atoms, prod, ATOM_TOL)
+        if k is not None:
+            counts[k] += 1
+            continue
+        atoms.append(prod)
+        counts.append(1)
+        if len(atoms) > MAX_ATOMS:
+            break
     histogram = {r: c / replicas for r, c in sorted(rank_counts.items())}
     eta = max(rank_counts, key=lambda r: (rank_counts[r], -r))
     support_atoms = None
@@ -765,7 +748,7 @@ def cyclicity_check(support):
     mats = [m.entries for m in support]
     if not mats:
         raise InvalidArgument("support must be nonempty")
-    union = np.any([m > ZERO_TOL for m in mats], axis=0)
+    union = skeletons(np.array(mats)).any(axis=0)
     successors = [np.flatnonzero(row).tolist() for row in union]
     levels = []
     for root in range(len(successors)):

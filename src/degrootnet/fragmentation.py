@@ -357,7 +357,7 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     process disconnects with probability zero and the rate is +inf.
     """
     if not 0.0 < epsilon <= 1.0:
-        raise InvalidProbability("epsilon must lie in (0,1]")
+        raise InvalidArgument("epsilon must lie in (0,1]")
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
     t_grid = sorted(set(int(t) for t in t_grid))

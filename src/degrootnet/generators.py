@@ -22,8 +22,8 @@ from .errors import (
     NotStrictlyPositive,
     Unsupported,
 )
-from .matrices import (BALANCE_TOL, PROB_TOL, ZERO_TOL, SkeletonMask, StochasticMatrix, _connected,
-                       is_balanced, is_strictly_positive)
+from .matrices import (BALANCE_TOL, PROB_TOL, SkeletonMask, StochasticMatrix, _connected, is_balanced,
+                       is_strictly_positive, skeleton)
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class SupportDescriptor:
 class GeneratorState:
     """Single-owner seeded stream of interaction matrices.
 
-    Not safe for concurrent mutation; replica parallelism uses independent
-    states with distinct derived seeds (see seeding.replica_seed).
+    Not safe for concurrent mutation; engine._lockstep advances the replicas
+    of a run in lockstep chunks, each drawing from its own state.
     """
 
     __slots__ = ("spec", "rng", "last", "aux")
@@ -133,8 +133,7 @@ class GeneratorSpec:
 
 
 def _finite_support(atoms) -> SupportDescriptor:
-    masks = tuple(SkeletonMask(a.entries > ZERO_TOL) for a in atoms)
-    return SupportDescriptor(kind="finite", atoms=tuple(atoms), skeletons=masks)
+    return SupportDescriptor(kind="finite", atoms=tuple(atoms), skeletons=tuple(map(skeleton, atoms)))
 
 
 @dataclass(frozen=True, eq=False)

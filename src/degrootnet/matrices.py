@@ -4,6 +4,10 @@ Everything here is pure and operates on immutable values: validation,
 products, zero-pattern skeletons, numeric ranks, contraction coefficients,
 and the handful of spectral quantities the rest of the package needs.
 
+Each numerical test a consensus verdict rests on is written once here, in a
+form over (..., n, n) stacks: consensus_gaps, strictly_positive, skeletons,
+numeric_ranks and first_within, the duplicate match.
+
 _closure is the one breadth-first enumeration of support products, read by
 the skeleton closure of condition (C), primitivity and engine.semigroup_explore.
 """
@@ -126,7 +130,12 @@ def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
 
 def skeleton(m: StochasticMatrix) -> SkeletonMask:
     """Zero-pattern mask: true wherever an entry exceeds ZERO_TOL."""
-    return SkeletonMask(m.entries > ZERO_TOL)
+    return SkeletonMask(skeletons(m.entries))
+
+
+def skeletons(stack: np.ndarray) -> np.ndarray:
+    """Boolean zero pattern of each matrix in an (..., n, n) stack: true wherever an entry exceeds ZERO_TOL."""
+    return stack > ZERO_TOL
 
 
 def same_skeleton(a: StochasticMatrix, b: StochasticMatrix) -> bool:
@@ -137,7 +146,12 @@ def same_skeleton(a: StochasticMatrix, b: StochasticMatrix) -> bool:
 
 
 def is_strictly_positive(m: StochasticMatrix) -> bool:
-    return bool((m.entries > ZERO_TOL).all())
+    return bool(strictly_positive(m.entries))
+
+
+def strictly_positive(stack: np.ndarray) -> np.ndarray:
+    """is_strictly_positive of each matrix in an (..., n, n) stack."""
+    return stack.min(axis=(-2, -1)) > ZERO_TOL
 
 
 def is_bistochastic(m: StochasticMatrix) -> bool:
@@ -181,23 +195,37 @@ def lambda2_2x2(m: StochasticMatrix) -> float:
 
 def numeric_rank(m: StochasticMatrix, rel_tol: float = RANK_REL_TOL) -> RankReport:
     """SVD-based rank with a relative singular-value threshold."""
+    sv, rank = _ranked_singular_values(m.entries, rel_tol)
+    return RankReport(numeric_rank=int(rank), singular_values=tuple(sv.tolist()), tol_used=rel_tol * float(sv[0]))
+
+
+def numeric_ranks(stack: np.ndarray) -> np.ndarray:
+    """numeric_rank of each matrix in an (..., n, n) stack, from one batched SVD."""
+    return _ranked_singular_values(stack, RANK_REL_TOL)[1]
+
+
+def _ranked_singular_values(stack: np.ndarray, rel_tol: float):
+    """Singular values of each matrix in the stack, and how many exceed rel_tol times the largest."""
     try:
-        sv = np.linalg.svd(m.entries, compute_uv=False)
+        sv = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    tol_used = rel_tol * float(sv[0])
-    rank = int((sv > tol_used).sum())
-    return RankReport(numeric_rank=rank, singular_values=tuple(float(s) for s in sv), tol_used=tol_used)
+    return sv, (sv > rel_tol * sv[..., :1]).sum(axis=-1)
 
 
 def distance_to_rank_one(m: StochasticMatrix) -> float:
     """Max over columns of the column spread; 0 iff all rows are identical."""
-    return float((m.entries.max(axis=0) - m.entries.min(axis=0)).max())
+    return float(consensus_gaps(m.entries))
 
 
-def wielandt_bound(n: int) -> int:
-    """Exact power bound for boolean primitivity of an n x n pattern."""
-    return (n - 1) * (n - 1) + 1
+def consensus_gaps(stack: np.ndarray) -> np.ndarray:
+    """The consensus gap max_j (max_i P[i,j] - min_i P[i,j]) of each matrix P in an (..., n, n) stack."""
+    return (stack.max(axis=-2) - stack.min(axis=-2)).max(axis=-1)
+
+
+def first_within(items, x: np.ndarray, tol: float) -> int | None:
+    """Index of the first of ``items`` within entrywise max distance ``tol`` of ``x``, or None."""
+    return next((k for k, item in enumerate(items) if np.max(np.abs(item - x)) <= tol), None)
 
 
 def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool:
@@ -207,7 +235,7 @@ def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool
     default answer is a certificate in both directions.
     """
     if max_power is None:
-        max_power = wielandt_bound(s.n)
+        max_power = (s.n - 1) ** 2 + 1
     if max_power < 1:
         raise InvalidArgument("max_power must be >= 1")
     # one atom adds at most one pattern per power, so this cap never binds

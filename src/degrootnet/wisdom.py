@@ -78,7 +78,7 @@ class WisdomConfig:
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
         if any(n < 2 for n in self.sizes):
-            raise InvalidProbability("all sizes must be >= 2")
+            raise InvalidArgument("all sizes must be >= 2")
         if self.signal_law.variance <= 0:
             raise InvalidProbability("signal law must have positive variance")
 
@@ -121,30 +121,21 @@ def run_wisdom(config: WisdomConfig) -> WisdomResult:
             p0s[i] = np.clip(config.signal_law.sample(rng, n), 0.0, 1.0)
             return spec.start_state(rng)
 
-        scans = _scan_replicas(spec, config.replicas, replica_seed(config.seed, idx), config.t_max,
-                               config.gap_tol, stop_when_converged=True, start=start)
-        converged = [(prod[0], p0) for p0, (prod, _, _, _, ctime) in zip(p0s, scans) if ctime is not None]
-        errors = [abs(float(pi @ p0) - gamma) for pi, p0 in converged]
-        max_pis = [float(pi.max()) for pi, _ in converged]
-        frac = len(errors) / config.replicas
-        if errors and 2 * len(errors) >= config.replicas:
-            err = np.asarray(errors)
-            mp = np.asarray(max_pis)
-            out.append(WisdomSizeResult(
-                n=n,
-                mean_abs_error=float(err.mean()),
-                q50=float(np.quantile(err, 0.5)),
-                q90=float(np.quantile(err, 0.9)),
-                e_max_pi=float(mp.mean()),
-                var_max_pi=float(mp.var(ddof=1)) if len(mp) > 1 else 0.0,
-                convergence_fraction=frac,
-            ))
+        prods, _, _, _, consensus_time = _scan_replicas(
+            spec, config.replicas, replica_seed(config.seed, idx), config.t_max, config.gap_tol,
+            stop_when_converged=True, start=start)
+        converged = consensus_time > 0
+        pis = prods[converged, 0]
+        err = np.abs(np.matmul(pis[:, None, :], p0s[converged][:, :, None])[:, 0, 0] - gamma)
+        mp = pis.max(axis=1)
+        frac = len(err) / config.replicas
+        if 2 * len(err) >= config.replicas:  # replicas >= 1, so err is not empty
+            stats = dict(mean_abs_error=err.mean(), q50=np.quantile(err, 0.5), q90=np.quantile(err, 0.9),
+                         e_max_pi=mp.mean(), var_max_pi=mp.var(ddof=1) if len(mp) > 1 else 0.0)
         else:
-            # NoConvergence-class outcome for this size; keep going.
-            out.append(WisdomSizeResult(
-                n=n, mean_abs_error=math.nan, q50=math.nan, q90=math.nan,
-                e_max_pi=math.nan, var_max_pi=math.nan, convergence_fraction=frac,
-            ))
+            # NoConvergence-class outcome for this size; keep going
+            stats = dict.fromkeys(("mean_abs_error", "q50", "q90", "e_max_pi", "var_max_pi"), math.nan)
+        out.append(WisdomSizeResult(n=n, convergence_fraction=frac, **{k: float(v) for k, v in stats.items()}))
     return WisdomResult(per_size=tuple(out))
 
 
@@ -253,12 +244,9 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
-    scans = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
-    if not any(strict_seen for _, _, _, strict_seen, _ in scans) and not allow_no_positive:
+    prods, _, _, strict_seen, _ = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
+    if not strict_seen.any() and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
-    acc = scans[0][0]
-    for prod, *_ in scans[1:]:
-        acc = acc + prod
-    mean = StochasticMatrix._trusted(acc / replicas)
+    mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
     rank = max(1, numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank)
     return {"mean_limit": mean, "rank": rank}

@@ -317,9 +317,9 @@ def test_c13_ar1_interpolation():
     for xi in (0.0, 0.5, 1.0):
         spec = dn.Ar1Mixture(xi, t0, source)
         # replica i scans start_state(30000 + i), the kernel's stream unused
-        scans = _scan_replicas(spec, 1000, 0, 5000, 1e-8, True,
-                               start=lambda i, rng: spec.start_state(30000 + i))
-        means[xi] = float(np.mean([ct if ct is not None else 5000 for *_, ct in scans]))
+        ct = _scan_replicas(spec, 1000, 0, 5000, 1e-8, True,
+                            start=lambda i, rng: spec.start_state(30000 + i))[4]
+        means[xi] = float(np.mean(np.where(ct > 0, ct, 5000)))
     report(13, "sticky-weight interpolation: xi = 1/2 beats both endpoints", [
         (f"mean t(xi=0.5) = {means[0.5]:.1f} < t(xi=0) = {means[0.0]:.1f}",
          means[0.5] < means[0.0]),

@@ -71,6 +71,17 @@ class TestExitCodes:
         assert run(argv + ["--replicas", replicas, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["wisdom", "--sizes", "1,5", "--replicas", "4"],
+        ["wisdom", "--gamma", "0.9", "--sizes", "5", "--replicas", "4"],  # the signal support leaves [0, 1]
+        ["rate", "--model", "ring", "--n", "3", "--epsilon", "2", "--replicas", "10", "--tgrid", "1:3"],
+    ], ids=["wisdom-size-1", "wisdom-gamma-0.9", "rate-epsilon-2"])
+    def test_argument_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tmax", ["0", "-3"])
     @pytest.mark.parametrize("command", ["influence", "wisdom"])
     def test_horizon_below_one_is_usage_error(self, tmp_path, command, tmax):

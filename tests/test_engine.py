@@ -41,7 +41,7 @@ from degrootnet import engine, generators
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
 from degrootnet.errors import CapHit, DimensionMismatch, InvalidProbability, NoConvergence, NotIid, SingularMass, Unsupported
 from degrootnet.generators import Islands, UndirectedDegree
-from degrootnet.matrices import dobrushin_coefficients
+from degrootnet.matrices import dobrushin_coefficients, numeric_rank
 from test_generators import all_models
 
 
@@ -78,6 +78,23 @@ def positive_diagonal_iid_specs():
     assert list(out) == ["fixed", "encounter2x2", "dirichlet_ring", "dirichlet_dense", "perturbed",
                          "mix_identity", "identity", "block_dirichlet", "no_meetings"]
     return out
+
+
+@st.composite
+def random_supports(draw):
+    """One to three n x n stochastic matrices, n = 2..6, each dense, sparse or rank one."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "rank_one"]), min_size=1, max_size=3)):
+        m = rng.dirichlet(np.ones(n), size=n)
+        if kind == "sparse":
+            m[rng.random((n, n)) < 0.6] = 0.0
+            m[np.arange(n), rng.integers(0, n, n)] += 1.0  # every row keeps a positive entry
+        elif kind == "rank_one":
+            m[:] = m[0]
+        support.append(make_stochastic(m / m.sum(axis=1, keepdims=True)))
+    return support
 
 
 def hg_mixture(kappa=0.3, r=0.5):
@@ -372,6 +389,16 @@ class TestConditionC:
 
 
 class TestSemigroup:
+    @settings(max_examples=80, deadline=None)
+    @given(support=random_supports(), max_len=st.integers(1, 4))
+    def test_ranks_match_numeric_rank_per_member(self, support, max_len):
+        # the members are ranked in one batched SVD; each must get numeric_rank's answer
+        rep = semigroup_explore(support, max_len=max_len)
+        ranks = [numeric_rank(m).numeric_rank for m in rep.members]
+        assert rep.min_rank == min(ranks)
+        assert [m.entries.tobytes() for m in rep.rank_one_atoms] == [
+            m.entries.tobytes() for m, r in zip(rep.members, ranks) if r == 1]
+
     def test_idempotent_flat_support(self):
         rep = semigroup_explore([flat(2)], max_len=6)
         assert rep.elements == 1
@@ -522,6 +549,16 @@ class TestLyapunov:
         oracle = np.linalg.matrix_power(t.entries, 30) - 0.5
         assert np.linalg.norm(oracle, 2) == pytest.approx(lam**30, rel=1e-6)
 
+
+    def test_ring_reads_the_consensus_rate_not_the_distance_to_flat(self):
+        # The ring's limit row is random, so ||X^(t) - J|| tends to a positive
+        # limit and its rate creeps to 1 as t_max grows (0.9988 and 0.9999 at
+        # these horizons).  Every replica's distance to consensus reaches the
+        # norm floor by t = 132, at a rate near 0.83, so both horizons read
+        # the same rate.
+        short, long = (lyapunov_exponent(ring_uniform_self(5), t_max=t, replicas=50, seed=0) for t in (500, 5000))
+        assert abs(short - long) < 1e-3
+        assert max(short, long) < 0.9
 
     def test_long_horizon_reads_the_process_not_roundoff(self):
         # ||X^(t) - J|| = 0.4^(meetings so far), so the exact value is

@@ -15,7 +15,15 @@ from degrootnet import (
     skeleton_is_primitive,
 )
 from degrootnet.errors import DimensionMismatch, NegativeEntry, RowSumViolation
-from degrootnet.matrices import SkeletonMask, boolean_product
+from degrootnet.matrices import (
+    SkeletonMask,
+    boolean_product,
+    consensus_gaps,
+    first_within,
+    numeric_ranks,
+    skeletons,
+    strictly_positive,
+)
 
 
 def h_matrix(kappa):
@@ -219,6 +227,33 @@ class TestRankAndGap:
             generic = make_stochastic(raw / raw.sum(axis=1, keepdims=True))
             if numeric_rank(generic).numeric_rank > 1:
                 assert distance_to_rank_one(generic) > 1e-9
+
+
+    def test_stack_forms_match_the_one_matrix_forms(self):
+        rng = np.random.default_rng(11)
+        stack = rng.dirichlet(np.ones(4), size=(30, 4))
+        stack[rng.random((30, 4, 4)) < 0.2] = 0.0
+        stack[::3] = stack[::3, :1]  # every third matrix is rank one
+        stack += (stack.sum(axis=2, keepdims=True) == 0)
+        ms = [make_stochastic(m) for m in stack / stack.sum(axis=2, keepdims=True)]
+        stack = np.array([m.entries for m in ms])
+        gaps, positive, masks, ranks = consensus_gaps(stack), strictly_positive(stack), skeletons(stack), numeric_ranks(stack)
+        for k, m in enumerate(ms):
+            assert gaps[k] == distance_to_rank_one(m)
+            assert positive[k] == is_strictly_positive(m)
+            assert SkeletonMask(masks[k]) == skeleton(m)
+            assert ranks[k] == numeric_rank(m).numeric_rank
+        assert set(ranks[::3].tolist()) == {1} and positive.any() and not positive.all()
+
+
+class TestFirstWithin:
+    def test_first_match_within_the_tolerance_inclusive(self):
+        base = np.zeros((2, 2))
+        items = [base + 1.0, base + 0.25, base + 0.5, base + 0.75]
+        assert first_within(items, base + 0.5, 0.25) == 1  # 0.25 and 0.75 are exactly 0.25 away
+        assert first_within(items, base + 0.6, 0.1) == 2
+        assert first_within(items, base + 2.5, 1.0) is None
+        assert first_within([], base, 1.0) is None
 
 
 class TestPrimitivity:
