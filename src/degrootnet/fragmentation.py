@@ -246,13 +246,20 @@ def _by_cuts(dist: GraphDistribution) -> FragmentationReport:
     """
     if all(_connected(g.adjacency) for g, _p in dist.atoms):
         return _NEVER_FRAGMENTS
-    edge_lists = [g.edges() for g, _p in dist.atoms]
+    n = dist.n
+    cuts = list(_cuts(n))
+    side = np.zeros((len(cuts), n), dtype=bool)
+    for c, members in enumerate(cuts):
+        side[c, list(members)] = True
+    crossing = (side[:, :, None] != side[:, None, :]).reshape(len(cuts), n * n)
+    adjacency = np.array([g.adjacency for g, _p in dist.atoms]).reshape(-1, n * n)
+    # avoids[k, c]: no edge of atom k crosses cut c
+    avoids = adjacency.astype(np.int32) @ crossing.T.astype(np.int32) == 0
     zero = dist.atoms[0][1] * 0
     best_p = zero
     best = None
-    for members in _cuts(dist.n):
-        kept = [k for k, edges in enumerate(edge_lists)
-                if not any((u in members) != (v in members) for (u, v) in edges)]
+    for members, avoiding in zip(cuts, avoids.T):
+        kept = np.flatnonzero(avoiding).tolist()
         total = zero
         for k in kept:
             total = total + dist.atoms[k][1]

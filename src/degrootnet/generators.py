@@ -421,10 +421,19 @@ class Islands(GeneratorSpec):
     links are each kept with probability p_s; one uniformly random
     cross-island pair is linked with probability p_d.  The interaction
     matrix is the degree-normalized adjacency, with a self-loop added to
-    any isolated agent so rows stay stochastic.  A block of draws runs that
-    recipe step by step, once per matrix; the mean and the support both
-    read ``_law``, the exact finite mixture over the graphs of
-    ``islands_graph_atoms`` (g <= 4), built once per spec.
+    any isolated agent so rows stay stochastic.
+
+    The stream calls of that recipe are ``_calls``: 2g - 2 ``integers(g)``
+    and 2g - 1 ``random()`` per draw.  A block reads its 3g - 2 PCG64 words
+    per draw in one ``random_raw`` call and rebuilds those values bit for
+    bit (``_raw_layout``, ``_lemire``), leaving the stream, its 32-bit
+    buffer included, where the calls would; only a draw that NumPy would
+    redraw, a chance below g 2^-32 per integer, sends the block back to the
+    calls themselves.  A row holds the two Pruefer codes, the cross pair
+    and the keep bits; ``_expand`` decodes the trees and weighs the graphs
+    of all replicas at once.  The mean and the support both read ``_law``,
+    the exact finite mixture over the graphs of ``islands_graph_atoms``
+    (g <= 4), built once per spec.
     """
 
     g: int
@@ -448,25 +457,61 @@ class Islands(GeneratorSpec):
         return self.p_s > self.p_d
 
     def _block(self, state, k):
-        g, n = self.g, self.n
-        out = np.empty((k, n, n))
-        for x in out:
-            adj = np.zeros((n, n), dtype=bool)
-            for base in (0, g):
-                for (u, v) in _random_tree_edges(g, state.rng):
-                    if state.rng.random() < self.p_s:
-                        adj[base + u, base + v] = adj[base + v, base + u] = True
-            i = int(state.rng.integers(g))
-            j = g + int(state.rng.integers(g))
-            if state.rng.random() < self.p_d:
-                adj[i, j] = adj[j, i] = True
-            x[...] = _graph_to_row_weights(adj)
-        return out
+        # one call for the block's 3g - 2 words per draw, read as the calls of _calls would read them
+        bitgen = state.rng.bit_generator
+        start = bitgen.state
+        int_word, int_shift, uniform_word, last, w = _raw_layout(self.g, start["has_uint32"])
+        words = bitgen.random_raw(k * w)
+        base = np.arange(0, k * w, w)[:, None]
+        halves = words[np.maximum(base + int_word, 0)] >> int_shift & 0xFFFFFFFF
+        if start["has_uint32"]:
+            halves[0, 0] = start["uinteger"]
+        ints, rejected = _lemire(halves, self.g)
+        if rejected:
+            bitgen.state = start
+            return self._serial_block(state.rng, k)
+        end = bitgen.state
+        end["uinteger"] = int(words[last - w] >> 32)
+        bitgen.state = end
+        keep = (words[base + uniform_word] >> 11) * 2.0**-53 < self._keep_below
+        return np.concatenate([ints, keep], axis=1, dtype=np.int64)
+
+    def _serial_block(self, rng, k):
+        """The rows of ``_block`` from one stream call per value, in the order of ``_calls``."""
+        rows = []
+        for _ in range(k):
+            ints, keep = [], []
+            for bounded, p in _calls(self.g, self.p_s, self.p_d):
+                if bounded:
+                    ints.append(int(rng.integers(self.g)))
+                else:
+                    keep.append(rng.random() < p)
+            rows.append(ints + keep)
+        return np.array(rows, dtype=np.int64)
+
+    @functools.cached_property
+    def _keep_below(self):
+        return np.array([p for bounded, p in _calls(self.g, self.p_s, self.p_d) if not bounded])
+
+    def _width(self):
+        return 4 * self.g - 3
+
+    def _expand(self, rows, out):
+        # rows: both Pruefer codes, the cross pair (i, j), then the keep bit of each tree edge and the cross link
+        g, r = self.g, len(rows)
+        trees = _pruefer_edges(rows[:, :2 * g - 4].reshape(2 * r, g - 2), g).reshape(r, 2 * g - 2, 2)
+        trees += np.repeat([0, g], g - 1)[:, None]
+        ends = np.concatenate([trees, (rows[:, 2 * g - 4:2 * g - 2] + [0, g])[:, None]], axis=1)
+        rep, e = np.nonzero(rows[:, 2 * g - 2:])
+        u, v = ends[rep, e].T
+        adj = np.zeros((r, self.n, self.n), dtype=bool)
+        adj[rep, u, v] = adj[rep, v, u] = True
+        return _graph_to_row_weights(adj)
 
     @functools.cached_property
     def _law(self) -> FiniteMixture:
         adjs, probs = zip(*islands_graph_atoms(self.g, self.p_s, self.p_d))
-        return FiniteMixture(atoms=tuple(StochasticMatrix._trusted(_graph_to_row_weights(adj)) for adj in adjs),
+        return FiniteMixture(atoms=tuple(map(StochasticMatrix._trusted, _graph_to_row_weights(np.array(adjs)))),
                              probs=probs)
 
     def mean_matrix(self):
@@ -505,7 +550,7 @@ class UndirectedDegree(FiniteMixture):
                 raise InvalidProbability("all graphs must share the degree vector")
             adj.setflags(write=False)
         object.__setattr__(self, "graphs", adjs)
-        super().__init__(atoms=tuple(StochasticMatrix._trusted(_graph_to_row_weights(adj)) for adj in adjs),
+        super().__init__(atoms=tuple(map(StochasticMatrix._trusted, _graph_to_row_weights(np.array(adjs)))),
                          probs=tuple(probs))
 
     @property
@@ -654,36 +699,79 @@ def mixing_identity_mixture(n: int, zeta: float) -> FiniteMixture:
 # --- islands internals -------------------------------------------------------
 
 
-def _random_tree_edges(g, rng):
-    """Uniform labeled spanning tree on g vertices via a random Pruefer code."""
-    code = [int(rng.integers(g)) for _ in range(g - 2)]
-    return _decode_pruefer(code, g)
+def _calls(g, p_s, p_d):
+    """The stream calls of one islands draw in order: (True, None) for ``rng.integers(g)``, (False, p)
+    for the test ``rng.random() < p``.
+
+    Per island a Pruefer code of g - 2 integers, then a keep test per tree edge; last the cross pair
+    and its test.
+    """
+    tree = [(True, None)] * (g - 2) + [(False, p_s)] * (g - 1)
+    return tree + tree + [(True, None), (True, None), (False, p_d)]
 
 
-def _decode_pruefer(code, g):
-    degree = [1] * g
-    for c in code:
-        degree[c] += 1
-    edges = []
-    import heapq
+@functools.cache
+def _raw_layout(g, buffered):
+    """Where the values of one islands draw sit in its 3g - 2 PCG64 words.
 
-    leaves = [i for i in range(g) if degree[i] == 1]
-    heapq.heapify(leaves)
-    for c in code:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, c))
-        degree[c] -= 1
-        if degree[c] == 1:
-            heapq.heappush(leaves, c)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+    ``rng.random()`` is (word >> 11) 2^-53 of the next word.  ``rng.integers(g)`` takes a 32-bit
+    half-word through PCG64's one-word buffer: the low half of a fresh word, whose high half is
+    buffered for the next call.  A draw makes an even number of such calls, so the buffer is full
+    (``buffered``) at its end iff at its start, and every draw of a block has the same layout.
+    Returns the word index and shift of each integer's half-word (index ``last - w``, in the draw
+    before, for the half buffered on entry), the word index of each uniform, the index ``last``
+    of the draw's last integer word, and the word count w.
+    """
+    int_word, int_shift, uniform_word = [], [], []
+    word, last = 0, None  # last: the word whose high half is buffered; None: a word of the draw before
+    for bounded, _p in _calls(g, None, None):
+        if not bounded:
+            uniform_word.append(word)
+            word += 1
+        elif buffered:
+            int_word.append(last)
+            int_shift.append(32)
+            buffered = False
+        else:
+            int_word.append(word)
+            int_shift.append(0)
+            last, word, buffered = word, word + 1, True
+    int_word = [last - word if i is None else i for i in int_word]
+    return np.array(int_word), np.array(int_shift, dtype=np.uint64), np.array(uniform_word), last, word
+
+
+def _lemire(halves, g):
+    """``rng.integers(g)`` of 32-bit draws (a uint64 array), and whether any draw would be redrawn.
+
+    NumPy's bounded draw (Lemire, ACM TOMACS 2019): x becomes (x g) >> 32, and x is redrawn while
+    (x g) mod 2^32 < 2^32 mod g.
+    """
+    m = halves * g
+    return m >> 32, bool(((m & 0xFFFFFFFF) < (1 << 32) % g).any())
+
+
+def _pruefer_edges(codes, g):
+    """The labeled trees on g vertices with the Pruefer codes ``codes`` (m, g - 2), as (m, g - 1, 2) edges.
+
+    The heap decode, once over all codes: step s joins the smallest leaf to ``codes[:, s]``, and
+    the last two leaves, in order, make the final edge.
+    """
+    rows = np.arange(len(codes))
+    degree = 1 + (codes[:, :, None] == np.arange(g)).sum(axis=1)
+    edges = np.empty((len(codes), g - 1, 2), dtype=np.int64)
+    for s, code in enumerate(codes.T):
+        leaf = (degree == 1).argmax(axis=1)
+        edges[:, s, 0], edges[:, s, 1] = leaf, code
+        degree[rows, leaf] = 0
+        degree[rows, code] -= 1
+    edges[:, -1] = np.nonzero(degree == 1)[1].reshape(-1, 2)
     return edges
 
 
 def _all_trees(g):
-    """All labeled spanning trees on g vertices (g^(g-2) of them)."""
-    return [_decode_pruefer(code, g) for code in itertools.product(range(g), repeat=g - 2)]
+    """All labeled spanning trees on g vertices (g^(g-2) of them), in Pruefer code order."""
+    codes = np.array(list(itertools.product(range(g), repeat=g - 2)), dtype=np.int64)
+    return [list(map(tuple, tree)) for tree in _pruefer_edges(codes, g).tolist()]
 
 
 def _island_edge_patterns(g, p_s):
@@ -742,11 +830,11 @@ def islands_graph_atoms(g, p_s, p_d):
 
 
 def _graph_to_row_weights(adj: np.ndarray) -> np.ndarray:
-    """Degree-normalized adjacency; isolated agents get a self-loop first."""
+    """Degree-normalized adjacency of each graph in an (..., n, n) stack; isolated agents get a self-loop first."""
     a = adj.astype(float)
-    isolated = np.flatnonzero(~adj.any(axis=1))
-    a[isolated, isolated] = 1.0
-    return a / a.sum(axis=1)[:, None]
+    diagonal = np.arange(a.shape[-1])
+    a[..., diagonal, diagonal] += ~adj.any(axis=-1)
+    return a / a.sum(axis=-1, keepdims=True)
 
 
 def _left_unit_eigenvector(T: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # _scan is unused here; it stays bound because perfbench/tracer.py patches wisdom._scan.
-from .engine import GAP_TOL, _scan, _scan_replicas, estimate_influence  # noqa: F401
+from .engine import GAP_TOL, _lockstep, _scan, _scan_replicas, estimate_influence  # noqa: F401
 from .errors import (
     BalanceViolation,
     InvalidArgument,
@@ -22,7 +22,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import GeneratorSpec
-from .matrices import RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank
+from .matrices import RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank, strictly_positive
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
 from .seeding import replica_rng, replica_seed  # noqa: F401
 
@@ -239,13 +239,25 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     are statistically indistinguishable from zero.  The top singular value
     always counts, since an average of row-stochastic matrices has one of
     at least 1, so the rank is never 0 even where that threshold reaches 1.
+    The scan reads no gap: it tests positivity until some product is
+    strictly positive and keeps each product at t_max.
     """
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
-    prods, _, _, strict_seen, _ = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
-    if not strict_seen.any() and not allow_no_positive:
+    prods = np.broadcast_to(np.eye(spec.n), (replicas, spec.n, spec.n)).copy()
+    strict_seen = False
+
+    def observe(t, idx, prod):
+        nonlocal strict_seen
+        strict_seen = strict_seen or bool(strictly_positive(prod).any())
+        if t == t_max:
+            prods[idx] = prod
+
+    _lockstep(spec, replicas, seed, t_max, observe)
+    prods /= prods.sum(axis=2, keepdims=True)
+    if not strict_seen and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
     mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
     rank = max(1, numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank)

@@ -19,7 +19,7 @@ from degrootnet import (
     p_max_by_cuts,
 )
 from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit
-from degrootnet.fragmentation import _by_subsets
+from degrootnet.fragmentation import _by_cuts, _by_subsets, _cuts
 from degrootnet.generators import Fixed
 from degrootnet.matrices import make_stochastic
 
@@ -46,6 +46,20 @@ def brute_p_max(dist):
                 if best is None or float(total) > float(best):
                     best = total
     return best
+
+
+def edge_scan_by_cuts(dist):
+    """Oracle: p_max, its collection and its cut, testing every edge of every atom against every cut."""
+    best_p, best = dist.atoms[0][1] * 0, None
+    for members in _cuts(dist.n):
+        kept = [k for k, (g, _p) in enumerate(dist.atoms)
+                if not any((u in members) != (v in members) for u, v in g.edges())]
+        total = dist.atoms[0][1] * 0
+        for k in kept:
+            total = total + dist.atoms[k][1]
+        if kept and float(total) > float(best_p):
+            best_p, best = total, (tuple(sorted(members)), tuple(dist.atoms[k][0] for k in kept))
+    return best_p, best
 
 
 class TestGraphBasics:
@@ -128,6 +142,24 @@ class TestPMax:
             assert cuts.pi_g_empty == pruned.pi_g_empty
             if not pruned.pi_g_empty:
                 assert float(cuts.p_max) == pytest.approx(float(pruned.p_max), abs=1e-12)
+
+    def test_cut_scan_is_the_edge_by_edge_scan(self):
+        # exact equality: the kept atoms are summed in atom order, floats and Fractions alike
+        rng = np.random.default_rng(33)
+        dists = [islands_distribution(2, Fraction(4, 5), Fraction(3, 10)), islands_distribution(3, 0.8, 0.3)]
+        for _case in range(40):
+            n = int(rng.integers(2, 8))
+            upper = np.triu(rng.random((int(rng.integers(1, 12)), n, n)) < 0.3, 1)
+            atoms = list({Graph(a | a.T): None for a in upper})
+            probs = rng.random(len(atoms)) + 0.05
+            dists.append(GraphDistribution(atoms=tuple(zip(atoms, (probs / probs.sum()).tolist()))))
+        for dist in dists:
+            got = _by_cuts(dist)
+            best_p, best = edge_scan_by_cuts(dist)
+            if best is None:
+                assert got.pi_g_empty
+            else:
+                assert (got.p_max, got.argmax_cut, got.argmax_collection) == (best_p, *best)
 
     def test_monotone_in_added_connected_atom(self):
         rng = np.random.default_rng(32)

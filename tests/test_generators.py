@@ -1,4 +1,6 @@
 import hashlib
+import heapq
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -28,7 +30,8 @@ from degrootnet import (
 )
 from degrootnet.cli import run
 from degrootnet.errors import InvalidProbability, NotStrictlyPositive, Unsupported
-from degrootnet.generators import _REGISTRY, _graph_to_row_weights
+from degrootnet import generators
+from degrootnet.generators import _REGISTRY, _graph_to_row_weights, _lemire, _pruefer_edges
 
 
 def flat(n):
@@ -220,6 +223,49 @@ def _digest(arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+# --- the islands oracle: one draw at a time, one stream call per value ---------
+
+
+def _heap_pruefer_decode(code, g):
+    """Edges of the labeled tree with Pruefer code ``code``: the smallest leaf joins each code entry."""
+    degree = [1] * g
+    for c in code:
+        degree[c] += 1
+    leaves = [i for i in range(g) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for c in code:
+        edges.append((heapq.heappop(leaves), c))
+        degree[c] -= 1
+        if degree[c] == 1:
+            heapq.heappush(leaves, c)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def _one_graph_row_weights(adj):
+    """Degree-normalized adjacency of one graph; isolated agents get a self-loop first."""
+    a = adj.astype(float)
+    isolated = np.flatnonzero(~adj.any(axis=1))
+    a[isolated, isolated] = 1.0
+    return a / a.sum(axis=1)[:, None]
+
+
+def _islands_recipe_draw(spec, rng):
+    """One islands draw: per island a random Pruefer code and a keep test per tree edge, then the cross link."""
+    g, n = spec.g, spec.n
+    adj = np.zeros((n, n), dtype=bool)
+    for base in (0, g):
+        for u, v in _heap_pruefer_decode([int(rng.integers(g)) for _ in range(g - 2)], g):
+            if rng.random() < spec.p_s:
+                adj[base + u, base + v] = adj[base + v, base + u] = True
+    i = int(rng.integers(g))
+    j = g + int(rng.integers(g))
+    if rng.random() < spec.p_d:
+        adj[i, j] = adj[j, i] = True
+    return _one_graph_row_weights(adj)
 
 
 class TestDirichletDraw:
@@ -417,6 +463,82 @@ class TestIslands:
         for _ in range(200):
             x = state.next_array()
             assert np.abs(x.sum(axis=1) - 1.0).max() < 1e-12
+
+    def test_row_weights_of_a_stack_are_those_of_each_graph(self):
+        rng = np.random.default_rng(18)
+        upper = np.triu(rng.random((60, 6, 6)) < 0.3, 1)
+        adjs = upper | upper.transpose(0, 2, 1)
+        assert (~adjs.any(axis=2)).any()  # some graphs have isolated agents
+        want = np.array([_one_graph_row_weights(a) for a in adjs])
+        assert np.array([_graph_to_row_weights(a) for a in adjs]).tobytes() == want.tobytes()
+        assert _graph_to_row_weights(adjs.reshape(3, 20, 6, 6)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_batched_pruefer_decode_is_the_heap_decode(self, g):
+        codes = list(itertools.product(range(g), repeat=g - 2))
+        got = _pruefer_edges(np.array(codes, dtype=np.int64), g).tolist()
+        assert got == [[list(e) for e in _heap_pruefer_decode(code, g)] for code in codes]
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.integers(2, 6),
+           p_s=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           p_d=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**64 - 1), k=st.integers(1, 33), warmup=st.integers(0, 3))
+    def test_block_is_the_recipe_bitwise(self, g, p_s, p_d, seed, k, warmup):
+        # the block reads raw words; the recipe makes one stream call per value
+        spec = Islands(g, p_s, p_d)
+        state, rng = spec.start_state(seed), np.random.default_rng(seed)
+        for _ in range(warmup):  # an odd count leaves a half-word in PCG64's buffer
+            state.rng.integers(g)
+            rng.integers(g)
+        block = spec.draw_block(state, k)
+        assert block.tobytes() == np.array([_islands_recipe_draw(spec, rng) for _ in range(k)]).tobytes()
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_a_redrawn_integer_sends_the_block_to_the_stream_calls(self, monkeypatch):
+        # 2^32 mod 3 = 1, so a zero half-word is the one value integers(3) redraws
+        assert _lemire(np.array([7, 0, 2**32 - 1], dtype=np.uint64), 3)[1]
+        assert not _lemire(np.array([7, 1, 2**32 - 1], dtype=np.uint64), 3)[1]
+        assert not _lemire(np.zeros(4, dtype=np.uint64), 4)[1]  # 2^32 mod 4 = 0: nothing is redrawn
+        monkeypatch.setattr(generators, "_lemire", lambda halves, g: (halves, True))
+        spec = Islands(3, 0.8, 0.3)
+        state, rng = spec.start_state(5), np.random.default_rng(5)
+        state.rng.integers(3)
+        rng.integers(3)
+        block = spec.draw_block(state, 9)
+        assert block.tobytes() == np.array([_islands_recipe_draw(spec, rng) for _ in range(9)]).tobytes()
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+class TestNumpyStreamFacts:
+    """What the islands block assumes of NumPy's Generator on PCG64, checked against default_rng."""
+
+    @pytest.mark.parametrize("g", [2, 3, 5, 6, 7, 12])
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_integers_are_lemire_on_buffered_half_words(self, g, buffered):
+        rng, raw = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(buffered):
+            rng.integers(g)
+            raw.integers(g)
+        start = raw.bit_generator.state
+        assert start["has_uint32"] == buffered
+        words = raw.bit_generator.random_raw(15).tolist()
+        halves = [start["uinteger"]] * buffered + [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+        want, rejected = _lemire(np.array(halves[:30], dtype=np.uint64), g)
+        assert not rejected
+        assert [int(rng.integers(g)) for _ in range(30)] == want.tolist()
+        # the buffer ends as it began, holding the high half of the last word read
+        end = raw.bit_generator.state
+        end["uinteger"] = words[-1] >> 32
+        assert rng.bit_generator.state == end
+
+    def test_random_is_the_top_53_bits_of_a_word(self):
+        rng, raw = np.random.default_rng(22), np.random.default_rng(22)
+        rng.integers(3)  # a buffered half-word neither feeds nor moves the uniforms
+        raw.integers(3)
+        words = raw.bit_generator.random_raw(50)
+        assert [rng.random() for _ in range(50)] == ((words >> 11) * 2.0**-53).tolist()
+        assert rng.bit_generator.state == raw.bit_generator.state
 
 
 class TestUndirectedDegreeValidation:

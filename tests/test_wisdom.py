@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from degrootnet import (
     DirichletRows,
+    FiniteMixture,
     Fixed,
     LeaderFollower,
     PerturbedFixed,
@@ -21,7 +23,10 @@ from degrootnet import (
     run_wisdom,
     two_point_swap,
 )
+from degrootnet import engine
+from degrootnet.engine import _scan_replicas
 from degrootnet.errors import BalanceViolation, InvalidProbability, PreconditionUnmet
+from degrootnet.matrices import RANK_REL_TOL, StochasticMatrix, numeric_rank
 
 
 def flat(n):
@@ -250,6 +255,24 @@ class TestMeanRankOne:
         res = mean_rank_one_test(ring_uniform_self(4), replicas=400, t_max=600, seed=15)
         assert res["rank"] == 1
         assert np.abs(res["mean_limit"].entries - 0.25).max() < 0.02
+
+    @pytest.mark.parametrize("name", ["stubborn", "ring4"])
+    def test_mean_and_rank_are_those_of_the_gap_scan(self, name):
+        # C07's stubborn-agent mixture, and a ring; the oracle keeps the products of the full gap scan
+        h = make_stochastic([[0, 0, 1], [0, 0, 1], [0.3, 0.7, 0]])
+        swap = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        spec = {"stubborn": FiniteMixture(atoms=(h, swap), probs=(0.5, 0.5)), "ring4": ring_uniform_self(4)}[name]
+        for replicas, t_max, seed in [(300, 200, 1007), (7, 0, 1), (40, 2, 2), (90, 65, 3)]:
+            prods, _, _, strict_seen, _ = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
+            mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
+            rank = max(1, numeric_rank(mean, rel_tol=max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))).numeric_rank)
+            with mock.patch.object(engine, "CHUNK", 32):  # several chunks of replicas
+                got = mean_rank_one_test(spec, replicas, t_max, seed=seed, allow_no_positive=True)
+                if not strict_seen.any():
+                    with pytest.raises(PreconditionUnmet):
+                        mean_rank_one_test(spec, replicas, t_max, seed=seed)
+            assert got["mean_limit"].entries.tobytes() == mean.entries.tobytes(), (replicas, t_max)
+            assert got["rank"] == rank
 
     def test_few_replicas_still_count_the_top_singular_value(self):
         # at 8 replicas the default threshold 4/sqrt(8) exceeds 1
