@@ -487,22 +487,29 @@ def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport
         raise InvalidArgument("support must be nonempty")
     if len({a.shape[0] for a in atoms}) > 1:
         raise DimensionMismatch(f"support matrices differ in size: n = {', '.join(str(a.shape[0]) for a in atoms)}")
-    elements: list[np.ndarray] = []
+    # the elements held so far are held[:count]
+    held = np.empty((len(atoms),) + atoms[0].shape)
+    count = 0
 
     def add(arr):
-        if first_within(elements, arr, DEDUP_TOL) is not None:
+        nonlocal held, count
+        if first_within(held[:count], arr, DEDUP_TOL) is not None:
             return False
-        elements.append(arr)
+        if count == len(held):
+            held = np.concatenate((held, np.empty_like(held)))
+        held[count] = arr
+        count += 1
         return True
 
     for _ in _closure(atoms, np.matmul, add, max_len):
-        if len(elements) > cap:
+        if count > cap:
             raise ExplosionGuard(f"semigroup exploration exceeded {cap} elements")
 
+    elements = held[:count]
     members = tuple(StochasticMatrix._trusted(e) for e in elements)
     ranks = numeric_ranks(np.array([m.entries for m in members]))
     return SemigroupReport(
-        skeletons=frozenset(map(SkeletonMask, skeletons(np.array(elements)))),
+        skeletons=frozenset(map(SkeletonMask, skeletons(elements))),
         min_rank=int(ranks.min()),
         rank_one_atoms=tuple(m for m, r in zip(members, ranks) if r == 1),
         members=members,
@@ -710,21 +717,22 @@ def _disagreement_report(prods) -> DisagreementReport:
     """
     replicas = len(prods)
     rank_counts = Counter(numeric_ranks(prods / prods.sum(axis=2, keepdims=True)).tolist())
-    atoms: list[np.ndarray] = []
+    # the atoms found so far are atoms[:len(counts)]
+    atoms = np.empty((MAX_ATOMS + 1,) + prods.shape[1:])
     counts: list[int] = []
     for prod in prods:
-        k = first_within(atoms, prod, ATOM_TOL)
+        k = first_within(atoms[:len(counts)], prod, ATOM_TOL)
         if k is not None:
             counts[k] += 1
             continue
-        atoms.append(prod)
+        atoms[len(counts)] = prod
         counts.append(1)
-        if len(atoms) > MAX_ATOMS:
+        if len(counts) > MAX_ATOMS:
             break
     histogram = {r: c / replicas for r, c in sorted(rank_counts.items())}
     eta = max(rank_counts, key=lambda r: (rank_counts[r], -r))
     support_atoms = None
-    if len(atoms) <= MAX_ATOMS:
+    if len(counts) <= MAX_ATOMS:
         order = np.argsort(counts)[::-1]
         support_atoms = tuple(
             (StochasticMatrix._trusted(atoms[k]), counts[k] / replicas) for k in order

@@ -596,14 +596,17 @@ class Ar1Mixture(GeneratorSpec):
         return self.xi >= 1.0
 
     def _block(self, state, k):
-        # a block of source draws, then the recurrence over it
+        # a block of source draws, then the recurrence over it, in place:
+        # out[j] = (1 - xi) out[j-1] + xi source[j], rounded as written
         prev = self.t0.entries if state.last is None else state.last
         out = np.empty((k, self.n, self.n))
         if self.xi == 0.0:
             out[...] = prev
         else:
-            for j, source in enumerate(self.source.draw_block(state, k)):
-                prev = out[j] = (1.0 - self.xi) * prev + self.xi * source
+            scaled = self.xi * self.source.draw_block(state, k)
+            for j in range(k):
+                prev = np.multiply(1.0 - self.xi, prev, out=out[j])
+                prev += scaled[j]
         state.last = prev
         return out
 

@@ -10,11 +10,12 @@ numeric_ranks and first_within, the duplicate match.
 
 _closure is the one breadth-first enumeration of support products, read by
 the skeleton closure of condition (C), primitivity and engine.semigroup_explore.
+It forms each level as one batched product per atom over the stack of the
+previous level's new elements, then tests the results one by one in order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +225,15 @@ def consensus_gaps(stack: np.ndarray) -> np.ndarray:
 
 
 def first_within(items, x: np.ndarray, tol: float) -> int | None:
-    """Index of the first of ``items`` within entrywise max distance ``tol`` of ``x``, or None."""
-    return next((k for k, item in enumerate(items) if np.max(np.abs(item - x)) <= tol), None)
+    """Index of the first matrix of an (m, n, n) stack ``items`` within entrywise max distance ``tol`` of ``x``, or None.
+
+    A matrix whose distance is NaN is never within ``tol``.
+    """
+    if len(items) == 0:
+        return None
+    hits = np.abs(items - x).max(axis=(-2, -1)) <= tol
+    k = int(hits.argmax())
+    return k if hits[k] else None
 
 
 def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool:
@@ -245,10 +253,13 @@ def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool
 def _closure(atoms, product, is_new, max_len: int):
     """Yield (length, element) for each new product of the atoms, shortest first.
 
-    Level 1 offers the atoms; level L offers product(a, f) for every atom a
-    and every element f new at level L-1, in (atom, frontier) order.
-    ``is_new`` decides and records newness.  Ends after max_len levels or
-    after a level that adds nothing; products are formed only on demand.
+    Level 1 offers the atoms; level L offers, atom a by atom a, the matrices
+    of product(a, F), where F stacks the elements new at level L-1: so
+    product(a, f) for every atom a and frontier element f, in (atom,
+    frontier) order.  ``product`` must broadcast over the stack.  ``is_new``
+    decides and records newness, one candidate at a time.  Ends after
+    max_len levels or after a level that adds nothing; an atom's batch is
+    formed only once the previous atom's has been read.
     """
     candidates = atoms
     for length in range(1, max_len + 1):
@@ -259,7 +270,8 @@ def _closure(atoms, product, is_new, max_len: int):
                 yield length, element
         if not frontier:
             return
-        candidates = itertools.starmap(product, itertools.product(atoms, frontier))
+        stack = np.stack(frontier)
+        candidates = (element for a in atoms for element in product(a, stack))
 
 
 def _skeleton_closure(masks, horizon: int, cap: int = 4096):
@@ -272,6 +284,7 @@ def _skeleton_closure(masks, horizon: int, cap: int = 4096):
     product of the factors' patterns.
     """
     atoms = list({m.mask.tobytes(): m.mask for m in masks}.values())
+    all_true = np.ones_like(atoms[0]).tobytes()
     seen = set()
 
     def is_new(mask):
@@ -283,7 +296,7 @@ def _skeleton_closure(masks, horizon: int, cap: int = 4096):
 
     length = 0
     for length, mask in _closure(atoms, boolean_product, is_new, horizon):
-        if mask.all():
+        if mask.tobytes() == all_true:
             return HOLDS, length
         if len(seen) > cap:
             return "open", len(seen)
@@ -308,5 +321,10 @@ def _connected(adj: np.ndarray) -> bool:
 
 
 def boolean_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product: (ab)[i,j] = OR_k (a[i,k] AND b[k,j])."""
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    """Boolean matrix product: (ab)[i,j] = OR_k (a[i,k] AND b[k,j]).
+
+    Broadcasts over (..., n, n) stacks.  The count of k with both entries
+    true is summed in float32, which never rounds a positive count to 0,
+    at any n; BLAS does the sums.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0

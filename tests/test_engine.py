@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,10 +40,20 @@ from degrootnet import (
 )
 from degrootnet import engine, generators
 from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
-from degrootnet.errors import CapHit, DimensionMismatch, InvalidProbability, NoConvergence, NotIid, SingularMass, Unsupported
+from degrootnet.errors import (
+    CapHit,
+    DimensionMismatch,
+    ExplosionGuard,
+    InvalidProbability,
+    NoConvergence,
+    NotIid,
+    SingularMass,
+    Unsupported,
+)
 from degrootnet.generators import Islands, UndirectedDegree
-from degrootnet.matrices import dobrushin_coefficients, numeric_rank
+from degrootnet.matrices import StochasticMatrix, dobrushin_coefficients, first_within, numeric_rank
 from test_generators import all_models
+from test_matrices import per_pair_closure
 
 
 def flat(n):
@@ -399,6 +410,36 @@ class TestSemigroup:
         assert [m.entries.tobytes() for m in rep.rank_one_atoms] == [
             m.entries.tobytes() for m, r in zip(rep.members, ranks) if r == 1]
 
+    @settings(max_examples=80, deadline=None)
+    @given(support=random_supports(), max_len=st.integers(1, 5), cap=st.integers(1, 400))
+    def test_members_and_guard_are_those_of_the_per_item_net(self, support, max_len, cap):
+        # oracle: the per-pair closure, each candidate matched against a list item by item
+        elements, offered = [], 0
+
+        def add(arr):
+            nonlocal offered
+            offered += 1
+            if any(np.max(np.abs(e - arr)) <= engine.DEDUP_TOL for e in elements):
+                return False
+            elements.append(arr)
+            return True
+
+        guard = False
+        for _ in per_pair_closure([m.entries for m in support], np.matmul, add, max_len):
+            if len(elements) > cap:
+                guard = True
+                break
+        with mock.patch.object(engine, "first_within", mock.Mock(wraps=first_within)) as spy:
+            if guard:
+                with pytest.raises(ExplosionGuard):
+                    semigroup_explore(support, max_len, cap)
+                assert len(spy.call_args.args[0]) == cap  # it fires on element cap + 1
+            else:
+                rep = semigroup_explore(support, max_len, cap)
+                assert [m.entries.tobytes() for m in rep.members] == [
+                    StochasticMatrix._trusted(e).entries.tobytes() for e in elements]
+        assert spy.call_count == offered
+
     def test_idempotent_flat_support(self):
         rep = semigroup_explore([flat(2)], max_len=6)
         assert rep.elements == 1
@@ -420,8 +461,6 @@ class TestSemigroup:
             semigroup_explore([make_stochastic(np.eye(2)), make_stochastic(np.eye(3))], max_len=4)
 
     def test_explosion_guard(self):
-        from degrootnet.errors import ExplosionGuard
-
         rng = np.random.default_rng(15)
         raws = rng.random((2, 3, 3)) + 0.05
         dense = [make_stochastic(r / r.sum(axis=1, keepdims=True)) for r in raws]

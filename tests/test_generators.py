@@ -111,6 +111,24 @@ class TestSampleNext:
             prev = x
 
 
+    @pytest.mark.parametrize("source", ["cycle", "dirichlet"])
+    def test_ar1_blocks_are_the_recurrence_bitwise(self, source):
+        # X_t = (1 - xi) X_{t-1} + xi Xi_t, rounded as written, across blocks of any size
+        cycle = make_stochastic(np.roll(np.eye(4), 1, axis=1))
+        src = Fixed(cycle) if source == "cycle" else ring_uniform_self(4)
+        t0 = make_stochastic(np.full((4, 4), 0.25))
+        for xi in (0.3, 0.5, 1.0):
+            spec = Ar1Mixture(xi, t0, src)
+            state, src_state = spec.start_state(9), src.start_state(9)
+            got = np.concatenate([spec.draw_block(state, k) for k in (1, 5, 2, 8)])
+            prev, want = t0.entries, []
+            for x in src.draw_block(src_state, 16):
+                prev = (1.0 - xi) * prev + xi * x
+                want.append(prev)
+            assert got.tobytes() == np.array(want).tobytes(), xi
+            assert state.last.tobytes() == prev.tobytes()
+
+
 class TestMeanMatrix:
     def test_mix_identity_mean(self):
         n, zeta = 4, 0.3

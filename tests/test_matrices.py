@@ -1,5 +1,10 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degrootnet import (
     distance_to_rank_one,
@@ -14,9 +19,12 @@ from degrootnet import (
     skeleton,
     skeleton_is_primitive,
 )
+from degrootnet import matrices
 from degrootnet.errors import DimensionMismatch, NegativeEntry, RowSumViolation
 from degrootnet.matrices import (
     SkeletonMask,
+    _closure,
+    _skeleton_closure,
     boolean_product,
     consensus_gaps,
     first_within,
@@ -32,6 +40,53 @@ def h_matrix(kappa):
 
 def ring_shift(n):
     return make_stochastic(np.roll(np.eye(n), 1, axis=1))
+
+
+def per_pair_closure(atoms, product, is_new, max_len):
+    """The closure with one product per (atom, frontier element) pair, formed on demand: the oracle."""
+    candidates = atoms
+    for length in range(1, max_len + 1):
+        frontier = []
+        for element in candidates:
+            if is_new(element):
+                frontier.append(element)
+                yield length, element
+        if not frontier:
+            return
+        candidates = itertools.starmap(product, itertools.product(atoms, frontier))
+
+
+def bytes_recorder():
+    """An is_new that records each element's bytes, and the list of elements it was offered."""
+    seen, offered = set(), []
+
+    def is_new(element):
+        key = element.tobytes()
+        offered.append(key)
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    return is_new, offered
+
+
+@st.composite
+def closure_atoms(draw):
+    """One to four n x n atoms, n = 2..6: boolean masks, or stochastic matrices sparse or dense."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boolean = draw(st.booleans())
+    atoms = []
+    for density in draw(st.lists(st.sampled_from([0.2, 0.5, 1.0]), min_size=1, max_size=4)):
+        mask = rng.random((n, n)) < density
+        mask[np.arange(n), rng.integers(0, n, n)] = True  # every row keeps a positive entry
+        if boolean:
+            atoms.append(mask)
+        else:
+            m = np.where(mask, rng.random((n, n)), 0.0)
+            atoms.append(m / m.sum(axis=1, keepdims=True))
+    return atoms, boolean
 
 
 class TestMakeStochastic:
@@ -254,6 +309,69 @@ class TestFirstWithin:
         assert first_within(items, base + 0.6, 0.1) == 2
         assert first_within(items, base + 2.5, 1.0) is None
         assert first_within([], base, 1.0) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 12), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([0.0, 0.25, 0.5]), nans=st.integers(0, 3))
+    def test_stack_form_is_the_per_item_loop(self, m, n, seed, tol, nans):
+        # quarter-grid entries make exact ties at the tolerance common; NaN entries never match
+        rng = np.random.default_rng(seed)
+        items = rng.integers(0, 3, (m, n, n)) / 4
+        x = rng.integers(0, 3, (n, n)) / 4
+        for _ in range(nans):
+            target = items[rng.integers(m)] if m and rng.random() < 0.8 else x
+            target[rng.integers(n), rng.integers(n)] = np.nan
+        want = next((k for k, item in enumerate(items) if np.max(np.abs(item - x)) <= tol), None)
+        assert first_within(items, x, tol) == want
+
+
+class TestClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(case=closure_atoms(), max_len=st.integers(1, 6), limit=st.integers(1, 400))
+    def test_batched_levels_are_the_per_pair_products(self, case, max_len, limit):
+        # the same (length, element) sequence bytewise, the same candidates offered, up to
+        # an early stop after ``limit`` elements
+        atoms, boolean = case
+        product = boolean_product if boolean else np.matmul
+        got_new, got_offered = bytes_recorder()
+        want_new, want_offered = bytes_recorder()
+        got = [(length, e.tobytes()) for length, e in itertools.islice(_closure(atoms, product, got_new, max_len), limit)]
+        want = [(length, e.tobytes())
+                for length, e in itertools.islice(per_pair_closure(atoms, product, want_new, max_len), limit)]
+        assert got == want
+        assert got_offered == want_offered
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=closure_atoms(), horizon=st.integers(1, 12), cap=st.integers(1, 80))
+    def test_skeleton_closure_verdict_is_the_per_pair_verdict(self, case, horizon, cap):
+        atoms, _ = case
+        masks = [SkeletonMask(a > 0) for a in atoms]
+        got = _skeleton_closure(masks, horizon, cap)
+        with mock.patch.object(matrices, "_closure", per_pair_closure):
+            want = _skeleton_closure(masks, horizon, cap)
+        assert got == want
+
+
+class TestBooleanProduct:
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_counts_of_256_or_more_do_not_wrap(self, n):
+        rng = np.random.default_rng(n)
+        full = np.ones((n, n), dtype=bool)
+        assert boolean_product(full, full).all()
+        a = rng.random((n, n)) < 0.995
+        b = rng.random((n, n)) < 0.01
+        want = np.logical_or.reduce(a[:, :, None] & b[None, :, :], axis=1)
+        assert np.array_equal(boolean_product(a, b), want)
+        assert np.array_equal(boolean_product(a, full), np.logical_or.reduce(a, axis=1)[:, None].repeat(n, axis=1))
+
+    def test_an_atom_times_a_stack_is_each_product(self):
+        rng = np.random.default_rng(3)
+        a = rng.random((5, 5)) < 0.4
+        stack = rng.random((7, 5, 5)) < 0.4
+        got = boolean_product(a, stack)
+        for k in range(7):
+            want = np.logical_or.reduce(a[:, :, None] & stack[k][None, :, :], axis=1)
+            assert np.array_equal(got[k], want)
 
 
 class TestPrimitivity:
