@@ -19,11 +19,11 @@ the same matrices.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
 computes the full consensus gap of a product only where the cheap two-row
-bound max_j |P[0,j] - P[1,j]| is within gap_tol, and at t_max; it tests
+bound max_j |P[0,j] - P[n//2,j]| is within gap_tol, and at t_max; it tests
 positivity only until a replica's first strictly positive product.  Both
 gates are exact: the bound never exceeds the gap in floating point, since
-per column the exact spread is at least the exact two-row difference and
-rounding is monotone, and positivity is a sticky OR.
+per column the exact spread is at least the exact difference of any two
+rows and rounding is monotone, and positivity is a sticky OR.
 
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
@@ -301,12 +301,16 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
 
 
 def _two_row_bound(prod: np.ndarray) -> np.ndarray:
-    """max_j |P[0,j] - P[1,j]| of each product in the (R, n, n) stack (0 when n = 1).
+    """max_j |P[0,j] - P[n//2,j]| of each product in the (R, n, n) stack (0 when n = 1).
 
     Never above consensus_gaps, in floating point too: per column the exact
-    spread is at least the exact |P[0,j] - P[1,j]|, and rounding is monotone.
+    spread is at least the exact difference of any two rows, and rounding
+    is monotone.  Row n//2 rather than row 1: in the ring and islands laws
+    agents 0 and 1 are neighbours, whose rows agree long before the rest,
+    so a bound on them would let the full gap run on many more steps.  At
+    n <= 3 the pair is rows 0 and 1.
     """
-    return np.abs(prod[:, 0] - prod[:, min(1, prod.shape[1] - 1)]).max(axis=1)
+    return np.abs(prod[:, 0] - prod[:, prod.shape[1] // 2]).max(axis=1)
 
 
 def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, gap_tol: float,
@@ -314,15 +318,15 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     """_scan of every replica in lockstep, as five arrays over the replicas (consensus time 0 for None).
 
     The observer does little on a typical step.  It computes the two-row
-    bound of each running product and the full gap only for the replicas
-    whose bound is <= gap_tol and that have not yet converged, and for all
-    of them at t_max.  It tests positivity only for the replicas that have
-    not yet seen a strictly positive product.  It writes t, the gap and the
-    product only at a replica's stop.  The results stay bitwise those of
-    _scan for two reasons.  The bound never exceeds the gap in floating
-    point (see _two_row_bound), so no first crossing of gap_tol is skipped.
-    And strict positivity is recorded as a sticky OR, so a test skipped once
-    it has been seen changes nothing.
+    bound (rows 0 and n//2) of each running product and the full gap only
+    for the replicas whose bound is <= gap_tol and that have not yet
+    converged, and for all of them at t_max.  It tests positivity only for
+    the replicas that have not yet seen a strictly positive product.  It
+    writes t, the gap and the product only at a replica's stop.  The
+    results stay bitwise those of _scan for two reasons.  The bound never
+    exceeds the gap in floating point (see _two_row_bound), so no first
+    crossing of gap_tol is skipped.  And strict positivity is recorded as
+    a sticky OR, so a test skipped once it has been seen changes nothing.
     """
     n = spec.n
     prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()

@@ -25,6 +25,10 @@ from .errors import (
 from .matrices import (BALANCE_TOL, PROB_TOL, SkeletonMask, StochasticMatrix, _connected, is_balanced,
                        is_strictly_positive, skeleton)
 
+# DirichletRows' least alpha row sum: below it a row's gamma draws all
+# underflow to 0 with probability above 2^-53 (see DirichletRows)
+MIN_ROW_ALPHA = 53 / 1075
+
 
 @dataclass(frozen=True)
 class SupportDescriptor:
@@ -263,6 +267,17 @@ class DirichletRows(GeneratorSpec):
     so the positive pattern of alpha is the common skeleton of every draw.
     Rows are sampled as independent Gamma draws normalized by their sum; a
     zero alpha entry gives 0 without consuming the stream.
+
+    Every row's alpha must sum to at least MIN_ROW_ALPHA = 53/1075.  For
+    a < 1, NumPy's standard_gamma(a) returns exactly 0.0 with probability
+    about 2^(-1075 a), so a row whose alpha sums to s draws all zeros, and
+    normalizes to 0/0, with probability about 2^(-1075 s): at most 2^-53
+    per draw above the bound.
+
+    When every positive alpha is the same, the gamma shape is stored as a
+    Python float.  NumPy then skips checking and broadcasting an array of
+    shapes on each call and draws the same variates: its loop calls the
+    same per-variate sampler, in the same C order, either way.
     """
 
     alpha: np.ndarray
@@ -274,12 +289,19 @@ class DirichletRows(GeneratorSpec):
             raise DimensionMismatch(f"alpha must be square, got shape {arr.shape}")
         if (arr < 0).any():
             raise InvalidProbability("alpha entries must be nonnegative")
-        if (arr.sum(axis=1) <= 0).any():
-            raise InvalidProbability("every alpha row needs a positive entry")
+        row_sums = arr.sum(axis=1)
+        thin = np.flatnonzero(~(row_sums >= MIN_ROW_ALPHA))  # NaN sums too
+        if thin.size:
+            i = int(thin[0])
+            raise InvalidProbability(f"alpha row {i} sums to {row_sums[i]:g}, below 53/1075: its gamma "
+                                     "draws would all underflow to 0 with probability above 2^-53")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
         object.__setattr__(self, "_positive", np.nonzero(arr > 0))
-        object.__setattr__(self, "_positive_alpha", arr[self._positive])
+        positive_alpha = arr[self._positive]
+        object.__setattr__(self, "_positive_alpha", positive_alpha)
+        constant = (positive_alpha == positive_alpha[0]).all()
+        object.__setattr__(self, "_gamma_shape", float(positive_alpha[0]) if constant else positive_alpha)
 
     @property
     def n(self):
@@ -297,7 +319,7 @@ class DirichletRows(GeneratorSpec):
 
     def _block(self, state, k):
         # one gamma variate per positive alpha entry, in row-major order
-        return state.rng.standard_gamma(self._positive_alpha, size=(k, self._positive_alpha.size))
+        return state.rng.standard_gamma(self._gamma_shape, size=(k, self._positive_alpha.size))
 
     def _width(self):
         return self._positive_alpha.size

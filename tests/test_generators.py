@@ -28,7 +28,7 @@ from degrootnet import (
     sample_next,
     two_point_swap,
 )
-from degrootnet.cli import run
+from degrootnet.cli import _speed_spec, build_spec, run
 from degrootnet.errors import InvalidProbability, NotStrictlyPositive, Unsupported
 from degrootnet import generators
 from degrootnet.generators import _REGISTRY, _graph_to_row_weights, _lemire, _pruefer_edges
@@ -62,6 +62,19 @@ def block_models():
     """all_models() plus a Markov mixture whose transition rows differ from its start law."""
     sticky = encounter_2x2(0.3, 0.5, transition=((0.9, 0.1), (0.1, 0.9)))
     return dict(all_models(), sticky_markov=sticky)
+
+
+def benchmark_dirichlet_specs():
+    """The Dirichlet-row laws the benchmark's jobs build, through the CLI's constructors."""
+    flat2 = [[0.5, 0.5], [0.5, 0.5]]
+    return {
+        **{f"ring{n}": build_spec({"model": "ring", "n": n}) for n in (5, 6, 10, 20)},
+        "beta2x2": build_spec({"model": "beta2x2", "alpha": 1}),
+        "perturbed8": build_spec({"model": "perturbed", "matrix": flat2, "eps": 8}),
+        "speed_uniform": _speed_spec({"mu": "uniform-indep"}),
+        "speed_arcsine": _speed_spec({"mu": "arcsine-indep"}),
+        "c04": GeneratorSpec.from_dict({"model": "dirichlet_rows", "alpha": [[1.0, 1.0], [0.0, 1.0]]}),
+    }
 
 
 def _undirected_pair():
@@ -310,6 +323,70 @@ class TestDirichletDraw:
         for _ in range(5):
             assert fast.standard_gamma(alpha).tobytes() == slow.gamma(alpha).tobytes()
         assert fast.random() == slow.random()
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), a=st.floats(0.05, 8.0), k=st.integers(1, 33),
+           seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_constant_alpha_draws_with_a_scalar_shape(self, n, a, k, seed, data):
+        # a Python float shape skips NumPy's per-call argument broadcast and
+        # draws the variates of the array shape, leaving the stream where it does
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        mask[np.arange(n), data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))] = True
+        spec = DirichletRows(np.where(mask, a, 0.0))
+        assert type(spec._gamma_shape) is float
+        state, twin = spec.start_state(seed), np.random.default_rng(seed)
+        m = spec._positive_alpha.size
+        assert spec._block(state, k).tobytes() == twin.standard_gamma(spec._positive_alpha, size=(k, m)).tobytes()
+        assert state.rng.bit_generator.state == twin.bit_generator.state
+
+    def test_varying_alpha_keeps_the_array_shape(self):
+        spec = all_models()["dirichlet_dense"]
+        assert spec._gamma_shape is spec._positive_alpha
+
+    @pytest.mark.parametrize("name", sorted(benchmark_dirichlet_specs()))
+    def test_benchmark_specs_draw_with_a_float_shape(self, name):
+        # every Dirichlet law the benchmark runs has one positive alpha; an
+        # array shape there would pay NumPy's argument broadcast on every block
+        assert type(benchmark_dirichlet_specs()[name]._gamma_shape) is float
+
+
+class TestSmallConcentration:
+    # for a < 1, standard_gamma(a) is exactly 0.0 with probability about
+    # 2^(-1075 a), so a row with a small alpha sum can draw all zeros
+
+    def test_thin_row_rejected_by_name(self):
+        with pytest.raises(InvalidProbability, match="row 0 sums to 0.002"):
+            DirichletRows(np.full((2, 2), 1e-3))
+        with pytest.raises(InvalidProbability, match="row 1 sums to 0.02"):
+            DirichletRows(np.array([[1.0, 1.0], [0.0, 0.02]]))
+        with pytest.raises(InvalidProbability, match="row 2"):
+            DirichletRows(np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(InvalidProbability, match="row 0"):
+            PerturbedFixed(flat(2), 0.01)
+
+    def test_bound_is_53_over_1075(self):
+        assert generators.MIN_ROW_ALPHA == 53 / 1075
+        DirichletRows(np.full((1, 1), generators.MIN_ROW_ALPHA))
+        with pytest.raises(InvalidProbability):
+            DirichletRows(np.full((1, 1), np.nextafter(generators.MIN_ROW_ALPHA, 0.0)))
+
+    def test_cli_repros_are_usage_errors(self, tmp_path):
+        # before the bound: "no convergence: only 9/20", CapHit, and NaN draws
+        flat2 = tmp_path / "flat2.json"
+        flat2.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
+        for argv in (["influence", "--model", "beta2x2", "--alpha", "0.001", "--replicas", "20", "--tmax", "200"],
+                     ["speed2x2", "--mu", "beta-indep", "--a", "0.001", "--b", "0.001", "--replicas", "20"],
+                     ["conjugacy", "--model", "perturbed", "--matrix", str(flat2), "--eps", "0.01",
+                      "--replicas", "20"]):
+            assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 2, argv
+
+    def test_alphas_in_use_are_accepted(self):
+        # the smallest alpha rows the tests and the benchmark build: the
+        # arcsine pair and the flat perturbed networks (row sums 1), and every model
+        specs = [DirichletRows(np.full((2, 2), 0.5)), PerturbedFixed(flat(2), 2.0),
+                 *all_models().values(), *benchmark_dirichlet_specs().values()]
+        for spec in specs:
+            assert np.allclose(spec.start_state(0).next_array().sum(axis=1), 1.0)
 
 
 class TestRingUniformSelf:

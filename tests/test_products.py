@@ -100,13 +100,13 @@ def stochastic_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stack = rng.dirichlet(np.full(n, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=(k, n))
     stack[rng.random((k, n, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    shape = draw(st.sampled_from(["random", "near", "rows_0_1_equal", "consensus"]))
+    shape = draw(st.sampled_from(["random", "near", "rows_0_half_equal", "consensus"]))
     if shape == "near":
         # a common row plus a perturbation a few units in the last place and up
         scale = draw(st.sampled_from([1e-17, 1e-15, 1e-12, 1e-9]))
         stack = stack[:, :1] + scale * rng.random((k, n, n))
-    elif shape == "rows_0_1_equal":
-        stack[:, 1] = stack[:, 0]
+    elif shape == "rows_0_half_equal":
+        stack[:, n // 2] = stack[:, 0]
     elif shape == "consensus":
         stack[:] = stack[:, :1]
     stack += (stack.sum(axis=2, keepdims=True) == 0)  # a row of zeros becomes a row of ones
@@ -123,8 +123,10 @@ class TestTwoRowBound:
         for p, b, g in zip(stack, bound, gap):
             assert g == float((p.max(axis=0) - p.min(axis=0)).max())  # _scan's gap
             assert b <= g
-            if np.array_equal(p[0], p[1]):
+            if np.array_equal(p[0], p[len(p) // 2]):
                 assert b == 0.0
+            if len(p) == 2:  # the two rows are the whole spread
+                assert b == g
             if (p == p[0]).all():
                 assert g == 0.0
 
@@ -206,7 +208,8 @@ class TestLockstep:
     @pytest.mark.parametrize("gap_tol", [0.0, 1e-8])
     @pytest.mark.parametrize("case", ["rows_0_1_equal", "one_agent", "no_steps"])
     def test_matches_serial_scans_where_the_bound_is_loose(self, case, gap_tol, stop):
-        # rows_0_1_equal: the bound is 0 on every step and the gap stays 1
+        # rows_0_1_equal: at n = 3 the bound compares rows 0 and n // 2 = 1,
+        # so it is 0 on every step and the gap stays 1
         spec, t_max = {
             "rows_0_1_equal": (Fixed(make_stochastic([[.5, .5, 0], [.5, .5, 0], [0, 0, 1]])), 3 * RENORM_EVERY),
             "one_agent": (Fixed(make_stochastic([[1.0]])), 70),
