@@ -381,6 +381,8 @@ def _cmd_simulate(params):
         if len(p0) != spec.n:
             raise DimensionMismatch(f"{len(p0)} beliefs for n = {spec.n} agents")
         beliefs = engine.BeliefState.from_signals(p0)
+    if params["steps"] < 0:
+        raise InvalidArgument("--steps must be >= 0")
     state = spec.start_state(params["seed"])
     rows = [(0, *beliefs.p_t)]
     for t in range(1, params["steps"] + 1):

@@ -4,18 +4,19 @@ The engine owns the left-product accumulation X^(t) = X_t ... X_1 and the
 derived diagnostics (consensus gap, influence samples, condition checks,
 convergence times, disagreement structure).
 
-Products come from two loops that multiply and renormalize the same way.
-_lockstep advances the products of the replicas of a Monte Carlo run
-together, one batched matmul per step, each replica on its stream
-seeding.replica_rng(seed, i); every Monte Carlo entry point (here, in
-wisdom and in fragmentation) keeps only its observer of the stack and the
-aggregation.  _products advances one caller's state and leaves its stream
-exactly after the last step: accumulate reads it through _scan, and tests
-use it as the serial oracle of _lockstep.  Both draw through
+Products come from two loops that multiply and renormalize, through
+matrices.renormalized, the same way.  _lockstep advances the replicas of a
+Monte Carlo run together, one batched matmul per step, each on its stream
+seeding.replica_rng(seed, i), and keeps each one's step and product at its
+stop (O(replicas n^2) memory); every Monte Carlo entry point (here, in
+wisdom and in fragmentation) keeps only its observer's own statistic and
+the aggregation.  _products advances one caller's state and leaves its
+stream exactly after the last step: accumulate reads it through _scan, and
+tests use it as the serial oracle of _lockstep.  Both draw through
 GeneratorSpec.draw_block, _lockstep in blocks of up to BLOCK draws per
-replica and _products one draw at a time (next_array is a block of one);
-a stream's draws do not depend on the block size, so the two loops see
-the same matrices.
+replica and _products one draw at a time (next_array is a block of one); a
+stream's draws do not depend on the block size, so the two loops see the
+same matrices.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
 computes the full consensus gap of a product only where the cheap two-row
@@ -66,6 +67,7 @@ from .matrices import (
     first_within,
     numeric_rank,  # noqa: F401
     numeric_ranks,
+    renormalized,
     skeletons,
     strictly_positive,
 )
@@ -215,7 +217,7 @@ def _products(state: GeneratorState, t_max: int):
     for t in range(1, t_max + 1):
         prod = state.next_array() @ prod
         if t % RENORM_EVERY == 0:
-            prod = prod / prod.sum(axis=1, keepdims=True)
+            prod = renormalized(prod)
         yield prod
 
 
@@ -238,39 +240,44 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
             consensus_time = t_done
             if stop_when_converged:
                 break
-    prod = prod / prod.sum(axis=1, keepdims=True)
-    return prod, t_done, gap, strict_seen, consensus_time
+    return renormalized(prod), t_done, gap, strict_seen, consensus_time
 
 
 def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe,
-              multiply: bool = True, start=None) -> None:
+              multiply: bool = True, start=None) -> tuple:
     """Advance replicas 0..replicas-1 of master seed ``seed`` in lockstep for t = 1..t_max.
 
-    Replica i's state is ``start(i, rng)`` on its stream seeding.replica_rng(seed, i),
-    by default ``spec.start_state(rng)``.  Replicas run CHUNK at a time, so
-    memory does not grow with the replica count; seeding.replica_rngs builds
-    the streams of a chunk in one pass of array arithmetic, and they are
-    those of replica_rng (NumPy's SeedSequence and PCG64 seeding are fixed
-    algorithms under NEP 19, and the tests check them against default_rng).
-    Each step expands one draw per replica from blocks of up to BLOCK draws
-    (spec._block, from the replica's own stream; short first blocks keep
-    short runs from drawing far past their stop) into one (R, n, n) stack
-    with spec._expand and, with ``multiply``, left-multiplies the stack of
-    running products by it in one batched matmul, renormalizing rows on the
-    schedule of _products; the products
-    are then bitwise those of _products.  ``observe(t, idx, stack)`` sees
-    the products (without ``multiply``, the draws) of the replicas ``idx``
-    still running, in index order, and may return a boolean mask of those
-    that are finished: they leave the stack.  The stack is reused, so an
-    observer copies what it keeps.  A replica may draw up to k - 1 matrices
-    past its stop, from its own stream, so no other replica's output
-    changes.
+    Replica i's state is ``start(i, rng)`` on its stream
+    seeding.replica_rng(seed, i), by default ``spec.start_state(rng)``.
+    Replicas run CHUNK at a time, so the running stack does not grow with the
+    replica count; seeding.replica_rngs builds the streams of a chunk in one
+    pass of array arithmetic, and they are those of replica_rng (NumPy's
+    SeedSequence and PCG64 seeding are fixed algorithms under NEP 19, and the
+    tests check them against default_rng).  Each step expands one draw per
+    replica from blocks of up to BLOCK draws (spec._block, from the replica's
+    own stream; short first blocks keep short runs from drawing far past their
+    stop) into one (R, n, n) stack with spec._expand and, with ``multiply``,
+    left-multiplies the stack of running products by it in one batched matmul,
+    renormalizing rows on the schedule of _products; the products are then
+    bitwise those of _products.  ``observe(t, idx, stack)`` sees the products
+    (without ``multiply``, the draws) of the replicas ``idx`` still running, in
+    index order, and may return a boolean mask of those that are finished: they
+    leave the stack.  The stack is reused, so an observer copies what it keeps.
+    A replica may draw up to k - 1 matrices past its stop, from its own stream,
+    so no other replica's output changes.
+
+    Returns ``(products, stops)``: replica i stops at ``stops[i]``, where
+    ``observe`` marked it finished or else at t_max, and ``products[i]`` is
+    its product there renormalized once, bitwise _scan's (the identity at
+    t_max = 0), kept in O(replicas n^2) memory; without ``multiply`` it is None.
     """
     n = spec.n
     if start is None:
         def start(i, rng):
             return spec.start_state(rng)
 
+    kept = np.empty((replicas, n, n)) if multiply else None
+    stops = np.full(replicas, t_max)
     for first in range(0, replicas, CHUNK):
         stop = min(first + CHUNK, replicas)
         idx = np.arange(first, stop)
@@ -290,14 +297,20 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
             if multiply:
                 prod, spare = np.matmul(x, prod, out=spare), prod
                 if t % RENORM_EVERY == 0:
-                    prod /= prod.sum(axis=2, keepdims=True)
+                    prod = renormalized(prod)
             done = observe(t, idx, prod if multiply else x)
             if done is not None and done.any():
+                stops[idx[done]] = t
+                if multiply:
+                    kept[idx[done]] = renormalized(prod[done])
                 keep = ~done
                 idx, prod, block = idx[keep], prod[keep], block[keep]
                 spare, draws = spare[:len(idx)], draws[:len(idx)]
                 if not len(idx):
                     break
+        if multiply:
+            kept[idx] = renormalized(prod)
+    return kept, stops
 
 
 def _two_row_bound(prod: np.ndarray) -> np.ndarray:
@@ -322,16 +335,14 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     for the replicas whose bound is <= gap_tol and that have not yet
     converged, and for all of them at t_max.  It tests positivity only for
     the replicas that have not yet seen a strictly positive product.  It
-    writes t, the gap and the product only at a replica's stop.  The
-    results stay bitwise those of _scan for two reasons.  The bound never
-    exceeds the gap in floating point (see _two_row_bound), so no first
-    crossing of gap_tol is skipped.  And strict positivity is recorded as
-    a sticky OR, so a test skipped once it has been seen changes nothing.
+    writes the gap only at a replica's stop, where _lockstep keeps t and
+    the product.  The results stay bitwise those of _scan for two reasons.
+    The bound never exceeds the gap in floating point (see _two_row_bound),
+    so no first crossing of gap_tol is skipped.  And strict positivity is
+    recorded as a sticky OR, so a test skipped once it has been seen
+    changes nothing.
     """
-    n = spec.n
-    prods = np.broadcast_to(np.eye(n), (replicas, n, n)).copy()
-    t_done = np.zeros(replicas, dtype=int)
-    gaps = np.full(replicas, 1.0 if n > 1 else 0.0)
+    gaps = np.full(replicas, 1.0 if spec.n > 1 else 0.0)
     strict_seen = np.zeros(replicas, dtype=bool)
     consensus_time = np.zeros(replicas, dtype=int)  # 0 until the gap reaches gap_tol
 
@@ -348,15 +359,10 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
         hit = fresh & (gap <= gap_tol)
         consensus_time[idx[hit]] = t
         done = (hit & stop_when_converged) | (t == t_max)
-        if done.any():
-            stopped = idx[done]
-            t_done[stopped] = t
-            gaps[stopped] = gap[done]
-            prods[stopped] = prod[done]
+        gaps[idx[done]] = gap[done]
         return done
 
-    _lockstep(spec, replicas, seed, t_max, observe, start=start)
-    prods /= prods.sum(axis=2, keepdims=True)
+    prods, t_done = _lockstep(spec, replicas, seed, t_max, observe, start=start)
     return prods, t_done, gaps, strict_seen, consensus_time
 
 
@@ -464,7 +470,7 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
 
     def observe(t, idx, prod):
         positive[idx] = strictly_positive(prod)
-        coefficients[idx, t - 1] = dobrushin_coefficients(prod / prod.sum(axis=2, keepdims=True))
+        coefficients[idx, t - 1] = dobrushin_coefficients(renormalized(prod))
         return positive[idx]
 
     _lockstep(spec, replicas, seed, horizon, observe)
@@ -665,17 +671,13 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
         raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
-    norms = np.empty(replicas)
-    times = np.empty(replicas, dtype=int)
 
-    def observe(t, idx, prod):
-        p = prod / prod.sum(axis=2, keepdims=True)
-        norm = np.linalg.norm(p - p.mean(axis=1, keepdims=True), 2, axis=(1, 2))
-        norms[idx] = norm
-        times[idx] = t
-        return norm < spec.n * NORM_FLOOR
+    def distance(p):
+        return np.linalg.norm(p - p.mean(axis=1, keepdims=True), 2, axis=(1, 2))
 
-    _lockstep(spec, replicas, seed, t_max, observe)
+    prods, times = _lockstep(spec, replicas, seed, t_max,
+                             lambda t, idx, prod: distance(renormalized(prod)) < spec.n * NORM_FLOOR)
+    norms = distance(prods)  # at each replica's stop: the product there is renormalized once
     if (norms == 0.0).any():
         return 0.0
     return math.exp(float(np.log(norms).sum() / times.sum()))
@@ -701,15 +703,7 @@ def disagreement_degree(spec: GeneratorSpec, replicas: int, t_max: int,
     if t_max < 0:
         raise InvalidArgument("t_max must be >= 0")
 
-    # only the products at t_max are read: renormalized once, as _scan_replicas does
-    prods = np.tile(np.eye(spec.n), (replicas, 1, 1))
-
-    def observe(t, idx, prod):
-        if t == t_max:
-            prods[idx] = prod
-
-    _lockstep(spec, replicas, seed, t_max, observe)
-    prods /= prods.sum(axis=2, keepdims=True)
+    prods, _ = _lockstep(spec, replicas, seed, t_max, lambda t, idx, prod: None)
     return _disagreement_report(prods)
 
 
@@ -720,7 +714,7 @@ def _disagreement_report(prods) -> DisagreementReport:
     as StochasticMatrix._trusted does.
     """
     replicas = len(prods)
-    rank_counts = Counter(numeric_ranks(prods / prods.sum(axis=2, keepdims=True)).tolist())
+    rank_counts = Counter(numeric_ranks(renormalized(prods)).tolist())
     # the atoms found so far are atoms[:len(counts)]
     atoms = np.empty((MAX_ATOMS + 1,) + prods.shape[1:])
     counts: list[int] = []

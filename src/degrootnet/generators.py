@@ -23,10 +23,10 @@ from .errors import (
     Unsupported,
 )
 from .matrices import (BALANCE_TOL, PROB_TOL, SkeletonMask, StochasticMatrix, _connected, is_balanced,
-                       is_strictly_positive, skeleton)
+                       is_strictly_positive, renormalized, skeleton)
 
-# DirichletRows' least alpha row sum: below it a row's gamma draws all
-# underflow to 0 with probability above 2^-53 (see DirichletRows)
+# DirichletRows' least positive alpha entry: below it the entry's gamma draw
+# underflows to 0 with probability above 2^-53 (see DirichletRows)
 MIN_ROW_ALPHA = 53 / 1075
 
 
@@ -268,11 +268,11 @@ class DirichletRows(GeneratorSpec):
     Rows are sampled as independent Gamma draws normalized by their sum; a
     zero alpha entry gives 0 without consuming the stream.
 
-    Every row's alpha must sum to at least MIN_ROW_ALPHA = 53/1075.  For
-    a < 1, NumPy's standard_gamma(a) returns exactly 0.0 with probability
-    about 2^(-1075 a), so a row whose alpha sums to s draws all zeros, and
-    normalizes to 0/0, with probability about 2^(-1075 s): at most 2^-53
-    per draw above the bound.
+    Every alpha entry must be 0 or at least MIN_ROW_ALPHA = 53/1075, and
+    every row needs a positive one.  For a < 1, NumPy's standard_gamma(a)
+    is exactly 0.0 with probability about 2^(-1075 a), so above the bound
+    support()'s skeleton alpha > 0 fails with probability below 2^-53 per
+    entry and draw, and a row draws all zeros (0/0) more rarely still.
 
     When every positive alpha is the same, the gamma shape is stored as a
     Python float.  NumPy then skips checking and broadcasting an array of
@@ -287,14 +287,14 @@ class DirichletRows(GeneratorSpec):
         arr = np.array(self.alpha, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"alpha must be square, got shape {arr.shape}")
-        if (arr < 0).any():
-            raise InvalidProbability("alpha entries must be nonnegative")
-        row_sums = arr.sum(axis=1)
-        thin = np.flatnonzero(~(row_sums >= MIN_ROW_ALPHA))  # NaN sums too
-        if thin.size:
-            i = int(thin[0])
-            raise InvalidProbability(f"alpha row {i} sums to {row_sums[i]:g}, below 53/1075: its gamma "
-                                     "draws would all underflow to 0 with probability above 2^-53")
+        bad = np.argwhere(~((arr == 0) | (arr >= MIN_ROW_ALPHA)))  # negative and NaN entries too
+        if bad.size:
+            i, j = map(int, bad[0])
+            raise InvalidProbability(f"alpha entry ({i}, {j}) = {arr[i, j]:g} is neither 0 nor at least 53/1075: "
+                                     "a smaller positive alpha draws 0 with probability above 2^-53")
+        empty = np.flatnonzero(~arr.any(axis=1))
+        if empty.size:
+            raise InvalidProbability(f"alpha row {int(empty[0])} has no positive entry")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
         object.__setattr__(self, "_positive", np.nonzero(arr > 0))
@@ -332,7 +332,7 @@ class DirichletRows(GeneratorSpec):
         return out
 
     def mean_matrix(self):
-        return StochasticMatrix._trusted(self.alpha / self.alpha.sum(axis=1, keepdims=True))
+        return StochasticMatrix._trusted(renormalized(self.alpha))
 
     def support(self):
         mask = SkeletonMask(self.alpha > 0)
@@ -859,7 +859,7 @@ def _graph_to_row_weights(adj: np.ndarray) -> np.ndarray:
     a = adj.astype(float)
     diagonal = np.arange(a.shape[-1])
     a[..., diagonal, diagonal] += ~adj.any(axis=-1)
-    return a / a.sum(axis=-1, keepdims=True)
+    return renormalized(a)
 
 
 def _left_unit_eigenvector(T: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ and the handful of spectral quantities the rest of the package needs.
 
 Each numerical test a consensus verdict rests on is written once here, in a
 form over (..., n, n) stacks: consensus_gaps, strictly_positive, skeletons,
-numeric_ranks and first_within, the duplicate match.
+numeric_ranks and first_within, the duplicate match.  So is the roundoff
+policy, renormalized: the row division of every product and weight.
 
 _closure is the one breadth-first enumeration of support products, read by
 the skeleton closure of condition (C), primitivity and engine.semigroup_explore.
@@ -55,7 +56,7 @@ class StochasticMatrix:
         if bad.size:
             i = int(bad[0][0])
             raise RowSumViolation(i, float(sums[i]))
-        arr /= sums[:, None]
+        arr = renormalized(arr)
         arr.setflags(write=False)
         self.entries = arr
 
@@ -64,8 +65,7 @@ class StochasticMatrix:
         # Internal constructor for arrays already known to be row-stochastic
         # (generator output, renormalized products).  Skips validation.
         obj = object.__new__(cls)
-        arr = np.asarray(arr, dtype=float)
-        arr = arr / arr.sum(axis=1, keepdims=True)
+        arr = renormalized(np.asarray(arr, dtype=float))
         arr.setflags(write=False)
         obj.entries = arr
         return obj
@@ -127,6 +127,11 @@ def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
     if a.n != b.n:
         raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
     return StochasticMatrix._trusted(a.entries @ b.entries)
+
+
+def renormalized(stack: np.ndarray) -> np.ndarray:
+    """A new (..., n, n) stack with each row divided by its sum; in place (/=) it gives the same bits."""
+    return stack / stack.sum(axis=-1, keepdims=True)
 
 
 def skeleton(m: StochasticMatrix) -> SkeletonMask:

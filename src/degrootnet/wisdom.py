@@ -240,23 +240,21 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     always counts, since an average of row-stochastic matrices has one of
     at least 1, so the rank is never 0 even where that threshold reaches 1.
     The scan reads no gap: it tests positivity until some product is
-    strictly positive and keeps each product at t_max.
+    strictly positive, and the products are _lockstep's at t_max.
     """
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
+    if t_max < 1:
+        raise InvalidArgument("t_max must be >= 1")
     if rank_rel_tol is None:
         rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
-    prods = np.broadcast_to(np.eye(spec.n), (replicas, spec.n, spec.n)).copy()
     strict_seen = False
 
     def observe(t, idx, prod):
         nonlocal strict_seen
         strict_seen = strict_seen or bool(strictly_positive(prod).any())
-        if t == t_max:
-            prods[idx] = prod
 
-    _lockstep(spec, replicas, seed, t_max, observe)
-    prods /= prods.sum(axis=2, keepdims=True)
+    prods, _ = _lockstep(spec, replicas, seed, t_max, observe)
     if not strict_seen and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
     mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)

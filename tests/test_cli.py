@@ -219,6 +219,7 @@ class TestExitCodes:
         (["simulate", "--model", "ring", "--n", "3", "--p0", "0.5,0.2"], "--p0"),
         (["pmax"], "--dist or --islands"),
         (["influence", "--model", "ring", "--n", "3", "--replicas", "0"], "replicas"),
+        (["simulate", "--model", "ring", "--n", "2", "--p0", "0.5,0.2", "--steps", "-2"], "--steps"),
     ])
     def test_bad_argument_is_usage_error_naming_it(self, capsys, argv, flag):
         assert run(argv) == EXIT_USAGE

@@ -623,6 +623,21 @@ class TestLyapunov:
         est = lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=500, replicas=5000, seed=3)
         assert abs(math.log(est) - mu) <= 0.01 * abs(mu)
 
+    def test_exact_rate_when_the_horizon_stops_half_the_replicas(self):
+        # At t_max = 50 a replica stops at its 25th meeting or at t_max, so
+        # each tau lies in [25, 50] and about 44% of them are t_max (fewer
+        # than 25 meetings in 50 fair flips).  log(est) = log(0.4) M / S,
+        # M the meetings and S the sum of the tau, both summed to the
+        # stops; M - S/2 is a martingale of at most 50R steps of +-1/2.  So
+        # by Azuma-Hoeffding and S >= 25R, log(est) misses mu = log(0.4)/2
+        # by a relative delta with probability at most
+        # 2 exp(-6.25 delta^2 R): 1e-6 at the delta below.
+        replicas = 1000
+        mu = 0.5 * math.log(0.4)
+        delta = math.sqrt(math.log(2 / 1e-6) / (6.25 * replicas))
+        est = lyapunov_exponent(encounter_2x2(0.3, 0.5), t_max=50, replicas=replicas, seed=5)
+        assert abs(math.log(est) - mu) <= delta * abs(mu)
+
 
 class TestDisagreement:
     def test_two_point_swap_masses(self):
@@ -825,6 +840,8 @@ def test_monte_carlo_entry_points_reject_empty_runs(entry, replicas):
 HORIZON_ENTRY_POINTS = {
     "estimate_influence": lambda t: estimate_influence(ring_uniform_self(3), replicas=4, t_max=t),
     "lyapunov_exponent": lambda t: lyapunov_exponent(ring_uniform_self(3), t_max=t, replicas=4),
+    "mean_rank_one_test": lambda t: mean_rank_one_test(ring_uniform_self(3), replicas=4, t_max=t,
+                                                       allow_no_positive=True),
     "WisdomConfig": lambda t: WisdomConfig(family=ring_uniform_self, sizes=(3,),
                                            signal_law=UniformSignal(0.5), replicas=4, t_max=t),
 }

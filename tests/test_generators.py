@@ -163,20 +163,14 @@ class TestMeanMatrix:
         assert np.allclose(two_point_swap(a).mean_matrix().entries, [[a, 1 - a], [1 - a, a]])
 
     def test_empirical_mean_within_5e3_all_models(self):
+        # blocks of draws are the sequential draws (test_equals_sequential_draws_bitwise)
         for name, spec in all_models().items():
             draws = 100_000
-            acc = np.zeros((spec.n, spec.n))
+            state = spec.start_state(123)
             if name == "ar1":
                 # time average over one long path, burning in the start at T0
-                state = spec.start_state(123)
-                for _ in range(200):
-                    state.next_array()
-                for _ in range(draws):
-                    acc += state.next_array()
-            else:
-                state = spec.start_state(123)
-                for _ in range(draws):
-                    acc += state.next_array()
+                spec.draw_block(state, 200)
+            acc = sum(spec.draw_block(state, 10_000).sum(axis=0) for _ in range(draws // 10_000))
             err = np.abs(acc / draws - spec.mean_matrix().entries).max()
             assert err < 5e-3, f"{name}: empirical mean off by {err}"
 
@@ -355,20 +349,40 @@ class TestSmallConcentration:
     # 2^(-1075 a), so a row with a small alpha sum can draw all zeros
 
     def test_thin_row_rejected_by_name(self):
-        with pytest.raises(InvalidProbability, match="row 0 sums to 0.002"):
+        with pytest.raises(InvalidProbability, match=r"entry \(0, 0\) = 0.001 "):
             DirichletRows(np.full((2, 2), 1e-3))
-        with pytest.raises(InvalidProbability, match="row 1 sums to 0.02"):
+        with pytest.raises(InvalidProbability, match=r"entry \(1, 1\) = 0.02 "):
             DirichletRows(np.array([[1.0, 1.0], [0.0, 0.02]]))
-        with pytest.raises(InvalidProbability, match="row 2"):
+        with pytest.raises(InvalidProbability, match="row 2 has no positive entry"):
             DirichletRows(np.diag([1.0, 1.0, 0.0]))
-        with pytest.raises(InvalidProbability, match="row 0"):
+        with pytest.raises(InvalidProbability, match=r"entry \(0, 0\)"):
             PerturbedFixed(flat(2), 0.01)
+        with pytest.raises(InvalidProbability, match=r"entry \(1, 0\) = nan"):
+            DirichletRows(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        with pytest.raises(InvalidProbability, match=r"entry \(0, 1\) = -1"):
+            DirichletRows(np.array([[1.0, -1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-300])
+    def test_small_entry_in_a_heavy_row_rejected_by_name(self, a, tmp_path):
+        # the rows sum to more than 1, yet the off-diagonal draw is 0 in 99.5%
+        # (1e-4) or all (1e-300) of draws, so the skeleton alpha > 0 would not hold
+        alpha = [[1.0, a], [a, 1.0]]
+        with pytest.raises(InvalidProbability, match=r"entry \(0, 1\) = " + f"{a:g}"):
+            DirichletRows(np.array(alpha))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"model": "dirichlet_rows", "alpha": alpha}))
+        assert run(["influence", "--spec", str(spec), "--replicas", "50", "--tmax", "2000"]) == 2
 
     def test_bound_is_53_over_1075(self):
         assert generators.MIN_ROW_ALPHA == 53 / 1075
+        below = np.nextafter(generators.MIN_ROW_ALPHA, 0.0)
         DirichletRows(np.full((1, 1), generators.MIN_ROW_ALPHA))
         with pytest.raises(InvalidProbability):
-            DirichletRows(np.full((1, 1), np.nextafter(generators.MIN_ROW_ALPHA, 0.0)))
+            DirichletRows(np.full((1, 1), below))
+        # the bound is per entry: it binds in a row whose sum is far above it
+        DirichletRows(np.array([[1.0, generators.MIN_ROW_ALPHA], [0.0, 1.0]]))
+        with pytest.raises(InvalidProbability, match=r"entry \(0, 1\)"):
+            DirichletRows(np.array([[1.0, below], [0.0, 1.0]]))
 
     def test_cli_repros_are_usage_errors(self, tmp_path):
         # before the bound: "no convergence: only 9/20", CapHit, and NaN draws
@@ -793,12 +807,9 @@ class TestStationarityAndDeterminism:
             spec = models[name]
             diffs = []
             for s in range(seeds):
-                state = spec.start_state(s)
-                x1 = state.next_array().copy()
-                for _ in range(48):
-                    state.next_array()
-                x50 = state.next_array()
-                diffs.append(x1 - x50)
+                # draws 1 to 50 of seed s, as one block (test_equals_sequential_draws_bitwise)
+                block = spec.draw_block(spec.start_state(s), 50)
+                diffs.append(block[0] - block[49])
             diffs = np.asarray(diffs)
             mean_diff = np.abs(diffs.mean(axis=0))
             se = diffs.std(axis=0, ddof=1) / np.sqrt(seeds)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degrootnet import (
@@ -43,7 +43,7 @@ from degrootnet.engine import (
     _scan_replicas,
     _two_row_bound,
 )
-from degrootnet.matrices import StochasticMatrix, consensus_gaps, numeric_rank
+from degrootnet.matrices import StochasticMatrix, consensus_gaps, numeric_rank, renormalized
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models
 
@@ -203,6 +203,41 @@ class TestLockstep:
             assert prod.tobytes() == want[0].tobytes(), (name, i)
             assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), (name, i)
             assert (t, strict_seen, consensus_time or None) == (want[1], want[3], want[4]), (name, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(block_models())), replicas=st.integers(1, 30), t_max=st.integers(0, 100),
+           p_stop=st.sampled_from([0.0, 0.02, 0.2]), p_quiet=st.sampled_from([0.0, 0.5, 1.0]),
+           chunk=st.sampled_from([7, engine.CHUNK]), seed=st.integers(0, 2**32 - 1))
+    @example(name="dirichlet_ring", replicas=engine.CHUNK + 3, t_max=9, p_stop=0.2, p_quiet=0.5,
+             chunk=engine.CHUNK, seed=1)
+    def test_keeps_each_replica_product_at_its_stop(self, name, replicas, t_max, p_stop, p_quiet, chunk, seed):
+        # the observer marks replica i done at step t where marks[i, t-1] < p_stop,
+        # except on the quiet steps, where it returns None
+        spec = block_models()[name]
+        rng = np.random.default_rng(seed)
+        marks, quiet = rng.random((replicas, t_max)), rng.random(t_max) < p_quiet
+        marks[:, quiet] = 1.0
+
+        def observe(t, idx, prod):
+            return None if quiet[t - 1] else marks[idx, t - 1] < p_stop
+
+        with mock.patch.object(engine, "CHUNK", chunk):
+            prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe)
+        # a final column marks every replica at t_max + 1, so a replica never marked stops at t_max
+        marked = np.concatenate((marks < p_stop, np.ones((replicas, 1), dtype=bool)), axis=1)
+        want_stops = np.minimum(marked.argmax(axis=1) + 1, t_max)
+        assert stops.tolist() == want_stops.tolist()
+        assert prods.shape == (replicas, spec.n, spec.n)
+        for i, stop in enumerate(want_stops.tolist()):
+            prod = np.eye(spec.n)
+            for prod in _products(spec.start_state(replica_rng(seed, i)), stop):
+                pass
+            assert prods[i].tobytes() == renormalized(prod).tobytes(), (name, i, stop)
+        if t_max == 0:
+            assert (prods == np.eye(spec.n)).all()
+        # without multiply the observer sees the draws, and no product is kept
+        no_prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe, multiply=False)
+        assert no_prods is None and stops.tolist() == want_stops.tolist()
 
     @pytest.mark.parametrize("stop", [True, False])
     @pytest.mark.parametrize("gap_tol", [0.0, 1e-8])
