@@ -72,7 +72,14 @@ from .matrices import (
     strictly_positive,
 )
 # map_replicas is unused here; it stays bound because perfbench/tracer.py patches engine.map_replicas.
-from .seeding import map_replicas, replica_rngs, replica_seed  # noqa: F401
+from .seeding import (  # noqa: F401
+    first_uniforms,
+    map_replicas,
+    replica_rngs,
+    replica_seed,
+    replica_words,
+    resumed_rng,
+)
 
 GAP_TOL = 1e-8
 RENORM_EVERY = 64
@@ -82,6 +89,7 @@ RENORM_EVERY = 64
 CHUNK = 256
 FIRST_BLOCK = 8
 BLOCK = 32
+GROUP = 16  # chunks whose array-drawn first blocks are computed in one pass (see _lockstep)
 BLOCK_VALUES = 1 << 21
 MAX_ATOMS = 64  # disagreement_degree reports atoms only up to this many
 # disagreement_degree merges a limit product into an atom within this
@@ -244,7 +252,7 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float,
 
 
 def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe,
-              multiply: bool = True, start=None) -> tuple:
+              multiply: bool = True, start=None, keep: bool = True) -> tuple:
     """Advance replicas 0..replicas-1 of master seed ``seed`` in lockstep for t = 1..t_max.
 
     Replica i's state is ``start(i, rng)`` on its stream
@@ -266,31 +274,55 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
     A replica may draw up to k - 1 matrices past its stop, from its own stream,
     so no other replica's output changes.
 
-    Returns ``(products, stops)``: replica i stops at ``stops[i]``, where
-    ``observe`` marked it finished or else at t_max, and ``products[i]`` is
-    its product there renormalized once, bitwise _scan's (the identity at
-    t_max = 0), kept in O(replicas n^2) memory; without ``multiply`` it is None.
+    A law whose block is nothing but uniforms (``spec._uniform_block``), with
+    the default ``start``, builds no Generator for its first block: the first
+    blocks of GROUP chunks at a time come from seeding.first_uniforms, NumPy's
+    PCG64 seeding and output run on uint64 arrays, bitwise the values of
+    ``random(k)``.  Most replicas of short runs stop within that block.  A
+    replica still running when it ends gets its Generator then, advanced past
+    the block by PCG64's own jump-ahead (seeding.resumed_rng), and draws every
+    later block from it, so the blocks, their draws and the schedule are the
+    same either way.
+
+    Returns ``(products, stops)``: replica i stops at ``stops[i]``, the step
+    where ``observe`` marked it finished, or t_max + 1 if it never did.
+    ``products[i]`` is its product at min(stops[i], t_max) renormalized once,
+    bitwise _scan's (the identity at t_max = 0), kept in O(replicas n^2)
+    memory; without ``multiply`` or ``keep`` it is None.
     """
     n = spec.n
+    arrays = start is None and spec._uniform_block
     if start is None:
         def start(i, rng):
             return spec.start_state(rng)
 
-    kept = np.empty((replicas, n, n)) if multiply else None
-    stops = np.full(replicas, t_max)
+    kept = np.empty((replicas, n, n)) if multiply and keep else None
+    stops = np.full(replicas, t_max + 1)
     for first in range(0, replicas, CHUNK):
         stop = min(first + CHUNK, replicas)
         idx = np.arange(first, stop)
-        states = {i: start(i, rng) for i, rng in zip(range(first, stop), replica_rngs(seed, first, stop))}
+        if not arrays:
+            states = {i: start(i, rng) for i, rng in zip(range(first, stop), replica_rngs(seed, first, stop))}
+        else:
+            states = None  # until the first block runs out
+            if first % (GROUP * CHUNK) == 0:
+                base = first
+                words = replica_words(seed, base, min(base + GROUP * CHUNK, replicas))
+                uniforms = first_uniforms(words, min(FIRST_BLOCK, BLOCK, t_max))
         prod = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
         spare = np.empty_like(prod)
         draws = np.zeros_like(prod)
         k = j = 0
         for t in range(1, t_max + 1):
             if j == k:
+                if states is None and t > 1:
+                    states = {i: start(i, resumed_rng(words[i - base], k)) for i in idx.tolist()}
                 k = max(1, min(2 * k or FIRST_BLOCK, BLOCK, t_max - t + 1,
                                BLOCK_VALUES // (len(idx) * spec._width())))
-                block = np.stack([spec._block(states[i], k) for i in idx.tolist()])
+                if states is None:
+                    block = uniforms[first - base:stop - base, :k]
+                else:
+                    block = np.stack([spec._block(states[i], k) for i in idx.tolist()])
                 j = 0
             x = spec._expand(block[:, j], draws)
             j += 1
@@ -301,14 +333,14 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
             done = observe(t, idx, prod if multiply else x)
             if done is not None and done.any():
                 stops[idx[done]] = t
-                if multiply:
+                if kept is not None:
                     kept[idx[done]] = renormalized(prod[done])
-                keep = ~done
-                idx, prod, block = idx[keep], prod[keep], block[keep]
+                running = ~done
+                idx, prod, block = idx[running], prod[running], block[running]
                 spare, draws = spare[:len(idx)], draws[:len(idx)]
                 if not len(idx):
                     break
-        if multiply:
+        if kept is not None:
             kept[idx] = renormalized(prod)
     return kept, stops
 
@@ -362,8 +394,9 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
         gaps[idx[done]] = gap[done]
         return done
 
-    prods, t_done = _lockstep(spec, replicas, seed, t_max, observe, start=start)
-    return prods, t_done, gaps, strict_seen, consensus_time
+    prods, stops = _lockstep(spec, replicas, seed, t_max, observe, start=start)
+    # every replica is marked at t_max, except at t_max = 0, where no step runs
+    return prods, np.minimum(stops, t_max), gaps, strict_seen, consensus_time
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
@@ -473,7 +506,7 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
         coefficients[idx, t - 1] = dobrushin_coefficients(renormalized(prod))
         return positive[idx]
 
-    _lockstep(spec, replicas, seed, horizon, observe)
+    _lockstep(spec, replicas, seed, horizon, observe, keep=False)
     if positive.any():
         return ConditionCReport(HOLDS, "monte_carlo_positivity", int(positive.sum()) / replicas, horizon)
     means = coefficients.sum(axis=0) / replicas
@@ -554,16 +587,13 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
         raise InvalidArgument("t_cap must be >= 1")
 
     spread = np.ones(replicas)
-    t_phi = np.full(replicas, t_cap)  # t_cap: still at least phi from consensus
 
     def observe(t, idx, x):
         spread[idx] *= x[:, 0, 0] - x[:, 1, 0]
-        hit = np.abs(spread[idx]) < phi
-        t_phi[idx[hit]] = t - 1
-        return hit
+        return np.abs(spread[idx]) < phi
 
-    _lockstep(spec, replicas, seed, t_cap, observe, multiply=False)
-    samples = t_phi.tolist()
+    _, stops = _lockstep(spec, replicas, seed, t_cap, observe, multiply=False)
+    samples = (stops - 1).tolist()  # t_cap where never within phi
     capped = samples.count(t_cap)  # a replica that comes within phi at t has t_phi = t - 1 < t_cap
     if capped > 0.01 * replicas:
         raise CapHit(f"{capped}/{replicas} replicas still above phi at t_cap={t_cap}")
@@ -675,12 +705,12 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
     def distance(p):
         return np.linalg.norm(p - p.mean(axis=1, keepdims=True), 2, axis=(1, 2))
 
-    prods, times = _lockstep(spec, replicas, seed, t_max,
+    prods, stops = _lockstep(spec, replicas, seed, t_max,
                              lambda t, idx, prod: distance(renormalized(prod)) < spec.n * NORM_FLOOR)
     norms = distance(prods)  # at each replica's stop: the product there is renormalized once
     if (norms == 0.0).any():
         return 0.0
-    return math.exp(float(np.log(norms).sum() / times.sum()))
+    return math.exp(float(np.log(norms).sum() / np.minimum(stops, t_max).sum()))
 
 
 # --- disagreement ------------------------------------------------------------

@@ -385,14 +385,10 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     flat = np.full((n, n), 1.0 / n)
     t_max = t_grid[-1]
 
-    crossings = np.full(replicas, t_max + 1)  # past t_max: no crossing by then
-
     def observe(t, idx, prod):
-        hit = np.linalg.norm(prod - flat, 2, axis=(1, 2)) < epsilon
-        crossings[idx[hit]] = t
-        return hit
+        return np.linalg.norm(prod - flat, 2, axis=(1, 2)) < epsilon
 
-    _lockstep(spec, replicas, seed, t_max, observe)
+    _, crossings = _lockstep(spec, replicas, seed, t_max, observe, keep=False)  # t_max + 1: no crossing by then
     counts = np.array([int((t < crossings).sum()) for t in t_grid])
     logprob = tuple(
         math.log(c / replicas) if c > 0 else -math.inf for c in counts

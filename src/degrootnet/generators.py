@@ -74,6 +74,9 @@ class GeneratorSpec:
     """Base class for network generating processes."""
 
     kind = "abstract"
+    # True when _block(state, k) is state.rng.random(k) and touches nothing else of
+    # the state: engine._lockstep may then take a first block from seeding.first_uniforms
+    _uniform_block = False
 
     @property
     def n(self) -> int:
@@ -210,6 +213,10 @@ class FiniteMixture(GeneratorSpec):
 
     @property
     def is_iid(self):
+        return self.transition is None
+
+    @property
+    def _uniform_block(self):
         return self.transition is None
 
     def _index(self, cum, u):
@@ -393,6 +400,7 @@ class LeaderFollower(GeneratorSpec):
 
     size: int
     kind = "leader_follower"
+    _uniform_block = True
 
     def __post_init__(self):
         if self.size < 2:

@@ -271,6 +271,24 @@ class TestDecayRate:
                                   replicas=20000, seed=41)
         assert rep.empirical_rate == pytest.approx(abs(math.log(q)), rel=0.3)
 
+    def test_memory_does_not_grow_by_a_product_per_replica(self):
+        # A kept (4, 4) product is 128 B per replica, first blocks drawn for the whole run at once
+        # over 96 B (seed words and uniforms); the stop array is 8 B.
+        import tracemalloc
+
+        spec = self.two_atom_spec(0.3)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for replicas in (20000, 40000):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                decay_rate_estimate(spec, epsilon=0.5, t_grid=range(1, 41), replicas=replicas, seed=1010)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 20000, peaks
+
     def test_always_connected_reports_infinite_rate(self):
         spec = metropolis_mixture(GraphDistribution(atoms=((K4, 1.0),)))
         rep = decay_rate_estimate(spec, epsilon=0.5, t_grid=range(1, 11),

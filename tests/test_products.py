@@ -191,10 +191,22 @@ class TestLockstep:
     @given(name=st.sampled_from(sorted(block_models())), replicas=st.integers(1, 50),
            t_max=st.integers(0, 200), stop=st.booleans(), gap_tol=st.sampled_from([0.0, 1e-3, 1e-8]),
            small=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # uniform laws, whose first blocks come from arrays: a horizon inside the first block, and
+    # replicas that outlive it across a chunk and a group boundary (122 > GROUP * 7)
+    @example(name="encounter2x2", replicas=40, t_max=engine.FIRST_BLOCK - 3, stop=True, gap_tol=1e-3,
+             small=False, seed=5)
+    @example(name="leader_follower", replicas=40, t_max=engine.FIRST_BLOCK - 1, stop=False, gap_tol=1e-3,
+             small=False, seed=6)
+    @example(name="encounter2x2", replicas=engine.GROUP * 7 + 10, t_max=40, stop=True, gap_tol=1e-8,
+             small=True, seed=7)
+    @example(name="leader_follower", replicas=engine.GROUP * 7 + 10, t_max=30, stop=True, gap_tol=1e-3,
+             small=True, seed=8)
     def test_matches_serial_scans_bytewise(self, name, replicas, t_max, stop, gap_tol, small, seed):
-        # small: chunks of 7 replicas and a block budget that cuts blocks to a few draws, down to one
+        # small: chunks of 7 replicas, first blocks of 3 draws and a block budget that cuts
+        # blocks to a few draws, down to one
         spec = block_models()[name]
         with mock.patch.multiple(engine, CHUNK=7 if small else engine.CHUNK,
+                                 FIRST_BLOCK=3 if small else engine.FIRST_BLOCK,
                                  BLOCK_VALUES=60 if small else engine.BLOCK_VALUES):
             got = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop)
         assert all(len(column) == replicas for column in got)
@@ -223,20 +235,24 @@ class TestLockstep:
 
         with mock.patch.object(engine, "CHUNK", chunk):
             prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe)
-        # a final column marks every replica at t_max + 1, so a replica never marked stops at t_max
+        # a final column marks every replica at t_max + 1, the stop of a replica never marked,
+        # whose product is the one at t_max
         marked = np.concatenate((marks < p_stop, np.ones((replicas, 1), dtype=bool)), axis=1)
-        want_stops = np.minimum(marked.argmax(axis=1) + 1, t_max)
+        want_stops = marked.argmax(axis=1) + 1
         assert stops.tolist() == want_stops.tolist()
         assert prods.shape == (replicas, spec.n, spec.n)
         for i, stop in enumerate(want_stops.tolist()):
             prod = np.eye(spec.n)
-            for prod in _products(spec.start_state(replica_rng(seed, i)), stop):
+            for prod in _products(spec.start_state(replica_rng(seed, i)), min(stop, t_max)):
                 pass
             assert prods[i].tobytes() == renormalized(prod).tobytes(), (name, i, stop)
         if t_max == 0:
             assert (prods == np.eye(spec.n)).all()
         # without multiply the observer sees the draws, and no product is kept
         no_prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe, multiply=False)
+        assert no_prods is None and stops.tolist() == want_stops.tolist()
+        # without keep the observer sees the products, and none is kept
+        no_prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe, keep=False)
         assert no_prods is None and stops.tolist() == want_stops.tolist()
 
     @pytest.mark.parametrize("stop", [True, False])
