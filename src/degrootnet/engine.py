@@ -364,36 +364,70 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
 
     The observer does little on a typical step.  It computes the two-row
     bound (rows 0 and n//2) of each running product and the full gap only
-    for the replicas whose bound is <= gap_tol and that have not yet
-    converged, and for all of them at t_max.  It tests positivity only for
-    the replicas that have not yet seen a strictly positive product.  It
+    where the bound is <= gap_tol, and for every replica at t_max.  It
     writes the gap only at a replica's stop, where _lockstep keeps t and
-    the product.  The results stay bitwise those of _scan for two reasons.
-    The bound never exceeds the gap in floating point (see _two_row_bound),
-    so no first crossing of gap_tol is skipped.  And strict positivity is
-    recorded as a sticky OR, so a test skipped once it has been seen
-    changes nothing.
+    the product.  The results stay bitwise those of _scan, because the
+    bound never exceeds the gap in floating point (see _two_row_bound), so
+    no first crossing of gap_tol is skipped.
+
+    With ``stop_when_converged`` a replica leaves the stack on the step its
+    gap reaches gap_tol, so no running replica has converged yet and the
+    bound alone picks the gaps to compute.  Without it, replicas run to
+    t_max, and the bound is tested only for those that have not converged.
+
+    Positivity is tested only for the running replicas that have not yet
+    seen a strictly positive product, and not at all once every one of
+    them has, until the next chunk starts at t = 1: strict positivity is a
+    sticky OR, and replicas only ever leave the stack.
     """
     gaps = np.full(replicas, 1.0 if spec.n > 1 else 0.0)
     strict_seen = np.zeros(replicas, dtype=bool)
     consensus_time = np.zeros(replicas, dtype=int)  # 0 until the gap reaches gap_tol
+    all_seen = False  # every running replica of the chunk has seen a strictly positive product
 
-    def observe(t, idx, prod):
-        unseen = ~strict_seen[idx]
-        if unseen.any():
-            strict_seen[idx[unseen]] = strictly_positive(prod[unseen])
+    def see_positivity(t, idx, prod):
+        nonlocal all_seen
+        if t == 1:
+            all_seen = False
+        if not all_seen:
+            unseen = ~strict_seen[idx]
+            all_seen = not unseen.any()
+            if not all_seen:
+                strict_seen[idx[unseen]] = strictly_positive(prod[unseen])
+
+    def observe_until_converged(t, idx, prod):
+        see_positivity(t, idx, prod)
+        if t == t_max:
+            gap = consensus_gaps(prod)
+            consensus_time[idx[gap <= gap_tol]] = t
+            gaps[idx] = gap
+            return np.ones(len(idx), dtype=bool)
+        check = _two_row_bound(prod) <= gap_tol
+        if not check.any():
+            return None
+        gap = consensus_gaps(prod[check])
+        hit = gap <= gap_tol
+        done = check.copy()
+        done[check] = hit
+        consensus_time[idx[done]] = t
+        gaps[idx[done]] = gap[hit]
+        return done
+
+    def observe_to_t_max(t, idx, prod):
+        see_positivity(t, idx, prod)
         fresh = consensus_time[idx] == 0
         check = (t == t_max) | (fresh & (_two_row_bound(prod) <= gap_tol))
         if not check.any():
             return None
         gap = np.full(len(idx), np.nan)  # never <= gap_tol where it is not computed
         gap[check] = consensus_gaps(prod[check])
-        hit = fresh & (gap <= gap_tol)
-        consensus_time[idx[hit]] = t
-        done = (hit & stop_when_converged) | (t == t_max)
-        gaps[idx[done]] = gap[done]
-        return done
+        consensus_time[idx[fresh & (gap <= gap_tol)]] = t
+        if t < t_max:
+            return None
+        gaps[idx] = gap
+        return np.ones(len(idx), dtype=bool)
 
+    observe = observe_until_converged if stop_when_converged else observe_to_t_max
     prods, stops = _lockstep(spec, replicas, seed, t_max, observe, start=start)
     # every replica is marked at t_max, except at t_max = 0, where no step runs
     return prods, np.minimum(stops, t_max), gaps, strict_seen, consensus_time
@@ -422,6 +456,8 @@ def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
     """
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
+    if not gap_tol >= 0:  # NaN too
+        raise InvalidArgument(f"gap_tol must be >= 0, got {gap_tol}")
     prod, t, gap, strict_seen, consensus_time = _scan(gen, t_max, gap_tol, stop_when_converged)
     return ProductAccumulator(
         product=StochasticMatrix._trusted(prod),
@@ -444,6 +480,8 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
+    if not gap_tol >= 0:  # NaN too
+        raise InvalidArgument(f"gap_tol must be >= 0, got {gap_tol}")
 
     prods, _, gaps, _, consensus_time = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
     converged = np.flatnonzero(consensus_time)

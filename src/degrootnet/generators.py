@@ -285,6 +285,16 @@ class DirichletRows(GeneratorSpec):
     Python float.  NumPy then skips checking and broadcasting an array of
     shapes on each call and draws the same variates: its loop calls the
     same per-variate sampler, in the same C order, either way.
+
+    When every row of alpha has the same number m of positive entries, and
+    m <= 2 or m = n, _expand sums each row from the m values of the block
+    rather than from the scattered (n, n) draw, with the same bits.  A row
+    of at most two values sums exactly in any order, since adding 0.0 is
+    exact and fl(a + b) = fl(b + a), so m = 2 adds its two values.  A full
+    row is the same contiguous values, summed in the same order.  Any other
+    pattern sums full rows: NumPy need not add 3 <= m < n values in the
+    order it adds them among the row's zeros (past its 8-value pairwise
+    block it does not), and then the bits differ.
     """
 
     alpha: np.ndarray
@@ -309,6 +319,10 @@ class DirichletRows(GeneratorSpec):
         object.__setattr__(self, "_positive_alpha", positive_alpha)
         constant = (positive_alpha == positive_alpha[0]).all()
         object.__setattr__(self, "_gamma_shape", float(positive_alpha[0]) if constant else positive_alpha)
+        # positive entries per row when _expand sums rows from the block, else None
+        counts = np.count_nonzero(arr, axis=1)
+        m = int(counts[0])
+        object.__setattr__(self, "_row_width", m if (counts == m).all() and (m <= 2 or m == self.n) else None)
 
     @property
     def n(self):
@@ -334,8 +348,14 @@ class DirichletRows(GeneratorSpec):
     def _expand(self, rows, out):
         # entries where alpha is zero are never written, so they stay zero
         i, j = self._positive
-        out[:, i, j] = rows
-        out[:, i, j] = rows / out.sum(axis=2)[:, i]
+        m = self._row_width
+        if m is None:
+            out[:, i, j] = rows
+            out[:, i, j] = rows / out.sum(axis=2)[:, i]
+            return out
+        by_row = rows.reshape(len(rows), self.n, m)
+        sums = by_row[:, :, 0] + by_row[:, :, 1] if m == 2 else by_row.sum(axis=2)
+        out[:, i, j] = (by_row / sums[:, :, None]).reshape(len(rows), -1)
         return out
 
     def mean_matrix(self):

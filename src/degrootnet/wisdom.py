@@ -18,6 +18,7 @@ from .errors import (
     BalanceViolation,
     InvalidArgument,
     InvalidProbability,
+    NoConvergence,
     PreconditionUnmet,
     Unsupported,
 )
@@ -77,6 +78,8 @@ class WisdomConfig:
             raise InvalidArgument("replicas must be >= 1")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
+        if not self.gap_tol >= 0:  # NaN too
+            raise InvalidArgument(f"gap_tol must be >= 0, got {self.gap_tol}")
         if any(n < 2 for n in self.sizes):
             raise InvalidArgument("all sizes must be >= 2")
         if self.signal_law.variance <= 0:
@@ -174,8 +177,12 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     validated against the column sums; pass phi explicitly for processes
     such as the leader-follower network whose limit law is known to match
     a balanced reference despite having no alpha of their own.  Each
-    replica runs to the consensus gap GAP_TOL.
+    replica runs to the consensus gap GAP_TOL.  The sample variance needs
+    two replicas: fewer is InvalidArgument, and fewer than two converged
+    is NoConvergence.
     """
+    if replicas < 2:
+        raise InvalidArgument("replicas must be >= 2: the sample variance needs two samples")
     if phi is None:
         alpha = getattr(spec, "alpha", None)
         if alpha is None:
@@ -192,6 +199,8 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     est = estimate_influence(spec, replicas=replicas, t_max=t_max, seed=seed)
     samples = np.asarray(est.samples)
     r = samples.shape[0]
+    if r < 2:
+        raise NoConvergence(r, replicas)
     mean = samples.mean(axis=0)
     var = samples.var(axis=0, ddof=1)
     se_mean = samples.std(axis=0, ddof=1) / math.sqrt(r)

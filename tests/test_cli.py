@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,42 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         assert run(argv + ["--replicas", "4", "--tmax", tmax, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("gap_tol", ["-1", "nan"])
+    @pytest.mark.parametrize("command", ["influence", "wisdom"])
+    def test_negative_or_nan_gap_tol_is_usage_error(self, tmp_path, capsys, command, gap_tol):
+        argv = {
+            "influence": ["influence", "--model", "ring", "--n", "5"],
+            "wisdom": ["wisdom", "--sizes", "3"],
+        }[command]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--replicas", "10", "--tmax", "100", "--gap-tol", gap_tol, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "gap_tol must be >= 0" in capsys.readouterr().err
+        assert not out.exists() and not caught
+
+    def test_conjugacy_with_one_replica_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["conjugacy", "--model", "ring", "--n", "3", "--replicas", "1", "--tmax", "100",
+                        "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: replicas must be >= 2")
+        assert not out.exists() and not caught
+
+    def test_conjugacy_with_one_converged_replica_is_no_convergence(self, tmp_path, capsys):
+        # at seed 0 the two ring-3 replicas reach GAP_TOL at t = 32 and t = 38
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["conjugacy", "--model", "ring", "--n", "3", "--replicas", "2", "--tmax", "32",
+                        "--seed", "0", "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert "only 1/2 replicas" in capsys.readouterr().out
+        assert not out.exists() and not caught
 
     @pytest.mark.parametrize("argv", [
         ["disagree", "--model", "ring", "--n", "3", "--tmax", "-5", "--replicas", "100"],

@@ -854,6 +854,32 @@ def test_monte_carlo_entry_points_reject_empty_horizons(entry, t_max):
         HORIZON_ENTRY_POINTS[entry](t_max)
 
 
+GAP_TOL_ENTRY_POINTS = {
+    "accumulate": lambda g: accumulate(ring_uniform_self(3).start_state(0), t_max=10, gap_tol=g),
+    "estimate_influence": lambda g: estimate_influence(ring_uniform_self(3), replicas=4, t_max=10, gap_tol=g),
+    "WisdomConfig": lambda g: WisdomConfig(family=ring_uniform_self, sizes=(3,), signal_law=UniformSignal(0.5),
+                                           replicas=4, t_max=10, gap_tol=g),
+}
+
+
+@pytest.mark.parametrize("gap_tol", [-1.0, -5e-324, float("nan")])
+@pytest.mark.parametrize("entry", sorted(GAP_TOL_ENTRY_POINTS))
+def test_monte_carlo_entry_points_reject_negative_or_nan_gap_tol(entry, gap_tol):
+    # raised before any step: a scan would run every replica to t_max and never converge
+    with mock.patch.object(engine, "_products", side_effect=AssertionError("stepped")), \
+            mock.patch.object(engine, "_lockstep", side_effect=AssertionError("stepped")), \
+            pytest.raises(ValueError, match="gap_tol must be >= 0"):
+        GAP_TOL_ENTRY_POINTS[entry](gap_tol)
+
+
+def test_zero_gap_tol_stays_valid():
+    acc = accumulate(Fixed(make_stochastic([[0.5, 0.5], [0.5, 0.5]])).start_state(0), t_max=3, gap_tol=0.0)
+    assert acc.consensus_time == 1
+    est = estimate_influence(Fixed(make_stochastic([[0.5, 0.5], [0.5, 0.5]])), replicas=4, t_max=3, gap_tol=0.0)
+    assert est.failures == 0
+    GAP_TOL_ENTRY_POINTS["WisdomConfig"](0.0)
+
+
 INVALID_HORIZON_ENTRY_POINTS = {
     "disagreement_degree": lambda h: disagreement_degree(ring_uniform_self(3), replicas=100, t_max=h),
     "convergence_time_2x2": lambda h: convergence_time_2x2(encounter_2x2(0.3, 0.5), 0.1, replicas=4,

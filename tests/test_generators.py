@@ -64,6 +64,15 @@ def block_models():
     return dict(all_models(), sticky_markov=sticky)
 
 
+def row_sum_models():
+    """Dirichlet laws at the sizes where _expand sums rows from the block (m = 2 and m = n)."""
+    return {
+        "ring12": ring_uniform_self(12),
+        "ring20": ring_uniform_self(20),
+        "dense12": DirichletRows(0.5 + np.add.outer(np.arange(12), 2 * np.arange(12)) % 4),
+    }
+
+
 def benchmark_dirichlet_specs():
     """The Dirichlet-row laws the benchmark's jobs build, through the CLI's constructors."""
     flat2 = [[0.5, 0.5], [0.5, 0.5]]
@@ -293,7 +302,61 @@ def _islands_recipe_draw(spec, rng):
     return _one_graph_row_weights(adj)
 
 
+@st.composite
+def row_sum_alphas(draw):
+    """(alpha, width): an alpha and the positives per row _expand should sum from the block (None: full rows).
+
+    "block": every row holds m positive entries, m <= 2 or m = n; "partial": every
+    row holds 3 <= m < n at n > 8, past NumPy's 8-value pairwise block; "mixed":
+    rows hold different counts.  Shapes are one constant or one per entry.
+    """
+    kind = draw(st.sampled_from(["block", "partial", "mixed"]))
+    if kind == "block":
+        n = draw(st.integers(1, 12))
+        counts = [draw(st.sampled_from(sorted({1, min(2, n), n})))] * n
+    elif kind == "partial":
+        n = draw(st.integers(9, 12))
+        counts = [draw(st.integers(3, n - 1))] * n
+    else:
+        n = draw(st.integers(2, 12))
+        counts = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+        if len(set(counts)) == 1:
+            counts[0] = counts[0] % n + 1
+    mask = np.zeros((n, n), dtype=bool)
+    for row, count in zip(mask, counts):
+        row[draw(st.permutations(range(n)))[:count]] = True
+    shapes = st.floats(generators.MIN_ROW_ALPHA, 8.0)
+    if draw(st.booleans()):
+        alpha = np.where(mask, draw(shapes), 0.0)
+    else:
+        alpha = np.where(mask, np.array(draw(st.lists(shapes, min_size=n * n, max_size=n * n))).reshape(n, n), 0.0)
+    return alpha, counts[0] if kind == "block" else None
+
+
+def _full_row_expand(spec, rows):
+    """_expand by summing each scattered (n, n) row, zeros included."""
+    i, j = spec._positive
+    out = np.zeros((len(rows), spec.n, spec.n))
+    out[:, i, j] = rows
+    out[:, i, j] = rows / out.sum(axis=2)[:, i]
+    return out
+
+
 class TestDirichletDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(case=row_sum_alphas(), replicas=st.integers(1, 20), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_rows_summed_from_the_block_match_full_rows(self, case, replicas, k, seed):
+        # the rule: rows with m <= 2 or m = n positives each sum from the block; any other
+        # pattern sums full rows.  Either way _expand gives the full-row sum's bits on the
+        # strided block[:, j] views _lockstep passes
+        alpha, width = case
+        spec = DirichletRows(alpha)
+        assert spec._row_width == width
+        block = np.random.default_rng(seed).standard_gamma(spec._gamma_shape, size=(replicas, k, spec._width()))
+        for j in range(k):
+            got = spec._expand(block[:, j], np.zeros((replicas, spec.n, spec.n)))
+            assert got.tobytes() == _full_row_expand(spec, block[:, j]).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
     def test_zero_alpha_draws_nothing(self, n, density, seed):
@@ -760,7 +823,20 @@ PINNED_DRAWS = {
 }
 
 
+# SHA-256 of the first 50 next_array draws of row_sum_models() at seed 2023,
+# recorded while _expand still summed every full row of the (n, n) draw
+ROW_SUM_DRAWS = {
+    "ring20": "6c6b02a10ade6e7573f26639b53cfbb21e45d919bb841edfe58977a253867b14",
+    "dense12": "200eaa544faab03a4fff45cd2422058b6e8036b68b493f7b0f6b24152d11584f",
+}
+
+
 class TestDrawBlock:
+    @pytest.mark.parametrize("name", sorted(ROW_SUM_DRAWS))
+    def test_row_sum_draws_are_pinned(self, name):
+        state = row_sum_models()[name].start_state(2023)
+        assert _digest([state.next_array() for _ in range(50)]) == ROW_SUM_DRAWS[name]
+
     @pytest.mark.parametrize("name, seed", sorted(PINNED_DRAWS))
     @pytest.mark.parametrize("warmup", [0, 3])
     def test_draws_are_pinned(self, name, seed, warmup):

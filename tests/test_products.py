@@ -45,7 +45,7 @@ from degrootnet.engine import (
 )
 from degrootnet.matrices import StochasticMatrix, consensus_gaps, numeric_rank, renormalized
 from degrootnet.seeding import replica_rng
-from test_generators import all_models, block_models
+from test_generators import all_models, block_models, row_sum_models
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -201,10 +201,17 @@ class TestLockstep:
              small=True, seed=7)
     @example(name="leader_follower", replicas=engine.GROUP * 7 + 10, t_max=30, stop=True, gap_tol=1e-3,
              small=True, seed=8)
+    # Dirichlet laws whose rows are summed from the block: a ring past NumPy's 8-value
+    # pairwise block in both modes and across chunk boundaries, and a dense n = 12 law
+    @example(name="ring12", replicas=12, t_max=560, stop=True, gap_tol=1e-8, small=False, seed=9)
+    @example(name="ring12", replicas=6, t_max=300, stop=False, gap_tol=1e-3, small=False, seed=10)
+    @example(name="ring12", replicas=17, t_max=260, stop=True, gap_tol=1e-3, small=True, seed=11)
+    @example(name="ring12", replicas=17, t_max=260, stop=False, gap_tol=1e-3, small=True, seed=12)
+    @example(name="dense12", replicas=17, t_max=80, stop=True, gap_tol=1e-8, small=True, seed=13)
     def test_matches_serial_scans_bytewise(self, name, replicas, t_max, stop, gap_tol, small, seed):
         # small: chunks of 7 replicas, first blocks of 3 draws and a block budget that cuts
         # blocks to a few draws, down to one
-        spec = block_models()[name]
+        spec = {**block_models(), **row_sum_models()}[name]
         with mock.patch.multiple(engine, CHUNK=7 if small else engine.CHUNK,
                                  FIRST_BLOCK=3 if small else engine.FIRST_BLOCK,
                                  BLOCK_VALUES=60 if small else engine.BLOCK_VALUES):

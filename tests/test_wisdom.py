@@ -25,7 +25,7 @@ from degrootnet import (
 )
 from degrootnet import engine
 from degrootnet.engine import _scan_replicas
-from degrootnet.errors import BalanceViolation, InvalidProbability, PreconditionUnmet
+from degrootnet.errors import BalanceViolation, InvalidArgument, InvalidProbability, NoConvergence, PreconditionUnmet
 from degrootnet.matrices import RANK_REL_TOL, StochasticMatrix, numeric_rank
 
 
@@ -181,6 +181,19 @@ class TestConjugacy:
         res = dirichlet_conjugacy_test(LeaderFollower(n), replicas=4000, seed=11,
                                        phi=[2.0] * n)
         assert res["pass"]
+
+    def test_fewer_than_two_replicas_rejected(self):
+        with pytest.raises(InvalidArgument, match="replicas must be >= 2"):
+            dirichlet_conjugacy_test(ring_uniform_self(3), replicas=1, t_max=100)
+
+    def test_fewer_than_two_converged_is_no_convergence(self):
+        # at seed 0 the two ring-3 replicas reach GAP_TOL at t = 32 and t = 38;
+        # one sample has no variance, so it is no longer returned as NaN
+        assert _scan_replicas(ring_uniform_self(3), 2, 0, 100, engine.GAP_TOL, True)[4].tolist() == [32, 38]
+        with pytest.raises(NoConvergence) as info:
+            dirichlet_conjugacy_test(ring_uniform_self(3), replicas=2, seed=0, t_max=32)
+        assert (info.value.converged, info.value.replicas) == (1, 2)
+        assert dirichlet_conjugacy_test(ring_uniform_self(3), replicas=2, seed=0, t_max=38)["var_err"] >= 0
 
     def test_unbalanced_rejected(self):
         alpha = np.ones((2, 2))
