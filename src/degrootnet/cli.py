@@ -3,13 +3,14 @@
 Every subcommand accepts flags, ``--config file.json`` holding the same
 parameters, or both: a flag on the command line beats the config value,
 which beats the default stated in ``_SUBCOMMANDS``; a config's ``command``
-key, which serialize_config writes, must name the subcommand run.  A run
-builds the flags of the named subcommand only.  ``_MODELS`` maps each
-``--model`` name to its constructor and the flags it reads.  Results go to
-``--out`` as CSV or JSON with floats printed at 17 significant digits,
-which round-trips doubles exactly.  Replica i of master seed m uses the
-stream documented in seeding.replica_seed and replicas run in index order;
-``--workers`` is accepted for compatibility and changes nothing.
+key, which serialize_config writes, must name the subcommand run.  A process
+builds each subcommand's parser once, on the first run that names it.
+``_MODELS`` maps each ``--model`` name to its constructor and the flags it
+reads.  Results go to ``--out`` as CSV or JSON with floats printed at 17
+significant digits, which round-trips doubles exactly.  Replica i of master
+seed m (an integer in [0, 2**64)) uses the stream documented in
+seeding.replica_seed and replicas run in index order; ``--workers`` is
+accepted for compatibility and changes nothing.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 when a run ends
 in a NoConvergence-class outcome (reported, not crashed).
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -185,6 +187,8 @@ def _beta_marginals(params: dict):
 
 
 def build_energy_mu(params: dict):
+    if params.get("atoms") is not None and params["mu"] != "atoms":
+        raise _UsageError(f"--atoms needs --mu atoms, not --mu {params['mu']}")
     if params["mu"] == "atoms":
         path = _required(params, "--mu atoms", ("atoms",))["atoms"]
         return _read_json(path, lambda doc: engine.AtomicWeightPairs(tuple(((d["x"], d["y"]), d["mass"]) for d in doc)))
@@ -200,9 +204,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _master_seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), which seeding would otherwise wrap."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"master seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _add_common(p):
     p.add_argument("--config", default=None, help="JSON file with this subcommand's parameters")
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    p.add_argument("--seed", type=_master_seed, default=0, help="master seed (64-bit unsigned)")
     p.add_argument("--out", default=None, help="output path (default: stdout summary only)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=None,
@@ -301,13 +316,16 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def make_parser(command: str | None = None) -> _Parser:
     """The CLI parser; with ``command``, only that subcommand gets its flags.
 
     Every subcommand name is registered with its help either way, so the
     top-level help and the invalid-choice error do not depend on
-    ``command``.  A run builds a fresh parser, since --config values become
-    its defaults.
+    ``command``.  The parser is built on the first call for ``command`` and
+    shared by every later run, so nothing may change it after that; a run
+    with --config sets its config values as the defaults of a parser of its
+    own, ``make_parser.__wrapped__(command)``.
     """
     parser = _Parser(prog="degrootnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,12 +341,14 @@ def make_parser(command: str | None = None) -> _Parser:
     return parser
 
 
-def _collect_params(parser: _Parser, argv, args) -> dict:
+def _collect_params(argv, args) -> dict:
     """Parameters of a run: flags given in argv, then --config values, then parser defaults."""
     if args.config:
         doc = _read_json(args.config, dict)
         if doc.get("command", args.command) != args.command:
             raise _UsageError(f"the config is for {doc['command']!r}, not {args.command!r}")
+        # the config values become defaults, so they go to a parser no other run shares
+        parser = make_parser.__wrapped__(args.command)
         sub = parser.commands[args.command]
         typed = {action.dest for action in sub._actions if action.type is not None}
         values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
@@ -650,7 +670,7 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        params = _collect_params(parser, argv, args)
+        params = _collect_params(argv, args)
     except _UsageError as exc:
         print(f"usage error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE

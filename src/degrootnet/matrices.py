@@ -17,6 +17,7 @@ previous level's new elements, then tests the results one by one in order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,21 @@ def dobrushin_coefficient(m: StochasticMatrix) -> float:
     return float(dobrushin_coefficients(m.entries))
 
 
+@functools.cache
+def _row_pairs(n: int) -> tuple:
+    """The row pairs i < k of an n-by-n matrix, ``np.triu_indices(n, 1)`` as read-only arrays."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     """dobrushin_coefficient of each matrix in an (..., n, n) stack of row-stochastic arrays."""
     n = stack.shape[-1]
     if n == 1:
         return np.zeros(stack.shape[:-2])
-    i, k = np.triu_indices(n, 1)
+    i, k = _row_pairs(n)
     overlap = np.minimum(stack[..., i, :], stack[..., k, :]).sum(axis=-1)
     return 1.0 - overlap.min(axis=-1)
 

@@ -2,8 +2,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,6 +285,51 @@ class TestExitCodes:
         path.write_text(json.dumps([{"x": 1.0, "y": 0.0, "mass": 0.5}, {"x": 0.0, "y": 1.0, "mass": 0.5 + 5e-10}]))
         assert run(["energy", "--mu", "atoms", "--atoms", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "pi.csv"
+        argv = ["influence", "--model", "ring", "--n", "3", "--replicas", "20", "--out", str(out)]
+        assert run(argv + ["--seed", seed]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: argument --seed: master seed must be in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+        # a config value goes through the flag's type
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "influence", "seed": int(seed)}))
+        assert run(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert "master seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_is_accepted(self, tmp_path):
+        argv = ["influence", "--model", "ring", "--n", "3", "--replicas", "20"]
+        top, zero = tmp_path / "top.csv", tmp_path / "zero.csv"
+        assert run(argv + ["--seed", str(2**64 - 1), "--out", str(top)]) == EXIT_OK
+        assert run(argv + ["--seed", "0", "--out", str(zero)]) == EXIT_OK
+        assert read(top) != read(zero)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": "influence", "seed": 2**64 - 1}))
+        again = tmp_path / "again.csv"
+        assert run(argv + ["--config", str(cfg), "--out", str(again)]) == EXIT_OK
+        assert read(again) == read(top)
+
+    def test_seed_that_is_no_integer_keeps_its_message(self, capsys):
+        assert run(["energy", "--seed", "1.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: '1.5'\n"
+
+    @pytest.mark.parametrize("mu", ["uniform-indep", "arcsine-indep"])
+    def test_atoms_without_mu_atoms_is_usage_error(self, tmp_path, capsys, mu):
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps([{"x": 0.3, "y": 0.5, "mass": 1}]))
+        out = tmp_path / "e.csv"
+        argv = ["energy", "--atoms", str(path), "--out", str(out)]
+        assert run(argv + ["--mu", mu]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --atoms needs --mu atoms, not --mu {mu}\n"
+        # the default --mu too
+        assert run(argv) == EXIT_USAGE
+        assert "--atoms needs --mu atoms" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv + ["--mu", "atoms"]) == EXIT_OK
 
     def test_unwritable_output_is_exit_1(self, tmp_path):
         out = tmp_path / "missing" / "deep" / "x.csv"
@@ -608,15 +654,83 @@ class TestParser:
                 one.parse_args(argv)
             assert str(got.value) == str(want.value)
 
-    def test_run_builds_the_named_subcommand_only(self, capsys):
-        with mock.patch.object(cli, "make_parser", wraps=cli.make_parser) as make:
+    def test_run_builds_each_named_subcommand_once(self, capsys):
+        cli.make_parser.cache_clear()
+        for _ in range(3):
             assert run(["energy"]) == EXIT_OK
-            assert run(["bogus"]) == EXIT_USAGE
-        assert make.call_args_list == [mock.call("energy"), mock.call(None)]
-        assert list(cli._SUBCOMMANDS) == list(cli._COMMANDS)
+        info = cli.make_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert cli.make_parser("energy") is cli.make_parser("energy")
+        # an invalid subcommand builds the full parser: asking for it is then a hit
+        assert run(["bogus"]) == EXIT_USAGE
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert cli.make_parser.cache_info().misses == 2
+        cli.make_parser(None)
+        assert cli.make_parser.cache_info().misses == 2
+        assert list(cli._SUBCOMMANDS) == list(cli._COMMANDS)
+
+    def test_config_run_leaves_the_cached_defaults_alone(self, tmp_path, capsys):
+        def defaults():
+            return [(a.dest, a.default) for a in cli.make_parser("energy").commands["energy"]._actions]
+
+        assert run(["energy"]) == EXIT_OK
+        before = defaults()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "energy", "mu": "beta-indep", "a": 2, "b": 3, "seed": 5}))
+        assert run(["energy", "--config", str(path)]) == EXIT_OK
+        assert defaults() == before
+        assert cli.make_parser("energy").commands["energy"].get_default("mu") == "uniform-indep"
+
+    @pytest.mark.parametrize("bad", [
+        ["energy", "--mu", "beta-indep", "--a", "oops"],
+        ["energy", "--seed", "-1"],
+        ["energy", "--bogus"],
+        ["energy", "--mu", "nope"],
+    ])
+    def test_usage_error_leaves_the_next_run_unchanged(self, tmp_path, capsys, bad):
+        out = tmp_path / "e.json"
+        argv = ["energy", "--mu", "arcsine-indep", "--format", "json", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        want = read(out)
+        assert run(bad) == EXIT_USAGE
+        out.unlink()
+        assert run(argv) == EXIT_OK
+        assert read(out) == want
+        assert run(["energy"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "energy: I_mu=1.5000000000"
+
+    def test_importing_the_cli_builds_no_parser(self, tmp_path):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from degrootnet import cli\n"
+            "print(len(built), cli.make_parser.cache_info().currsize)\n"
+            "cli.make_parser('energy')\n"
+            "print(len(built))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        # one make_parser call builds the top-level parser and one per subcommand name
+        assert out == ["0 0", str(1 + len(cli._SUBCOMMANDS))]
 
     def test_config_defaults_do_not_carry_into_the_next_run(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
+        assert run(["energy", "--config", str(path)]) == EXIT_OK
+        assert "I_mu=1.3862943611" in capsys.readouterr().out
+        assert run(["energy"]) == EXIT_OK
+        assert "I_mu=1.5000000000" in capsys.readouterr().out
+
+    def test_a_config_run_between_plain_runs_changes_neither(self, tmp_path, capsys):
+        assert run(["energy"]) == EXIT_OK
+        assert "I_mu=1.5000000000" in capsys.readouterr().out
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"command": "energy", "mu": "arcsine-indep"}))
         assert run(["energy", "--config", str(path)]) == EXIT_OK

@@ -229,6 +229,26 @@ class TestDobrushin:
             assert is_strictly_positive(m)
             assert dobrushin_coefficient(m) < 1.0
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_equals_the_pairwise_reference_bytewise(self, n):
+        rng = np.random.default_rng(100 + n)
+        for shape in ((), (3,), (2, 5)):
+            raw = rng.random(shape + (n, n)) * (rng.random(shape + (n, n)) < 0.7)
+            raw[..., np.arange(n), np.arange(n)] += 0.1
+            stack = raw / raw.sum(axis=-1, keepdims=True)
+            want = np.empty(shape)
+            for index in np.ndindex(*shape):
+                m = stack[index]
+                overlaps = [np.minimum(m[i], m[k]).sum() for i in range(n) for k in range(i + 1, n)]
+                want[index] = 1.0 - min(overlaps, default=1.0)
+            got = matrices.dobrushin_coefficients(stack)
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+        # the row pairs are built once per n and cannot be changed by a caller
+        pairs = matrices._row_pairs(n)
+        assert matrices._row_pairs(n) is pairs
+        assert all(not index.flags.writeable for index in pairs)
+        assert [index.tolist() for index in pairs] == [index.tolist() for index in np.triu_indices(n, 1)]
+
 
 class TestLambda2:
     def test_reference_values(self):
