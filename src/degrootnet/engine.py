@@ -19,12 +19,12 @@ stream's draws do not depend on the block size, so the two loops see the
 same matrices.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
-computes the full consensus gap of a product only where the cheap two-row
-bound max_j |P[0,j] - P[n//2,j]| is within gap_tol, and at t_max; it tests
-positivity only until a replica's first strictly positive product.  Both
-gates are exact: the bound never exceeds the gap in floating point, since
-per column the exact spread is at least the exact difference of any two
-rows and rounding is monotone, and positivity is a sticky OR.
+stops each replica at its first step with gap <= gap_tol.  It computes the
+full consensus gap of a product only where the cheap two-row bound
+max_j |P[0,j] - P[n//2,j]| is within gap_tol.  The gate is exact: the
+bound never exceeds the gap in floating point, since per column the exact
+spread is at least the exact difference of any two rows and rounding is
+monotone.
 
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
@@ -359,49 +359,23 @@ def _two_row_bound(prod: np.ndarray) -> np.ndarray:
 
 
 def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, gap_tol: float,
-                   stop_when_converged: bool = False, start=None) -> tuple:
-    """_scan of every replica in lockstep, as five arrays over the replicas (consensus time 0 for None).
+                   start=None) -> tuple:
+    """Run each replica in lockstep until its consensus gap reaches gap_tol, or to t_max.
+
+    Returns ``(stops, pis, gaps)``: replica i stops at ``stops[i]``, its
+    first step with gap <= gap_tol, or t_max + 1 if it never converged;
+    ``pis`` and ``gaps`` hold row 0 of the product and the gap at the stop
+    of each converged replica, in index order.  These are bitwise _scan's
+    with ``stop_when_converged``.
 
     The observer does little on a typical step.  It computes the two-row
     bound (rows 0 and n//2) of each running product and the full gap only
-    where the bound is <= gap_tol, and for every replica at t_max.  It
-    writes the gap only at a replica's stop, where _lockstep keeps t and
-    the product.  The results stay bitwise those of _scan, because the
-    bound never exceeds the gap in floating point (see _two_row_bound), so
-    no first crossing of gap_tol is skipped.
-
-    With ``stop_when_converged`` a replica leaves the stack on the step its
-    gap reaches gap_tol, so no running replica has converged yet and the
-    bound alone picks the gaps to compute.  Without it, replicas run to
-    t_max, and the bound is tested only for those that have not converged.
-
-    Positivity is tested only for the running replicas that have not yet
-    seen a strictly positive product, and not at all once every one of
-    them has, until the next chunk starts at t = 1: strict positivity is a
-    sticky OR, and replicas only ever leave the stack.
+    where the bound is <= gap_tol.  No first crossing is skipped, because
+    the bound never exceeds the gap in floating point (see _two_row_bound).
     """
-    gaps = np.full(replicas, 1.0 if spec.n > 1 else 0.0)
-    strict_seen = np.zeros(replicas, dtype=bool)
-    consensus_time = np.zeros(replicas, dtype=int)  # 0 until the gap reaches gap_tol
-    all_seen = False  # every running replica of the chunk has seen a strictly positive product
+    gaps = np.empty(replicas)
 
-    def see_positivity(t, idx, prod):
-        nonlocal all_seen
-        if t == 1:
-            all_seen = False
-        if not all_seen:
-            unseen = ~strict_seen[idx]
-            all_seen = not unseen.any()
-            if not all_seen:
-                strict_seen[idx[unseen]] = strictly_positive(prod[unseen])
-
-    def observe_until_converged(t, idx, prod):
-        see_positivity(t, idx, prod)
-        if t == t_max:
-            gap = consensus_gaps(prod)
-            consensus_time[idx[gap <= gap_tol]] = t
-            gaps[idx] = gap
-            return np.ones(len(idx), dtype=bool)
+    def observe(t, idx, prod):
         check = _two_row_bound(prod) <= gap_tol
         if not check.any():
             return None
@@ -409,28 +383,12 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
         hit = gap <= gap_tol
         done = check.copy()
         done[check] = hit
-        consensus_time[idx[done]] = t
         gaps[idx[done]] = gap[hit]
         return done
 
-    def observe_to_t_max(t, idx, prod):
-        see_positivity(t, idx, prod)
-        fresh = consensus_time[idx] == 0
-        check = (t == t_max) | (fresh & (_two_row_bound(prod) <= gap_tol))
-        if not check.any():
-            return None
-        gap = np.full(len(idx), np.nan)  # never <= gap_tol where it is not computed
-        gap[check] = consensus_gaps(prod[check])
-        consensus_time[idx[fresh & (gap <= gap_tol)]] = t
-        if t < t_max:
-            return None
-        gaps[idx] = gap
-        return np.ones(len(idx), dtype=bool)
-
-    observe = observe_until_converged if stop_when_converged else observe_to_t_max
     prods, stops = _lockstep(spec, replicas, seed, t_max, observe, start=start)
-    # every replica is marked at t_max, except at t_max = 0, where no step runs
-    return prods, np.minimum(stops, t_max), gaps, strict_seen, consensus_time
+    converged = stops <= t_max
+    return stops, prods[converged, 0], gaps[converged]
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
@@ -483,15 +441,14 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
     if not gap_tol >= 0:  # NaN too
         raise InvalidArgument(f"gap_tol must be >= 0, got {gap_tol}")
 
-    prods, _, gaps, _, consensus_time = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop_when_converged=True)
-    converged = np.flatnonzero(consensus_time)
-    samples = prods[converged, 0]
+    stops, samples, gaps = _scan_replicas(spec, replicas, seed, t_max, gap_tol)
+    converged = np.flatnonzero(stops <= t_max)
     if len(samples) * 2 < replicas:
         raise NoConvergence(len(samples), replicas)
     return InfluenceEstimate(
         samples=tuple(map(tuple, samples.tolist())),
         replica_index=tuple(converged.tolist()),
-        per_replica_gap=tuple(gaps[converged].tolist()),
+        per_replica_gap=tuple(gaps.tolist()),
         mean=tuple(samples.mean(axis=0).tolist()),
         variance=tuple(samples.var(axis=0, ddof=1).tolist()) if len(samples) > 1 else (0.0,) * spec.n,
         max_component_mean=float(samples.max(axis=1).mean()),
@@ -649,7 +606,7 @@ class BetaMarginalPair:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):  # NaN too
             raise InvalidProbability("beta parameters must be positive")
 
 
@@ -662,10 +619,10 @@ class AtomicWeightPairs:
     def __post_init__(self):
         total = 0.0
         for (_xy, mass) in self.atoms:
-            if mass < 0:
+            if not mass >= 0:  # NaN too
                 raise InvalidProbability("atom masses must be nonnegative")
             total += mass
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise InvalidProbability("atom masses must sum to 1")
 
 

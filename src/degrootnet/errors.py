@@ -8,7 +8,7 @@ class DegrootNetError(Exception):
 class NegativeEntry(DegrootNetError):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"entry ({i},{j}) is negative: {value!r}")
+        super().__init__(f"entry ({i},{j}) is not >= 0: {value!r}")
 
 
 class RowSumViolation(DegrootNetError):

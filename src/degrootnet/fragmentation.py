@@ -97,13 +97,13 @@ class GraphDistribution:
         for g, p in self.atoms:
             if g.n != n:
                 raise DimensionMismatch("graph atoms must share a vertex set")
-            if p <= 0:
+            if not p > 0:  # NaN too
                 raise InvalidProbability("atom probabilities must be positive")
             if g in seen:
                 raise InvalidProbability("atoms must be distinct")
             seen.add(g)
             total += p
-        if abs(float(total) - 1.0) > PROB_TOL:
+        if not abs(float(total) - 1.0) <= PROB_TOL:
             raise InvalidProbability(f"atom probabilities sum to {float(total)}, not 1")
 
     @property

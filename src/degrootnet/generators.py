@@ -192,14 +192,14 @@ class FiniteMixture(GeneratorSpec):
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or len(p) != len(self.atoms):
             raise InvalidProbability("need one probability per atom")
-        if (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
+        if not ((p >= 0).all() and abs(p.sum() - 1.0) <= PROB_TOL):  # NaN fails too
             raise InvalidProbability(f"mixture probs must be nonnegative and sum to 1, got {p.tolist()}")
         if self.transition is not None:
             tr = np.asarray(self.transition, dtype=float)
             k = len(self.atoms)
             if tr.shape != (k, k):
                 raise DimensionMismatch("transition must be square over support indices")
-            if (tr < 0).any() or np.abs(tr.sum(axis=1) - 1.0).max() > PROB_TOL:
+            if not ((tr >= 0).all() and np.abs(tr.sum(axis=1) - 1.0).max() <= PROB_TOL):
                 raise InvalidProbability("transition rows must be distributions")
             if np.abs(p @ tr - p).max() > BALANCE_TOL:
                 raise InvalidProbability("probs must be stationary for the transition")

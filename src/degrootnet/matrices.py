@@ -48,12 +48,12 @@ class StochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-        neg = np.argwhere(arr < 0.0)
+        neg = np.argwhere(~(arr >= 0.0))  # NaN too
         if neg.size:
             i, j = map(int, neg[0])
             raise NegativeEntry(i, j, float(arr[i, j]))
         sums = arr.sum(axis=1)
-        bad = np.argwhere(np.abs(sums - 1.0) > ROW_TOL)
+        bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL))
         if bad.size:
             i = int(bad[0][0])
             raise RowSumViolation(i, float(sums[i]))

@@ -43,9 +43,9 @@ class UniformSignal:
     half_width: float = 0.25
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        if not self.half_width > 0:  # NaN too
             raise InvalidProbability("half_width must be positive")
-        if self.gamma - self.half_width < 0 or self.gamma + self.half_width > 1:
+        if not (self.gamma - self.half_width >= 0 and self.gamma + self.half_width <= 1):
             raise InvalidProbability("signal support would leave [0,1]; clipping would bias the mean")
 
     @property
@@ -124,12 +124,9 @@ def run_wisdom(config: WisdomConfig) -> WisdomResult:
             p0s[i] = np.clip(config.signal_law.sample(rng, n), 0.0, 1.0)
             return spec.start_state(rng)
 
-        prods, _, _, _, consensus_time = _scan_replicas(
-            spec, config.replicas, replica_seed(config.seed, idx), config.t_max, config.gap_tol,
-            stop_when_converged=True, start=start)
-        converged = consensus_time > 0
-        pis = prods[converged, 0]
-        err = np.abs(np.matmul(pis[:, None, :], p0s[converged][:, :, None])[:, 0, 0] - gamma)
+        stops, pis, _ = _scan_replicas(spec, config.replicas, replica_seed(config.seed, idx), config.t_max,
+                                       config.gap_tol, start=start)
+        err = np.abs(np.matmul(pis[:, None, :], p0s[stops <= config.t_max][:, :, None])[:, 0, 0] - gamma)
         mp = pis.max(axis=1)
         frac = len(err) / config.replicas
         if 2 * len(err) >= config.replicas:  # replicas >= 1, so err is not empty

@@ -84,6 +84,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--mu", "beta-indep", "--a", "nan", "--b", "1"],
+        ["wisdom", "--gamma", "nan", "--sizes", "3", "--replicas", "4"],
+        ["check-c", "--model", "fixed"],
+        ["influence", "--model", "fixed", "--replicas", "4"],
+    ], ids=["energy-beta-a", "wisdom-gamma", "check-c-matrix", "influence-matrix"])
+    def test_nan_parameter_is_usage_error(self, tmp_path, capsys, argv):
+        matrix = tmp_path / "nan.json"
+        matrix.write_text("[[NaN, NaN], [0.5, 0.5]]")
+        if "fixed" in argv:
+            argv = argv + ["--matrix", str(matrix)]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tmax", ["0", "-3"])
     @pytest.mark.parametrize("command", ["influence", "wisdom"])
     def test_horizon_below_one_is_usage_error(self, tmp_path, command, tmax):

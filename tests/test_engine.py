@@ -15,6 +15,8 @@ from degrootnet import (
     DirichletRows,
     FiniteMixture,
     Fixed,
+    Graph,
+    GraphDistribution,
     UniformSignal,
     WisdomConfig,
     accumulate,
@@ -45,6 +47,7 @@ from degrootnet.errors import (
     DimensionMismatch,
     ExplosionGuard,
     InvalidProbability,
+    NegativeEntry,
     NoConvergence,
     NotIid,
     SingularMass,
@@ -897,3 +900,27 @@ INVALID_HORIZON_ENTRY_POINTS = {
 def test_monte_carlo_entry_points_reject_invalid_horizons(entry, horizon, message):
     with pytest.raises(ValueError, match=message):
         INVALID_HORIZON_ENTRY_POINTS[entry](horizon)
+
+
+NAN = float("nan")
+HALVES = make_stochastic([[0.5, 0.5], [0.5, 0.5]])
+NAN_CONSTRUCTORS = {
+    "StochasticMatrix": (lambda: StochasticMatrix([[NAN, NAN], [0.5, 0.5]]), NegativeEntry),
+    "FiniteMixture-probs": (lambda: FiniteMixture(atoms=(HALVES, HALVES), probs=(NAN, 1.0)), InvalidProbability),
+    "FiniteMixture-transition": (lambda: FiniteMixture(atoms=(HALVES, HALVES), probs=(0.5, 0.5),
+                                                       transition=((NAN, NAN), (0.5, 0.5))), InvalidProbability),
+    "GraphDistribution": (lambda: GraphDistribution(atoms=((Graph([[0, 1], [1, 0]]), NAN),)), InvalidProbability),
+    "AtomicWeightPairs": (lambda: AtomicWeightPairs(atoms=(((0.5, 0.5), NAN),)), InvalidProbability),
+    "BetaMarginalPair-a": (lambda: BetaMarginalPair(NAN, 1.0), InvalidProbability),
+    "BetaMarginalPair-b": (lambda: BetaMarginalPair(1.0, NAN), InvalidProbability),
+    "UniformSignal-gamma": (lambda: UniformSignal(NAN), InvalidProbability),
+    "UniformSignal-half_width": (lambda: UniformSignal(0.5, NAN), InvalidProbability),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CONSTRUCTORS))
+def test_constructors_reject_nan(name):
+    # NaN compares false both ways, so each check is written to pass only on valid values
+    build, error = NAN_CONSTRUCTORS[name]
+    with pytest.raises(error):
+        build()

@@ -875,7 +875,6 @@ class TestStationarityAndDeterminism:
     IID_NAMES = ["encounter2x2", "two_point_swap", "dirichlet_ring", "perturbed",
                  "leader_follower", "islands", "undirected_degree"]
 
-    @pytest.mark.slow
     def test_iid_marginals_match_at_t1_and_t50(self):
         models = all_models()
         seeds = 5000

@@ -186,53 +186,69 @@ class TestProducts:
         assert drift < bound
 
 
+def assert_matches_serial_scans(spec, replicas, seed, t_max, gap_tol, stops, pis, gaps):
+    # each replica's stop is _scan's consensus time (t_max + 1 for None), and row 0 and the
+    # gap of each converged replica are _scan's at that time, bytewise
+    assert stops.shape == (replicas,)
+    converged = 0
+    for i, stop in enumerate(stops.tolist()):
+        prod, t, gap, _, consensus_time = _scan(spec.start_state(replica_rng(seed, i)), t_max, gap_tol, True)
+        assert stop == (t_max + 1 if consensus_time is None else consensus_time), i
+        if stop <= t_max:
+            assert pis[converged].tobytes() == prod[0].tobytes(), i
+            assert np.float64(gaps[converged]).tobytes() == np.float64(gap).tobytes(), i
+            converged += 1
+    assert len(pis) == len(gaps) == converged
+
+
 class TestLockstep:
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(block_models())), replicas=st.integers(1, 50),
-           t_max=st.integers(0, 200), stop=st.booleans(), gap_tol=st.sampled_from([0.0, 1e-3, 1e-8]),
+           t_max=st.integers(0, 200), gap_tol=st.sampled_from([0.0, 1e-3, 1e-8]),
            small=st.booleans(), seed=st.integers(0, 2**32 - 1))
     # uniform laws, whose first blocks come from arrays: a horizon inside the first block, and
     # replicas that outlive it across a chunk and a group boundary (122 > GROUP * 7)
-    @example(name="encounter2x2", replicas=40, t_max=engine.FIRST_BLOCK - 3, stop=True, gap_tol=1e-3,
+    @example(name="encounter2x2", replicas=40, t_max=engine.FIRST_BLOCK - 3, gap_tol=1e-3,
              small=False, seed=5)
-    @example(name="leader_follower", replicas=40, t_max=engine.FIRST_BLOCK - 1, stop=False, gap_tol=1e-3,
+    @example(name="leader_follower", replicas=40, t_max=engine.FIRST_BLOCK - 1, gap_tol=1e-3,
              small=False, seed=6)
-    @example(name="encounter2x2", replicas=engine.GROUP * 7 + 10, t_max=40, stop=True, gap_tol=1e-8,
+    @example(name="encounter2x2", replicas=engine.GROUP * 7 + 10, t_max=40, gap_tol=1e-8,
              small=True, seed=7)
-    @example(name="leader_follower", replicas=engine.GROUP * 7 + 10, t_max=30, stop=True, gap_tol=1e-3,
+    @example(name="leader_follower", replicas=engine.GROUP * 7 + 10, t_max=30, gap_tol=1e-3,
              small=True, seed=8)
     # Dirichlet laws whose rows are summed from the block: a ring past NumPy's 8-value
-    # pairwise block in both modes and across chunk boundaries, and a dense n = 12 law
-    @example(name="ring12", replicas=12, t_max=560, stop=True, gap_tol=1e-8, small=False, seed=9)
-    @example(name="ring12", replicas=6, t_max=300, stop=False, gap_tol=1e-3, small=False, seed=10)
-    @example(name="ring12", replicas=17, t_max=260, stop=True, gap_tol=1e-3, small=True, seed=11)
-    @example(name="ring12", replicas=17, t_max=260, stop=False, gap_tol=1e-3, small=True, seed=12)
-    @example(name="dense12", replicas=17, t_max=80, stop=True, gap_tol=1e-8, small=True, seed=13)
-    def test_matches_serial_scans_bytewise(self, name, replicas, t_max, stop, gap_tol, small, seed):
+    # pairwise block and across chunk boundaries, and a dense n = 12 law
+    @example(name="ring12", replicas=12, t_max=560, gap_tol=1e-8, small=False, seed=9)
+    @example(name="ring12", replicas=6, t_max=300, gap_tol=1e-3, small=False, seed=10)
+    @example(name="ring12", replicas=17, t_max=260, gap_tol=1e-3, small=True, seed=11)
+    @example(name="ring12", replicas=17, t_max=260, gap_tol=1e-3, small=True, seed=12)
+    @example(name="dense12", replicas=17, t_max=80, gap_tol=1e-8, small=True, seed=13)
+    def test_matches_serial_scans_bytewise(self, name, replicas, t_max, gap_tol, small, seed):
         # small: chunks of 7 replicas, first blocks of 3 draws and a block budget that cuts
         # blocks to a few draws, down to one
         spec = {**block_models(), **row_sum_models()}[name]
         with mock.patch.multiple(engine, CHUNK=7 if small else engine.CHUNK,
                                  FIRST_BLOCK=3 if small else engine.FIRST_BLOCK,
                                  BLOCK_VALUES=60 if small else engine.BLOCK_VALUES):
-            got = _scan_replicas(spec, replicas, seed, t_max, gap_tol, stop)
-        assert all(len(column) == replicas for column in got)
-        for i, (prod, t, gap, strict_seen, consensus_time) in enumerate(zip(*got)):
-            want = _scan(spec.start_state(replica_rng(seed, i)), t_max, gap_tol, stop)
-            assert prod.tobytes() == want[0].tobytes(), (name, i)
-            assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), (name, i)
-            assert (t, strict_seen, consensus_time or None) == (want[1], want[3], want[4]), (name, i)
+            got = _scan_replicas(spec, replicas, seed, t_max, gap_tol)
+        assert_matches_serial_scans(spec, replicas, seed, t_max, gap_tol, *got)
 
     @settings(max_examples=40, deadline=None)
-    @given(name=st.sampled_from(sorted(block_models())), replicas=st.integers(1, 30), t_max=st.integers(0, 100),
-           p_stop=st.sampled_from([0.0, 0.02, 0.2]), p_quiet=st.sampled_from([0.0, 0.5, 1.0]),
-           chunk=st.sampled_from([7, engine.CHUNK]), seed=st.integers(0, 2**32 - 1))
+    @given(name=st.sampled_from(sorted({**block_models(), **row_sum_models()})), replicas=st.integers(1, 30),
+           t_max=st.integers(0, 100), p_stop=st.sampled_from([0.0, 0.02, 0.2]),
+           p_quiet=st.sampled_from([0.0, 0.5, 1.0]), chunk=st.sampled_from([7, engine.CHUNK]),
+           seed=st.integers(0, 2**32 - 1))
     @example(name="dirichlet_ring", replicas=engine.CHUNK + 3, t_max=9, p_stop=0.2, p_quiet=0.5,
              chunk=engine.CHUNK, seed=1)
+    # Dirichlet laws whose rows are summed from the block, with replicas kept at t_max
+    # past NumPy's 8-value pairwise block, in one chunk and across chunks
+    @example(name="ring12", replicas=6, t_max=300, p_stop=0.0, p_quiet=0.0, chunk=engine.CHUNK, seed=10)
+    @example(name="ring12", replicas=17, t_max=260, p_stop=0.0, p_quiet=0.0, chunk=7, seed=12)
+    @example(name="dense12", replicas=17, t_max=80, p_stop=0.02, p_quiet=0.5, chunk=7, seed=13)
     def test_keeps_each_replica_product_at_its_stop(self, name, replicas, t_max, p_stop, p_quiet, chunk, seed):
         # the observer marks replica i done at step t where marks[i, t-1] < p_stop,
         # except on the quiet steps, where it returns None
-        spec = block_models()[name]
+        spec = {**block_models(), **row_sum_models()}[name]
         rng = np.random.default_rng(seed)
         marks, quiet = rng.random((replicas, t_max)), rng.random(t_max) < p_quiet
         marks[:, quiet] = 1.0
@@ -262,10 +278,9 @@ class TestLockstep:
         no_prods, stops = engine._lockstep(spec, replicas, seed, t_max, observe, keep=False)
         assert no_prods is None and stops.tolist() == want_stops.tolist()
 
-    @pytest.mark.parametrize("stop", [True, False])
     @pytest.mark.parametrize("gap_tol", [0.0, 1e-8])
     @pytest.mark.parametrize("case", ["rows_0_1_equal", "one_agent", "no_steps"])
-    def test_matches_serial_scans_where_the_bound_is_loose(self, case, gap_tol, stop):
+    def test_matches_serial_scans_where_the_bound_is_loose(self, case, gap_tol):
         # rows_0_1_equal: at n = 3 the bound compares rows 0 and n // 2 = 1,
         # so it is 0 on every step and the gap stays 1
         spec, t_max = {
@@ -273,15 +288,12 @@ class TestLockstep:
             "one_agent": (Fixed(make_stochastic([[1.0]])), 70),
             "no_steps": (ring_uniform_self(4), 0),
         }[case]
-        got = _scan_replicas(spec, 5, 13, t_max, gap_tol, stop)
-        for i, (prod, t, gap, strict_seen, consensus_time) in enumerate(zip(*got)):
-            want = _scan(spec.start_state(replica_rng(13, i)), t_max, gap_tol, stop)
-            assert prod.tobytes() == want[0].tobytes(), i
-            assert np.float64(gap).tobytes() == np.float64(want[2]).tobytes(), i
-            assert (t, strict_seen, consensus_time or None) == (want[1], want[3], want[4]), i
+        stops, pis, gaps = _scan_replicas(spec, 5, 13, t_max, gap_tol)
+        assert_matches_serial_scans(spec, 5, 13, t_max, gap_tol, stops, pis, gaps)
         if case == "rows_0_1_equal":
-            assert _two_row_bound(got[0][:1]).tolist() == [0.0]
-            assert (got[2][0], got[4][0]) == (1.0, 0)
+            prod = _scan(spec.start_state(replica_rng(13, 0)), t_max, gap_tol)[0]
+            assert (_two_row_bound(prod[None]).tolist(), float(consensus_gaps(prod))) == ([0.0], 1.0)
+            assert stops.tolist() == [t_max + 1] * 5
 
     def test_two_agent_spread_matches_serial_draws(self):
         spec = DirichletRows(np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -24,9 +24,10 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine
-from degrootnet.engine import _scan_replicas
+from degrootnet.engine import _scan, _scan_replicas
 from degrootnet.errors import BalanceViolation, InvalidArgument, InvalidProbability, NoConvergence, PreconditionUnmet
 from degrootnet.matrices import RANK_REL_TOL, StochasticMatrix, numeric_rank
+from degrootnet.seeding import replica_rng
 
 
 def flat(n):
@@ -189,7 +190,7 @@ class TestConjugacy:
     def test_fewer_than_two_converged_is_no_convergence(self):
         # at seed 0 the two ring-3 replicas reach GAP_TOL at t = 32 and t = 38;
         # one sample has no variance, so it is no longer returned as NaN
-        assert _scan_replicas(ring_uniform_self(3), 2, 0, 100, engine.GAP_TOL, True)[4].tolist() == [32, 38]
+        assert _scan_replicas(ring_uniform_self(3), 2, 0, 100, engine.GAP_TOL)[0].tolist() == [32, 38]
         with pytest.raises(NoConvergence) as info:
             dirichlet_conjugacy_test(ring_uniform_self(3), replicas=2, seed=0, t_max=32)
         assert (info.value.converged, info.value.replicas) == (1, 2)
@@ -271,12 +272,14 @@ class TestMeanRankOne:
 
     @pytest.mark.parametrize("name", ["stubborn", "ring4"])
     def test_mean_and_rank_are_those_of_the_gap_scan(self, name):
-        # C07's stubborn-agent mixture, and a ring; the oracle keeps the products of the full gap scan
+        # C07's stubborn-agent mixture, and a ring; the oracle is the serial scan of each replica
         h = make_stochastic([[0, 0, 1], [0, 0, 1], [0.3, 0.7, 0]])
         swap = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         spec = {"stubborn": FiniteMixture(atoms=(h, swap), probs=(0.5, 0.5)), "ring4": ring_uniform_self(4)}[name]
         for replicas, t_max, seed in [(300, 200, 1007), (7, 1, 1), (40, 2, 2), (90, 65, 3)]:
-            prods, _, _, strict_seen, _ = _scan_replicas(spec, replicas, seed, t_max, gap_tol=0.0)
+            scans = [_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0) for i in range(replicas)]
+            prods = np.array([scan[0] for scan in scans])
+            strict_seen = np.array([scan[3] for scan in scans])
             mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
             rank = max(1, numeric_rank(mean, rel_tol=max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))).numeric_rank)
             with mock.patch.object(engine, "CHUNK", 32):  # several chunks of replicas
