@@ -38,7 +38,6 @@ from .generators import (
     encounter_2x2,
     mixing_identity_mixture,
     ring_uniform_self,
-    sample_next,
     two_point_swap,
 )
 from .engine import (

@@ -13,7 +13,8 @@ seeding.replica_seed and replicas run in index order; ``--workers`` is
 accepted for compatibility and changes nothing.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 when a run ends
-in a NoConvergence-class outcome (reported, not crashed).
+without its result for a reason of the process or of a limit the user chose
+(_RUN_OUTCOMES: reported, not crashed).
 """
 
 from __future__ import annotations
@@ -28,13 +29,17 @@ import sys
 import numpy as np
 
 from . import engine, fragmentation, generators, wisdom
-from .errors import DegrootNetError, DimensionMismatch, InvalidArgument, NoConvergence
+from .errors import (CapHit, DegrootNetError, DimensionMismatch, ExplosionGuard, InsufficientEvents, InvalidArgument,
+                     NoConvergence)
 from .matrices import StochasticMatrix
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+
+# exit 3: no result within the horizon, cap, replicas or --max-len the user chose
+_RUN_OUTCOMES = (NoConvergence, CapHit, InsufficientEvents, ExplosionGuard)
 
 
 # --- float-exact serialization ----------------------------------------------
@@ -403,14 +408,14 @@ def _cmd_simulate(params):
         beliefs = engine.BeliefState.from_signals(p0)
     if params["steps"] < 0:
         raise InvalidArgument("--steps must be >= 0")
-    state = spec.start_state(params["seed"])
-    rows = [(0, *beliefs.p_t)]
-    for t in range(1, params["steps"] + 1):
-        beliefs = engine.evolve(state, beliefs, 1)
-        rows.append((t, *beliefs.p_t))
+    path = np.empty((params["steps"] + 1, spec.n))
+    path[0] = beliefs.p_t
+    engine._walk(spec.start_state(params["seed"]), path, params["steps"])
+    rows = [(t, *p) for t, p in enumerate(path.tolist())]
+    final = rows[-1][1:]
     header = ["t"] + [f"p_{i+1}" for i in range(spec.n)]
-    doc = {"final": list(beliefs.p_t), "steps": params["steps"]}
-    summary = f"simulate: n={spec.n} steps={params['steps']} final={[round(v, 6) for v in beliefs.p_t]}"
+    doc = {"final": list(final), "steps": params["steps"]}
+    summary = f"simulate: n={spec.n} steps={params['steps']} final={[round(v, 6) for v in final]}"
     return rows, header, doc, summary, EXIT_OK
 
 
@@ -676,8 +681,9 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         rows, header, doc, summary, code = _COMMANDS[args.command](params)
-    except NoConvergence as exc:
-        print(f"{args.command}: no convergence: {exc}")
+    except _RUN_OUTCOMES as exc:
+        what = "no convergence" if isinstance(exc, NoConvergence) else type(exc).__name__
+        print(f"{args.command}: {what}: {exc}")
         return EXIT_NO_CONVERGENCE
     except (_UsageError, InvalidArgument) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -4,19 +4,19 @@ The engine owns the left-product accumulation X^(t) = X_t ... X_1 and the
 derived diagnostics (consensus gap, influence samples, condition checks,
 convergence times, disagreement structure).
 
-Products come from two loops that multiply and renormalize, through
-matrices.renormalized, the same way.  _lockstep advances the replicas of a
-Monte Carlo run together, one batched matmul per step, each on its stream
-seeding.replica_rng(seed, i), and keeps each one's step and product at its
-stop (O(replicas n^2) memory); every Monte Carlo entry point (here, in
-wisdom and in fragmentation) keeps only its observer's own statistic and
-the aggregation.  _products advances one caller's state and leaves its
-stream exactly after the last step: accumulate reads it through _scan, and
-tests use it as the serial oracle of _lockstep.  Both draw through
-GeneratorSpec.draw_block, _lockstep in blocks of up to BLOCK draws per
-replica and _products one draw at a time (next_array is a block of one); a
-stream's draws do not depend on the block size, so the two loops see the
-same matrices.
+Products come from one loop, _lockstep, the only code in the package that
+multiplies a draw into a product or a belief vector.  It advances the
+replicas of a Monte Carlo run together, one batched matmul per step, each
+on its stream seeding.replica_rng(seed, i), renormalizes rows through
+matrices.renormalized, and keeps each one's step and product at its stop
+(O(replicas n^2) memory); every Monte Carlo entry point (here, in wisdom
+and in fragmentation) keeps only its observer's own statistic and the
+aggregation.  The serial entry points run it as one replica whose state is
+the caller's: accumulate reads its products through _scan, and evolve and
+the CLI's simulate walk a belief vector through _walk.  Draws come in
+blocks of up to BLOCK per replica; a stream's draws do not depend on the
+block size (GeneratorSpec.draw_block), so they are those that
+GeneratorState.next_array makes one at a time.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
 stops each replica at its first step with gap <= gap_tol.  It computes the
@@ -120,7 +120,7 @@ class BeliefState:
             arr = np.asarray(vec, dtype=float)
             if arr.ndim != 1 or len(arr) < 1:
                 raise DimensionMismatch(f"{name} must be a vector")
-            if (arr < 0).any() or (arr > 1).any():
+            if not ((arr >= 0) & (arr <= 1)).all():  # NaN too
                 raise InvalidProbability(f"{name} entries must lie in [0,1]")
         if len(self.p0) != len(self.p_t):
             raise DimensionMismatch("p0 and p_t must have equal length")
@@ -212,51 +212,46 @@ class SkeletonEquivalenceReport:
 # --- core dynamics -----------------------------------------------------------
 
 
-def _products(state: GeneratorState, t_max: int):
-    """Yield the left products X^(t) = X_t ... X_1 for t = 1..t_max.
+def _scan(state: GeneratorState, t_max: int, gap_tol: float, stop_when_converged: bool = False):
+    """Observe the consensus gap and positivity of every X^(t), as one replica of _lockstep on ``state``.
 
-    Rows are renormalized to sum to 1 after every RENORM_EVERY-th step, the
-    one roundoff policy for every product: between renormalizations each
-    row sum drifts by at most about RENORM_EVERY * n unit roundoffs.  A
-    draw is made only when the next product is requested, so a consumer
-    that stops early leaves the stream exactly after its last step.
+    Returns (product, t, gap, strict_positive_seen, consensus_time): t is t_max, or the
+    consensus time with ``stop_when_converged``, and the product there is renormalized once.
     """
-    prod = np.eye(state.spec.n)
-    for t in range(1, t_max + 1):
-        prod = state.next_array() @ prod
-        if t % RENORM_EVERY == 0:
-            prod = renormalized(prod)
-        yield prod
+    gap, strict_seen, consensus_time = (1.0 if state.spec.n > 1 else 0.0), False, None
 
-
-def _scan(state: GeneratorState, t_max: int, gap_tol: float,
-          stop_when_converged: bool = False):
-    """Observe the consensus gap and positivity of every X^(t).
-
-    Returns (product, t, gap, strict_positive_seen, consensus_time).
-    """
-    n = state.spec.n
-    prod = np.eye(n)
-    strict_seen = False
-    consensus_time = None
-    gap = 1.0 if n > 1 else 0.0
-    t_done = 0
-    for t_done, prod in enumerate(_products(state, t_max), 1):
-        gap = float(consensus_gaps(prod))
-        strict_seen = strict_seen or bool(strictly_positive(prod))
+    def observe(t, idx, prod):
+        nonlocal gap, strict_seen, consensus_time
+        gap = float(consensus_gaps(prod)[0])
+        strict_seen = strict_seen or bool(strictly_positive(prod)[0])
         if consensus_time is None and gap <= gap_tol:
-            consensus_time = t_done
-            if stop_when_converged:
-                break
-    return renormalized(prod), t_done, gap, strict_seen, consensus_time
+            consensus_time = t
+            return np.array([stop_when_converged])
+
+    prods, stops = _lockstep(state.spec, 1, None, t_max, observe, start=lambda i, rng: state)
+    return prods[0], min(int(stops[0]), t_max), gap, strict_seen, consensus_time
 
 
-def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe,
+def _walk(state: GeneratorState, path: np.ndarray, steps: int) -> None:
+    """p_t = clip(X_t p_(t-1), 0, 1) for t = 1..steps from p_0 = path[0], as one replica of _lockstep on ``state``.
+
+    The clip holds beliefs in [0,1] against roundoff.  Row t % len(path) of ``path`` receives p_t.
+    """
+    m = len(path)
+
+    def observe(t, idx, x):
+        np.clip(x[0] @ path[(t - 1) % m], 0.0, 1.0, out=path[t % m])
+
+    _lockstep(state.spec, 1, None, steps, observe, multiply=False, start=lambda i, rng: state)
+
+
+def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, observe,
               multiply: bool = True, start=None, keep: bool = True) -> tuple:
     """Advance replicas 0..replicas-1 of master seed ``seed`` in lockstep for t = 1..t_max.
 
     Replica i's state is ``start(i, rng)`` on its stream
-    seeding.replica_rng(seed, i), by default ``spec.start_state(rng)``.
+    seeding.replica_rng(seed, i), by default ``spec.start_state(rng)``; with
+    seed None, ``start(i, None)``, which serial callers use to pass their state.
     Replicas run CHUNK at a time, so the running stack does not grow with the
     replica count; seeding.replica_rngs builds the streams of a chunk in one
     pass of array arithmetic, and they are those of replica_rng (NumPy's
@@ -266,13 +261,14 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
     own stream; short first blocks keep short runs from drawing far past their
     stop) into one (R, n, n) stack with spec._expand and, with ``multiply``,
     left-multiplies the stack of running products by it in one batched matmul,
-    renormalizing rows on the schedule of _products; the products are then
-    bitwise those of _products.  ``observe(t, idx, stack)`` sees the products
-    (without ``multiply``, the draws) of the replicas ``idx`` still running, in
-    index order, and may return a boolean mask of those that are finished: they
-    leave the stack.  The stack is reused, so an observer copies what it keeps.
-    A replica may draw up to k - 1 matrices past its stop, from its own stream,
-    so no other replica's output changes.
+    renormalizing rows after every RENORM_EVERY-th step (row sums drift by at
+    most about RENORM_EVERY * n unit roundoffs).  ``observe(t, idx, stack)``
+    sees the products (without ``multiply``, the draws) of the replicas ``idx``
+    still running, in index order, and may return a boolean mask of those that
+    are finished: they leave the stack.  The stack is reused, so an observer
+    copies what it keeps.  A replica run to t_max makes exactly t_max draws
+    (no block holds more than t_max - t + 1); one that stops earlier may draw up
+    to k - 1 past its stop, from its own stream, so no other replica's output changes.
 
     A law whose block is nothing but uniforms (``spec._uniform_block``), with
     the default ``start``, builds no Generator for its first block: the first
@@ -286,9 +282,9 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
 
     Returns ``(products, stops)``: replica i stops at ``stops[i]``, the step
     where ``observe`` marked it finished, or t_max + 1 if it never did.
-    ``products[i]`` is its product at min(stops[i], t_max) renormalized once,
-    bitwise _scan's (the identity at t_max = 0), kept in O(replicas n^2)
-    memory; without ``multiply`` or ``keep`` it is None.
+    ``products[i]`` is its product at min(stops[i], t_max) renormalized once
+    (the identity at t_max = 0), kept in O(replicas n^2) memory; without
+    ``multiply`` or ``keep`` it is None.
     """
     n = spec.n
     arrays = start is None and spec._uniform_block
@@ -302,7 +298,8 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, observe
         stop = min(first + CHUNK, replicas)
         idx = np.arange(first, stop)
         if not arrays:
-            states = {i: start(i, rng) for i, rng in zip(range(first, stop), replica_rngs(seed, first, stop))}
+            rngs = replica_rngs(seed, first, stop) if seed is not None else [None] * (stop - first)
+            states = {i: start(i, rng) for i, rng in zip(range(first, stop), rngs)}
         else:
             states = None  # until the first block runs out
             if first % (GROUP * CHUNK) == 0:
@@ -392,15 +389,14 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
 
 
 def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
-    """Apply p <- X_t p for ``steps`` periods, clipped to [0,1] against roundoff."""
+    """Apply p <- clip(X_t p, 0, 1) for ``steps`` periods, clipping every step; ``gen`` ends after the last draw."""
     if steps < 0:
         raise InvalidArgument("steps must be >= 0")
     if gen.spec.n != beliefs.n:
         raise DimensionMismatch("generator and belief dimensions differ")
-    p = np.asarray(beliefs.p_t, dtype=float)
-    for _ in range(steps):
-        p = gen.next_array() @ p
-    return BeliefState(p0=beliefs.p0, p_t=tuple(float(v) for v in np.clip(p, 0.0, 1.0)), t=beliefs.t + steps)
+    path = np.array([beliefs.p_t], dtype=float)
+    _walk(gen, path, steps)
+    return BeliefState(p0=beliefs.p0, p_t=tuple(path[0].tolist()), t=beliefs.t + steps)
 
 
 def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
@@ -410,12 +406,13 @@ def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
     Records the first time the consensus gap (max column spread) drops to
     gap_tol, and whether any partial product was strictly positive.  With
     ``stop_when_converged`` the scan ends at the consensus time; the
-    recorded first-crossing time is the same either way.
+    recorded first-crossing time is the same either way.  ``gen`` ends after
+    the t_max-th draw, or up to BLOCK - 1 draws past a consensus stop.
     """
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
-    if not gap_tol >= 0:  # NaN too
-        raise InvalidArgument(f"gap_tol must be >= 0, got {gap_tol}")
+    if not 0 <= gap_tol < 1:  # NaN too
+        raise InvalidArgument(f"gap_tol must be >= 0 and < 1 (no gap exceeds 1), got {gap_tol}")
     prod, t, gap, strict_seen, consensus_time = _scan(gen, t_max, gap_tol, stop_when_converged)
     return ProductAccumulator(
         product=StochasticMatrix._trusted(prod),
@@ -438,8 +435,8 @@ def estimate_influence(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
-    if not gap_tol >= 0:  # NaN too
-        raise InvalidArgument(f"gap_tol must be >= 0, got {gap_tol}")
+    if not 0 <= gap_tol < 1:  # NaN too
+        raise InvalidArgument(f"gap_tol must be >= 0 and < 1 (no gap exceeds 1), got {gap_tol}")
 
     stops, samples, gaps = _scan_replicas(spec, replicas, seed, t_max, gap_tol)
     converged = np.flatnonzero(stops <= t_max)
@@ -606,8 +603,8 @@ class BetaMarginalPair:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):  # NaN too
-            raise InvalidProbability("beta parameters must be positive")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):  # NaN too
+            raise InvalidProbability("beta parameters must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,6 @@ class GeneratorState:
         return self.spec.draw_block(self, 1)[0]
 
 
-def sample_next(state: GeneratorState) -> StochasticMatrix:
-    """Draw X_t for the next period and advance the state."""
-    return StochasticMatrix._trusted(state.next_array())
-
-
 class GeneratorSpec:
     """Base class for network generating processes."""
 
@@ -275,8 +270,8 @@ class DirichletRows(GeneratorSpec):
     Rows are sampled as independent Gamma draws normalized by their sum; a
     zero alpha entry gives 0 without consuming the stream.
 
-    Every alpha entry must be 0 or at least MIN_ROW_ALPHA = 53/1075, and
-    every row needs a positive one.  For a < 1, NumPy's standard_gamma(a)
+    Every alpha entry must be 0 or finite and at least MIN_ROW_ALPHA =
+    53/1075, and every row needs a positive one.  For a < 1, standard_gamma(a)
     is exactly 0.0 with probability about 2^(-1075 a), so above the bound
     support()'s skeleton alpha > 0 fails with probability below 2^-53 per
     entry and draw, and a row draws all zeros (0/0) more rarely still.
@@ -304,11 +299,11 @@ class DirichletRows(GeneratorSpec):
         arr = np.array(self.alpha, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"alpha must be square, got shape {arr.shape}")
-        bad = np.argwhere(~((arr == 0) | (arr >= MIN_ROW_ALPHA)))  # negative and NaN entries too
+        bad = np.argwhere(~((arr == 0) | (arr >= MIN_ROW_ALPHA) & (arr < np.inf)))  # negative, inf and NaN too
         if bad.size:
             i, j = map(int, bad[0])
-            raise InvalidProbability(f"alpha entry ({i}, {j}) = {arr[i, j]:g} is neither 0 nor at least 53/1075: "
-                                     "a smaller positive alpha draws 0 with probability above 2^-53")
+            raise InvalidProbability(f"alpha entry ({i}, {j}) = {arr[i, j]:g} is neither 0 nor finite and at least "
+                                     "53/1075: a smaller positive alpha draws 0 with probability above 2^-53")
         empty = np.flatnonzero(~arr.any(axis=1))
         if empty.size:
             raise InvalidProbability(f"alpha row {int(empty[0])} has no positive entry")
@@ -382,8 +377,8 @@ class PerturbedFixed(DirichletRows):
     kind = "perturbed_fixed"
 
     def __init__(self, matrix: StochasticMatrix, epsilon: float):
-        if epsilon <= 0:
-            raise InvalidProbability("epsilon must be positive")
+        if not 0 < epsilon < np.inf:  # NaN too
+            raise InvalidProbability("epsilon must be positive and finite")
         if not is_strictly_positive(matrix):
             raise NotStrictlyPositive("perturbed_fixed requires a strictly positive T")
         s = _left_unit_eigenvector(matrix.entries)

@@ -78,8 +78,8 @@ class WisdomConfig:
             raise InvalidArgument("replicas must be >= 1")
         if self.t_max < 1:
             raise InvalidArgument("t_max must be >= 1")
-        if not self.gap_tol >= 0:  # NaN too
-            raise InvalidArgument(f"gap_tol must be >= 0, got {self.gap_tol}")
+        if not 0 <= self.gap_tol < 1:  # NaN too
+            raise InvalidArgument(f"gap_tol must be >= 0 and < 1 (no gap exceeds 1), got {self.gap_tol}")
         if any(n < 2 for n in self.sizes):
             raise InvalidArgument("all sizes must be >= 2")
         if self.signal_law.variance <= 0:
@@ -189,6 +189,8 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
             raise BalanceViolation("alpha row sums differ from column sums")
         phi = alpha.sum(axis=1)
     phi = np.asarray(phi, dtype=float)
+    if phi.shape != (spec.n,) or not ((phi > 0) & (phi < math.inf)).all():  # NaN too
+        raise InvalidArgument(f"phi must be {spec.n} positive finite values, got {phi.tolist()}")
     phi0 = float(phi.sum())
     target_mean = phi / phi0
     target_var = phi * (phi0 - phi) / (phi0**2 * (phi0 + 1.0))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -22,10 +24,11 @@ from degrootnet.cli import (
     run,
     serialize_config,
 )
-from degrootnet.engine import GAP_TOL, _scan
+from degrootnet.engine import GAP_TOL
 from degrootnet.fragmentation import islands_distribution
 from degrootnet.generators import GeneratorSpec, ring_uniform_self
 from degrootnet.seeding import replica_rng
+from test_products import reference_scan
 
 
 def read(path):
@@ -51,6 +54,22 @@ class TestExitCodes:
         code = run(["influence", "--spec", str(path), "--replicas", "10",
                     "--tmax", "50", "--seed", "1"])
         assert code == EXIT_NO_CONVERGENCE
+
+    @pytest.mark.parametrize("argv, outcome", [
+        (["speed2x2", "--phi", "1e-6", "--tcap", "2", "--replicas", "50"],
+         "CapHit: 50/50 replicas still above phi at t_cap=2"),
+        (["rate", "--dist", "{c10}", "--epsilon", "0.5", "--tgrid", "1:2", "--replicas", "25"],
+         "InsufficientEvents: fewer than 2 grid points"),
+        (["semigroup", "--support", "{support}", "--max-len", "14"],
+         "ExplosionGuard: semigroup exploration exceeded 4000 elements"),
+    ], ids=["cap-hit", "insufficient-events", "explosion-guard"])
+    def test_run_outcome_is_exit_3(self, tmp_path, capsys, argv, outcome):
+        # valid input whose run ends without a result, within the limits the user chose
+        argv = _inputs(tmp_path, argv)
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_NO_CONVERGENCE
+        assert f"{argv[0]}: {outcome}" in capsys.readouterr().out
+        assert not out.exists()
 
     @pytest.mark.parametrize("replicas", ["0", "-3"])
     @pytest.mark.parametrize("command", ["check-c", "speed2x2", "rate", "wisdom"])
@@ -111,7 +130,7 @@ class TestExitCodes:
         assert run(argv + ["--replicas", "4", "--tmax", tmax, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("gap_tol", ["-1", "nan"])
+    @pytest.mark.parametrize("gap_tol", ["-1", "nan", "1"])
     @pytest.mark.parametrize("command", ["influence", "wisdom"])
     def test_negative_or_nan_gap_tol_is_usage_error(self, tmp_path, capsys, command, gap_tol):
         argv = {
@@ -353,6 +372,103 @@ class TestExitCodes:
         assert code == 1
 
 
+# Small runs that exit 0, each with the float flags it reads.  "--p0[0]" names
+# component 0 of a comma-separated list.  Model flags are read by build_spec
+# alone, whichever subcommand runs, so simulate's runs sweep them for all.
+FLOAT_FLAG_RUNS = [
+    (["simulate", "--model", "encounter2x2", "--eps", "0.3", "--pmeet", "0.5", "--p0", "1,0", "--steps", "3"],
+     ["--eps", "--pmeet", "--p0[0]"]),
+    (["simulate", "--model", "two-point-swap", "--a", "0.4", "--p0", "1,0", "--steps", "3"], ["--a"]),
+    (["simulate", "--model", "bernoulli2x2", "--x", "0.5", "--pa", "0.5", "--pb", "0.3", "--p0", "1,0",
+      "--steps", "3"], ["--x", "--pa", "--pb"]),
+    (["simulate", "--model", "beta2x2", "--alpha", "1", "--p0", "1,0", "--steps", "3"], ["--alpha"]),
+    (["simulate", "--model", "islands", "--g", "2", "--ps", "0.8", "--pd", "0.3", "--p0", "1,0,1,0",
+      "--steps", "3"], ["--ps", "--pd"]),
+    (["simulate", "--model", "mix-identity", "--n", "3", "--zeta", "0.5", "--p0", "1,0,1", "--steps", "3"],
+     ["--zeta"]),
+    (["simulate", "--model", "perturbed", "--matrix", "{flat2}", "--eps", "8", "--p0", "1,0", "--steps", "3"],
+     ["--eps"]),
+    (["influence", "--model", "ring", "--n", "3", "--replicas", "4", "--tmax", "200", "--gap-tol", "1e-8"],
+     ["--gap-tol"]),
+    (["wisdom", "--family", "mix-identity", "--sizes", "3", "--zeta", "0.5", "--gamma", "0.5",
+      "--signal-width", "0.25", "--replicas", "4", "--tmax", "500", "--gap-tol", "1e-8"],
+     ["--zeta", "--gamma", "--signal-width", "--gap-tol"]),
+    (["speed2x2", "--mu", "beta-indep", "--a", "1", "--b", "2", "--phi", "0.01", "--replicas", "20"],
+     ["--a", "--b", "--phi"]),
+    (["energy", "--mu", "beta-indep", "--a", "1", "--b", "2"], ["--a", "--b"]),
+    (["rate", "--dist", "{k4}", "--epsilon", "0.5", "--tgrid", "1:3", "--replicas", "50"], ["--epsilon"]),
+    (["conjugacy", "--model", "perturbed", "--matrix", "{flat2}", "--eps", "8", "--replicas", "20",
+      "--tmax", "500", "--phi", "4,4"], ["--phi[0]"]),
+    (["pmax", "--islands", "2,0.8,0.3"], ["--islands[1]", "--islands[2]"]),
+]
+# No float flag gives nan, inf or -inf a finite meaning, so every such run is a usage error.
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+def _float_flags(command):
+    sub = cli.make_parser(command).commands[command]
+    return {action.option_strings[0] for action in sub._actions if action.type is float}
+
+
+def _sweep_cases():
+    for argv, flags in FLOAT_FLAG_RUNS:
+        for flag in flags:
+            for value in NON_FINITE:
+                yield pytest.param(argv, flag, value, id=f"{argv[0]}{flag}={value}({argv[2]})")
+
+
+K4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+TWO_EDGES = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+INPUT_FILES = {
+    "flat2": [[0.5, 0.5], [0.5, 0.5]],
+    "k4": {"n": 4, "atoms": [{"adjacency": K4, "prob": 1.0}]},
+    # C10's lazy-Metropolis mixture over K4 and two disjoint edges
+    "c10": {"n": 4, "atoms": [{"adjacency": K4, "prob": 0.7}, {"adjacency": TWO_EDGES, "prob": 0.3}]},
+    # two generic 2x2 matrices: their products of length <= 12 are all distinct
+    "support": [[[0.7, 0.3], [0.2, 0.8]], [[0.4, 0.6], [0.9, 0.1]]],
+}
+
+
+def _inputs(tmp_path, argv):
+    """argv with each "{name}" replaced by the path of INPUT_FILES[name], written under tmp_path."""
+    paths = {}
+    for name, doc in INPUT_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return [a.format(**paths) for a in argv]
+
+
+class TestNonFiniteFlags:
+    def test_the_runs_sweep_every_float_flag(self):
+        model_flags = _float_flags("simulate")
+        for command in cli._SUBCOMMANDS:
+            swept = {flag.split("[")[0] for argv, flags in FLOAT_FLAG_RUNS if argv[0] == command for flag in flags}
+            want = _float_flags(command) - (model_flags if command != "simulate" else set())
+            assert want <= swept, command
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in FLOAT_FLAG_RUNS], ids=lambda argv: "-".join(argv[:3]))
+    def test_base_run_succeeds(self, tmp_path, argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(_inputs(tmp_path, argv) + ["--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv, flag, value", _sweep_cases())
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, argv, flag, value):
+        # "--flag=-inf" keeps argparse from reading "-inf" as a flag
+        argv = _inputs(tmp_path, argv)
+        name, _, index = flag.partition("[")
+        at = argv.index(name)
+        parts = argv.pop(at + 1).split(",")
+        parts[int(index[:-1]) if index else 0] = value
+        argv[at] = f"{name}={','.join(parts)}"
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--out", str(out)])
+        assert (code, [str(w.message) for w in caught]) == (EXIT_USAGE, [])
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+
 class TestInfluenceCommand:
     def test_encounter_produces_half_half(self, tmp_path):
         out = tmp_path / "inf.csv"
@@ -372,7 +488,7 @@ class TestInfluenceCommand:
         assert run(["influence", "--model", "ring", "--n", "5", "--replicas", "12", "--tmax", "100",
                     "--seed", "3", "--out", str(out)]) == EXIT_OK
         spec = ring_uniform_self(5)
-        scans = {i: _scan(spec.start_state(replica_rng(3, i)), 100, GAP_TOL, True) for i in range(12)}
+        scans = {i: reference_scan(spec.start_state(replica_rng(3, i)), 100, GAP_TOL, stop=True) for i in range(12)}
         want = [i for i, scan in scans.items() if scan[4] is not None]
         rows = [line.split(",") for line in read(out).splitlines()[1:]]
         assert len(want) < 12
@@ -426,6 +542,14 @@ class TestSimulate:
         argv = ["simulate", "--model", "ring", "--n", "5", "--p0", "1,1,1,1,1", "--steps", "200", "--seed", "6"]
         assert run(argv) == EXIT_OK
         assert "final=[1.0, 1.0, 1.0, 1.0, 1.0]" in capsys.readouterr().out
+
+    def test_every_row_is_clipped_to_the_unit_interval(self, tmp_path):
+        # the summary rounds to 6 digits; the rows must not carry the 1 + 1 ulp either
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--model", "ring", "--n", "5", "--p0", "1,1,1,1,1", "--steps", "200", "--seed", "6",
+                    "--out", str(out)]) == EXIT_OK
+        values = [float(v) for line in read(out).splitlines()[1:] for v in line.split(",")[1:]]
+        assert len(values) == 201 * 5 and all(0.0 <= v <= 1.0 for v in values)
 
 
 # The smallest parameters each --model accepts, as flags or --config values.

@@ -137,6 +137,20 @@ class TestEvolve:
         oracle = np.linalg.matrix_power(t.entries, 50) @ p0
         assert np.abs(np.asarray(out.p_t) - oracle).max() < 1e-10
 
+    def test_steps_at_once_are_single_steps_clipped_every_step(self):
+        # seed 6's first ring draw has a row summing to 1 + 1 ulp, which would lift a belief of 1 above 1
+        for name, spec in dict(all_models(), ring5=ring_uniform_self(5)).items():
+            for seed in (6, 7):
+                at_once, single = spec.start_state(seed), spec.start_state(seed)
+                b = BeliefState.from_signals([1.0] * spec.n)
+                got = evolve(at_once, b, 40)
+                for _ in range(40):
+                    b = evolve(single, b, 1)
+                    assert max(b.p_t) <= 1.0, (name, seed)
+                assert (got.p_t, got.t) == (b.p_t, b.t), (name, seed)
+                # both streams stand after the 40th draw
+                assert at_once.next_array().tobytes() == single.next_array().tobytes(), (name, seed)
+
     def test_belief_range_contracts_on_random_trajectories(self):
         rng = np.random.default_rng(11)
         specs = [ring_uniform_self(4), encounter_2x2(0.3, 0.5), mixing_identity_mixture(3, 0.5),
@@ -865,13 +879,14 @@ GAP_TOL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("gap_tol", [-1.0, -5e-324, float("nan")])
+@pytest.mark.parametrize("gap_tol", [-1.0, -5e-324, float("nan"), 1.0, float("inf")])
 @pytest.mark.parametrize("entry", sorted(GAP_TOL_ENTRY_POINTS))
 def test_monte_carlo_entry_points_reject_negative_or_nan_gap_tol(entry, gap_tol):
-    # raised before any step: a scan would run every replica to t_max and never converge
-    with mock.patch.object(engine, "_products", side_effect=AssertionError("stepped")), \
-            mock.patch.object(engine, "_lockstep", side_effect=AssertionError("stepped")), \
-            pytest.raises(ValueError, match="gap_tol must be >= 0"):
+    # raised before any step: below 0 or NaN a scan would run every replica to t_max and
+    # never converge, and at 1 or more every replica would "converge" at t = 1, since no
+    # gap exceeds 1
+    with mock.patch.object(engine, "_lockstep", side_effect=AssertionError("stepped")), \
+            pytest.raises(ValueError, match="gap_tol must be >= 0 and < 1"):
         GAP_TOL_ENTRY_POINTS[entry](gap_tol)
 
 
@@ -915,6 +930,7 @@ NAN_CONSTRUCTORS = {
     "BetaMarginalPair-b": (lambda: BetaMarginalPair(1.0, NAN), InvalidProbability),
     "UniformSignal-gamma": (lambda: UniformSignal(NAN), InvalidProbability),
     "UniformSignal-half_width": (lambda: UniformSignal(0.5, NAN), InvalidProbability),
+    "BeliefState": (lambda: BeliefState.from_signals([NAN, 0.5]), InvalidProbability),
 }
 
 
@@ -924,3 +940,19 @@ def test_constructors_reject_nan(name):
     build, error = NAN_CONSTRUCTORS[name]
     with pytest.raises(error):
         build()
+
+
+INF = float("inf")
+INFINITE_CONSTRUCTORS = {
+    "DirichletRows": lambda: generators.DirichletRows(np.array([[INF, 1.0], [1.0, 1.0]])),
+    "PerturbedFixed": lambda: generators.PerturbedFixed(HALVES, INF),
+    "BetaMarginalPair-a": lambda: BetaMarginalPair(INF, 1.0),
+    "BetaMarginalPair-b": lambda: BetaMarginalPair(1.0, INF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_CONSTRUCTORS))
+def test_constructors_reject_infinite_parameters(name):
+    # an infinite alpha draws inf/inf = NaN rows, and an infinite Beta parameter a NaN energy
+    with pytest.raises(InvalidProbability, match="finite"):
+        INFINITE_CONSTRUCTORS[name]()

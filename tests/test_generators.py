@@ -25,7 +25,6 @@ from degrootnet import (
     make_stochastic,
     mixing_identity_mixture,
     ring_uniform_self,
-    sample_next,
     two_point_swap,
 )
 from degrootnet.cli import _speed_spec, build_spec, run
@@ -99,18 +98,20 @@ def _undirected_pair():
 
 
 class TestSampleNext:
+    """Draws of GeneratorState.next_array, one period at a time."""
+
     def test_fixed_returns_t_every_period(self):
         t = make_stochastic([[0.6, 0.4], [0.3, 0.7]])
         state = Fixed(t).start_state(0)
         for _ in range(5):
-            assert np.array_equal(sample_next(state).entries, t.entries)
+            assert np.array_equal(state.next_array(), t.entries)
 
     def test_ar1_xi_zero_freezes_t0(self):
         t0 = make_stochastic([[0.9, 0.1], [0.2, 0.8]])
         spec = Ar1Mixture(0.0, t0, ring_uniform_self(2))
         state = spec.start_state(1)
         for _ in range(5):
-            assert np.array_equal(sample_next(state).entries, t0.entries)
+            assert np.array_equal(state.next_array(), t0.entries)
 
     def test_ar1_xi_one_is_iid_source(self):
         t0 = make_stochastic([[0.9, 0.1], [0.2, 0.8]])

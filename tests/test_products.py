@@ -1,12 +1,14 @@
-"""The product loops engine._products and engine._lockstep, and the scans built on them.
+"""The product loop engine._lockstep, the scans built on it, and the serial oracle they answer to.
 
-The property tests compare _products bitwise with a plain reference loop
-across generator kinds, the lockstep kernel bytewise with _scan on each
-replica's stream, and the two-row bound that gates the lockstep scan's gap
-with the gap itself, bit for bit.  The pinned values below were recorded before the scans
-were routed through _products; they cover outputs that no benchmark hash
-fixes, so any change in the order of floating-point operations shows up
-here.
+reference_products and reference_scan are the serial oracle: a plain loop
+that draws one matrix at a time through GeneratorState.next_array, written
+out here rather than read from the engine.  The property tests compare
+_lockstep with it bitwise across generator kinds, on one caller's stream
+(accumulate's _scan) and on each replica's stream of a Monte Carlo run, and
+the two-row bound that gates the lockstep scan's gap with the gap itself,
+bit for bit.  The pinned values below were recorded before the scans were
+routed through one loop; they cover outputs that no benchmark hash fixes,
+so any change in the order of floating-point operations shows up here.
 """
 
 from unittest import mock
@@ -35,15 +37,14 @@ from degrootnet import (
 )
 from degrootnet import engine
 from degrootnet.engine import (
+    BLOCK,
     HOLDS,
     RENORM_EVERY,
     _disagreement_report,
-    _products,
-    _scan,
     _scan_replicas,
     _two_row_bound,
 )
-from degrootnet.matrices import StochasticMatrix, consensus_gaps, numeric_rank, renormalized
+from degrootnet.matrices import ZERO_TOL, StochasticMatrix, consensus_gaps, numeric_rank
 from degrootnet.seeding import replica_rng
 from test_generators import all_models, block_models, row_sum_models
 
@@ -51,14 +52,54 @@ UNIT_ROUNDOFF = 2.0**-53
 
 
 def reference_products(state, t_max):
-    out = []
+    """Yield X^(t) for t = 1..t_max, drawing X_t only when X^(t) is requested."""
     prod = np.eye(state.spec.n)
     for t in range(1, t_max + 1):
         prod = state.next_array() @ prod
         if t % 64 == 0:  # the schedule written out, not read from the engine
             prod = prod / prod.sum(axis=1, keepdims=True)
-        out.append(prod)
-    return out
+        yield prod
+
+
+def reference_scan(state, t_max, gap_tol, stop=False):
+    """(product, t, gap, strict_positive_seen, consensus_time) of the serial loop on ``state``.
+
+    The gap and positivity of every X^(t) up to t_max, or up to the first
+    step with gap <= gap_tol with ``stop``; the product is the last one,
+    renormalized once.
+    """
+    prod, t, strict_seen, consensus_time = np.eye(state.spec.n), 0, False, None
+    gap = 1.0 if state.spec.n > 1 else 0.0
+    for t, prod in enumerate(reference_products(state, t_max), 1):
+        gap = float((prod.max(axis=0) - prod.min(axis=0)).max())
+        strict_seen = strict_seen or bool((prod > ZERO_TOL).all())
+        if consensus_time is None and gap <= gap_tol:
+            consensus_time = t
+            if stop:
+                break
+    return prod / prod.sum(axis=1, keepdims=True), t, gap, strict_seen, consensus_time
+
+
+def stream_position(state):
+    """Everything a later draw of ``state`` depends on."""
+    last = None if state.last is None else state.last.tobytes()
+    return state.rng.bit_generator.state, state.aux, last
+
+
+def assert_accumulates_the_serial_scan(acc, scan):
+    prod, t, gap, strict_seen, consensus_time = scan
+    # StochasticMatrix._trusted renormalizes the product once more
+    assert acc.product.entries.tobytes() == (prod / prod.sum(axis=1, keepdims=True)).tobytes()
+    assert (acc.t, acc.consensus_gap, acc.strict_positive_seen, acc.consensus_time) == (t, gap, strict_seen,
+                                                                                         consensus_time)
+
+
+def lockstep_products(spec, seed, t_max):
+    """Every product X^(1..t_max) that _lockstep makes on the stream spec.start_state(seed), and that state."""
+    state, got = spec.start_state(seed), []
+    engine._lockstep(spec, 1, 0, t_max, lambda t, idx, prod: got.append(prod[0].copy()),
+                     start=lambda i, rng: state)
+    return got, state
 
 
 @st.composite
@@ -138,26 +179,37 @@ class TestProducts:
     @settings(max_examples=40, deadline=None)
     @given(spec=SPECS, t_max=st.integers(0, 140), seed=st.integers(0, 2**32 - 1))
     def test_matches_reference_loop_bitwise(self, spec, t_max, seed):
-        state = spec.start_state(seed)
         ref_state = spec.start_state(seed)
-        got = list(_products(state, t_max))
-        want = reference_products(ref_state, t_max)
+        got, state = lockstep_products(spec, seed, t_max)
+        want = list(reference_products(ref_state, t_max))
         assert len(got) == t_max
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         # both streams stand at the same position afterwards
         assert state.next_array().tobytes() == ref_state.next_array().tobytes()
 
-    @settings(max_examples=20, deadline=None)
-    @given(spec=SPECS, stop=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-    def test_early_stop_makes_no_extra_draw(self, spec, stop, seed):
-        state = spec.start_state(seed)
-        ref_state = spec.start_state(seed)
-        for t, _prod in enumerate(_products(state, 100), 1):
-            if t == stop:
-                break
-        reference_products(ref_state, stop)
-        assert state.next_array().tobytes() == ref_state.next_array().tobytes()
+    @settings(max_examples=30, deadline=None)
+    @given(spec=SPECS, t_max=st.integers(1, 140), gap_tol=st.sampled_from([0.0, 1e-3, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accumulate_to_t_max_leaves_the_stream_after_its_last_draw(self, spec, t_max, gap_tol, seed):
+        state, ref_state = spec.start_state(seed), spec.start_state(seed)
+        assert_accumulates_the_serial_scan(accumulate(state, t_max, gap_tol=gap_tol),
+                                           reference_scan(ref_state, t_max, gap_tol))
+        assert stream_position(state) == stream_position(ref_state)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=SPECS, t_max=st.integers(1, 140), gap_tol=st.sampled_from([1e-3, 0.2, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accumulate_stopped_at_consensus_draws_under_a_block_past_it(self, spec, t_max, gap_tol, seed):
+        # the stream stands after the stop's draw or at most BLOCK - 1 draws further
+        state, ref_state = spec.start_state(seed), spec.start_state(seed)
+        acc = accumulate(state, t_max, gap_tol=gap_tol, stop_when_converged=True)
+        assert_accumulates_the_serial_scan(acc, reference_scan(spec.start_state(seed), t_max, gap_tol, stop=True))
+        positions = []
+        for t, _ in enumerate(reference_products(ref_state, min(acc.t + BLOCK - 1, t_max)), 1):
+            if t >= acc.t:
+                positions.append(stream_position(ref_state))
+        assert stream_position(state) in positions
 
     def test_consensus_gap_never_increases(self):
         # Each row of X_t X^(t-1) is a convex combination of rows of X^(t-1), so
@@ -169,7 +221,7 @@ class TestProducts:
             tol = 2 * spec.n * UNIT_ROUNDOFF
             for seed in range(5):
                 gap = 1.0 if spec.n > 1 else 0.0
-                for t, prod in enumerate(_products(spec.start_state(seed), 3 * RENORM_EVERY + 5), 1):
+                for t, prod in enumerate(lockstep_products(spec, seed, 3 * RENORM_EVERY + 5)[0], 1):
                     nxt = float((prod.max(axis=0) - prod.min(axis=0)).max())
                     assert nxt <= gap + tol, (name, seed, t, nxt - gap)
                     gap = nxt
@@ -180,19 +232,23 @@ class TestProducts:
         # the drift never reaches RENORM_EVERY * n roundoffs.
         n = 40
         bound = RENORM_EVERY * n * UNIT_ROUNDOFF
-        drift = 0.0
-        for prod in _products(ring_uniform_self(n).start_state(3), 30000):
-            drift = max(drift, float(np.abs(prod.sum(axis=1) - 1.0).max()))
-        assert drift < bound
+        drift = np.zeros(1)
+
+        def observe(t, idx, prod):
+            np.maximum(drift, np.abs(prod.sum(axis=2) - 1.0).max(), out=drift)
+
+        engine._lockstep(ring_uniform_self(n), 1, 3, 30000, observe, keep=False)
+        assert drift[0] < bound
 
 
 def assert_matches_serial_scans(spec, replicas, seed, t_max, gap_tol, stops, pis, gaps):
-    # each replica's stop is _scan's consensus time (t_max + 1 for None), and row 0 and the
-    # gap of each converged replica are _scan's at that time, bytewise
+    # each replica's stop is the serial scan's consensus time (t_max + 1 for None), and row 0
+    # and the gap of each converged replica are the serial scan's at that time, bytewise
     assert stops.shape == (replicas,)
     converged = 0
     for i, stop in enumerate(stops.tolist()):
-        prod, t, gap, _, consensus_time = _scan(spec.start_state(replica_rng(seed, i)), t_max, gap_tol, True)
+        prod, t, gap, _, consensus_time = reference_scan(spec.start_state(replica_rng(seed, i)), t_max, gap_tol,
+                                                         stop=True)
         assert stop == (t_max + 1 if consensus_time is None else consensus_time), i
         if stop <= t_max:
             assert pis[converged].tobytes() == prod[0].tobytes(), i
@@ -265,10 +321,8 @@ class TestLockstep:
         assert stops.tolist() == want_stops.tolist()
         assert prods.shape == (replicas, spec.n, spec.n)
         for i, stop in enumerate(want_stops.tolist()):
-            prod = np.eye(spec.n)
-            for prod in _products(spec.start_state(replica_rng(seed, i)), min(stop, t_max)):
-                pass
-            assert prods[i].tobytes() == renormalized(prod).tobytes(), (name, i, stop)
+            prod = reference_scan(spec.start_state(replica_rng(seed, i)), min(stop, t_max), 0.0)[0]
+            assert prods[i].tobytes() == prod.tobytes(), (name, i, stop)
         if t_max == 0:
             assert (prods == np.eye(spec.n)).all()
         # without multiply the observer sees the draws, and no product is kept
@@ -291,7 +345,7 @@ class TestLockstep:
         stops, pis, gaps = _scan_replicas(spec, 5, 13, t_max, gap_tol)
         assert_matches_serial_scans(spec, 5, 13, t_max, gap_tol, stops, pis, gaps)
         if case == "rows_0_1_equal":
-            prod = _scan(spec.start_state(replica_rng(13, 0)), t_max, gap_tol)[0]
+            prod = reference_scan(spec.start_state(replica_rng(13, 0)), t_max, gap_tol)[0]
             assert (_two_row_bound(prod[None]).tolist(), float(consensus_gaps(prod))) == ([0.0], 1.0)
             assert stops.tolist() == [t_max + 1] * 5
 
@@ -324,7 +378,8 @@ class TestLockstep:
             with mock.patch.multiple(engine, CHUNK=32, _disagreement_report=mock.Mock(wraps=_disagreement_report)):
                 got = disagreement_degree(spec, replicas=100, t_max=t_max, seed=seed)
                 got_prods = engine._disagreement_report.call_args.args[0]
-            prods = np.array([_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0)[0] for i in range(100)])
+            prods = np.array([reference_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0)[0]
+                              for i in range(100)])
             assert got_prods.tobytes() == prods.tobytes(), (name, t_max)
             want = _disagreement_report(prods)
             assert (got.eta_estimate, got.rank_histogram) == (want.eta_estimate, want.rank_histogram), (name, t_max)
@@ -344,7 +399,8 @@ class TestLockstep:
         horizon, replicas, seed = 40, 30, 9
         with mock.patch.object(type(spec), "is_iid", False), mock.patch.object(engine, "CHUNK", 8):
             rep = check_condition_c(spec, horizon=horizon, replicas=replicas, seed=seed)
-        positives = sum(_scan(spec.start_state(replica_rng(seed, i)), horizon, 0.0)[3] for i in range(replicas))
+        positives = sum(reference_scan(spec.start_state(replica_rng(seed, i)), horizon, 0.0)[3]
+                        for i in range(replicas))
         if positives:
             assert (rep.verdict, rep.method, rep.evidence) == (HOLDS, "monte_carlo_positivity", positives / replicas)
         else:

@@ -24,10 +24,11 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine
-from degrootnet.engine import _scan, _scan_replicas
+from degrootnet.engine import _scan_replicas
 from degrootnet.errors import BalanceViolation, InvalidArgument, InvalidProbability, NoConvergence, PreconditionUnmet
 from degrootnet.matrices import RANK_REL_TOL, StochasticMatrix, numeric_rank
 from degrootnet.seeding import replica_rng
+from test_products import reference_scan
 
 
 def flat(n):
@@ -187,6 +188,14 @@ class TestConjugacy:
         with pytest.raises(InvalidArgument, match="replicas must be >= 2"):
             dirichlet_conjugacy_test(ring_uniform_self(3), replicas=1, t_max=100)
 
+    @pytest.mark.parametrize("phi", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [-1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
+                                     [float("inf"), 1.0, 1.0], [float("nan"), 1.0, 1.0]])
+    def test_phi_must_be_n_positive_finite_values(self, phi):
+        # checked before any step: a wrong length was a broadcast ValueError, and the rest ran to NaN targets
+        with mock.patch.object(engine, "_lockstep", side_effect=AssertionError("stepped")), \
+                pytest.raises(InvalidArgument, match="phi must be 3 positive finite values"):
+            dirichlet_conjugacy_test(ring_uniform_self(3), replicas=4, phi=phi)
+
     def test_fewer_than_two_converged_is_no_convergence(self):
         # at seed 0 the two ring-3 replicas reach GAP_TOL at t = 32 and t = 38;
         # one sample has no variance, so it is no longer returned as NaN
@@ -277,7 +286,7 @@ class TestMeanRankOne:
         swap = make_stochastic([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         spec = {"stubborn": FiniteMixture(atoms=(h, swap), probs=(0.5, 0.5)), "ring4": ring_uniform_self(4)}[name]
         for replicas, t_max, seed in [(300, 200, 1007), (7, 1, 1), (40, 2, 2), (90, 65, 3)]:
-            scans = [_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0) for i in range(replicas)]
+            scans = [reference_scan(spec.start_state(replica_rng(seed, i)), t_max, 0.0) for i in range(replicas)]
             prods = np.array([scan[0] for scan in scans])
             strict_seen = np.array([scan[3] for scan in scans])
             mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
