@@ -30,7 +30,7 @@ import numpy as np
 
 from . import engine, fragmentation, generators, wisdom
 from .errors import (CapHit, DegrootNetError, DimensionMismatch, ExplosionGuard, InsufficientEvents, InvalidArgument,
-                     NoConvergence)
+                     NoConvergence, SizeLimit, Unsupported)
 from .matrices import StochasticMatrix
 
 EXIT_OK = 0
@@ -509,7 +509,11 @@ def _load_distribution(params):
 
 
 def _cmd_pmax(params):
-    report = fragmentation.p_max(_load_distribution(params))
+    dist = _load_distribution(params)
+    try:
+        report = fragmentation.p_max(dist)
+    except SizeLimit as exc:  # raised before any enumeration: the law is past both limits
+        raise _UsageError(f"--dist: {exc}") from exc
     doc = report.to_dict()
     header = ["p_max", "pi_g_empty", "predicted_rate"]
     rows = [(float(report.p_max), report.pi_g_empty, report.predicted_rate)]
@@ -529,13 +533,18 @@ def _cmd_rate(params):
             t_grid = list(range(int(lo), int(hi) + 1))
         else:
             t_grid = [int(v) for v in str(grid).split(",")]
-    report = fragmentation.decay_rate_estimate(
-        spec,
-        epsilon=params["epsilon"],
-        t_grid=t_grid,
-        replicas=params["replicas"],
-        seed=params["seed"],
-    )
+    try:
+        report = fragmentation.decay_rate_estimate(
+            spec,
+            epsilon=params["epsilon"],
+            t_grid=t_grid,
+            replicas=params["replicas"],
+            seed=params["seed"],
+        )
+    except Unsupported as exc:  # raised only by the law checks, before any replica runs
+        law = ("--dist" if params.get("dist") else "--spec" if params.get("spec") is not None
+               else f"--model {params['model']}")
+        raise _UsageError(f"{law}: {exc}") from exc
     header = ["t", "count", "logprob"]
     rows = list(zip(report.t_grid, report.counts, report.per_t_logprob))
     doc = {

@@ -57,6 +57,7 @@ from .matrices import (
     SkeletonMask,
     StochasticMatrix,
     _closure,
+    _singular_values,
     _skeleton_closure,
     # boolean_product, dobrushin_coefficient and numeric_rank are unused here;
     # they stay bound because perfbench/tracer.py patches them on this module.
@@ -695,7 +696,7 @@ def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,
         raise InvalidArgument("t_max must be >= 1")
 
     def distance(p):
-        return np.linalg.norm(p - p.mean(axis=1, keepdims=True), 2, axis=(1, 2))
+        return _singular_values(p - p.mean(axis=1, keepdims=True))[:, 0]
 
     prods, stops = _lockstep(spec, replicas, seed, t_max,
                              lambda t, idx, prod: distance(renormalized(prod)) < spec.n * NORM_FLOOR)

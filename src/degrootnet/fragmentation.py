@@ -24,7 +24,7 @@ from .errors import (
     Unsupported,
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
-from .matrices import PROB_TOL, ZERO_TOL, StochasticMatrix, _connected
+from .matrices import PROB_TOL, ZERO_TOL, StochasticMatrix, _connected, spectral_norms
 from .seeding import replica_rng
 
 MIN_EVENTS = 20
@@ -358,7 +358,10 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
 
     Requires an iid process of symmetric positive-diagonal matrices; the
     spectral norm of X^(t) - J is then nonincreasing in t, so each replica
-    is scanned once up to its crossing time.  The slope is fit by least
+    is scanned once up to its crossing time.  Each step takes one SVD per
+    distinct product (matrices.spectral_norms): a law of k atoms has at most
+    k^t, and replicas that share a product share its bytes, so the verdicts
+    are bitwise those of an SVD per replica.  The slope is fit by least
     squares over grid times with at least 20 exceedance events; when the
     exceedance count is identically zero beyond some finite time, the
     process disconnects with probability zero and the rate is +inf.
@@ -386,7 +389,7 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     t_max = t_grid[-1]
 
     def observe(t, idx, prod):
-        return np.linalg.norm(prod - flat, 2, axis=(1, 2)) < epsilon
+        return spectral_norms(prod - flat) < epsilon
 
     _, crossings = _lockstep(spec, replicas, seed, t_max, observe, keep=False)  # t_max + 1: no crossing by then
     counts = np.array([int((t < crossings).sum()) for t in t_grid])

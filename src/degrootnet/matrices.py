@@ -6,8 +6,9 @@ and the handful of spectral quantities the rest of the package needs.
 
 Each numerical test a consensus verdict rests on is written once here, in a
 form over (..., n, n) stacks: consensus_gaps, strictly_positive, skeletons,
-numeric_ranks and first_within, the duplicate match.  So is the roundoff
-policy, renormalized: the row division of every product and weight.
+numeric_ranks, spectral_norms and first_within, the duplicate match.  So is
+the roundoff policy, renormalized: the row division of every product and
+weight.
 
 _closure is the one breadth-first enumeration of support products, read by
 the skeleton closure of condition (C), primitivity and engine.semigroup_explore.
@@ -220,13 +221,32 @@ def numeric_ranks(stack: np.ndarray) -> np.ndarray:
     return _ranked_singular_values(stack, RANK_REL_TOL)[1]
 
 
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """The 2-norm of each matrix in an (r, n, n) stack, from one SVD per distinct matrix.
+
+    Matrices are the same only when their bytes are, so -0.0 and 0.0 differ.
+    The same bytes through the same batched LAPACK call give the same singular
+    values, largest first, so each norm is bitwise NumPy's ord-2 norm of its
+    matrix: the largest singular value of an SVD of every matrix.
+    """
+    r, n, _ = stack.shape
+    keys = np.ascontiguousarray(stack).reshape(r, n * n).view(np.dtype((np.void, n * n * stack.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _singular_values(stack[first])[:, 0][inverse]
+
+
 def _ranked_singular_values(stack: np.ndarray, rel_tol: float):
     """Singular values of each matrix in the stack, and how many exceed rel_tol times the largest."""
+    sv = _singular_values(stack)
+    return sv, (sv > rel_tol * sv[..., :1]).sum(axis=-1)
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix in an (..., n, n) stack, largest first: the package's one SVD."""
     try:
-        sv = np.linalg.svd(stack, compute_uv=False)
+        return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    return sv, (sv > rel_tol * sv[..., :1]).sum(axis=-1)
 
 
 def distance_to_rank_one(m: StochasticMatrix) -> float:

@@ -371,6 +371,43 @@ class TestExitCodes:
         code = run(["energy", "--mu", "uniform-indep", "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, flag, why", [
+        (["rate", "--model", "ring", "--n", "3", "--replicas", "20", "--tgrid", "1:3"], "--model ring",
+         "symmetric with positive diagonals"),
+        (["rate", "--spec", "{ar1.json}", "--replicas", "20"], "--spec", "requires an iid process"),
+    ])
+    def test_rate_law_outside_the_decay_precondition_is_usage_error_naming_it(self, tmp_path, capsys, argv, flag,
+                                                                               why):
+        ar1 = {"model": "ar1_mixture", "xi": 0.5, "t0": [[0.5, 0.5], [0.5, 0.5]],
+               "source": {"model": "dirichlet_rows", "alpha": [[1, 1], [1, 1]]}}
+        (tmp_path / "ar1.json").write_text(json.dumps(ar1))
+        assert run([str(tmp_path / "ar1.json") if a == "{ar1.json}" else a for a in argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag}: ") and why in err
+
+    def test_rate_numerical_failure_in_the_run_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps({"n": 4, "atoms": [{"adjacency": (1 - np.eye(4, dtype=int)).tolist(), "prob": 1.0}]}))
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        assert run(["rate", "--dist", str(path), "--replicas", "20", "--tgrid", "1:3"]) == 1
+        assert "error: NumericalFailure: SVD did not converge" in capsys.readouterr().err
+
+    def test_pmax_law_past_both_enumeration_limits_is_usage_error_naming_dist(self, tmp_path, capsys):
+        # 21 one-edge graphs on 17 vertices: more atoms than SUBSET_LIMIT = 20, more vertices than CUT_LIMIT = 16
+        n, edges = 17, [(0, j) for j in range(1, 17)] + [(1, j) for j in range(2, 7)]
+        atoms = []
+        for k, (i, j) in enumerate(edges):
+            adjacency = np.zeros((n, n), dtype=int)
+            adjacency[i, j] = adjacency[j, i] = 1
+            atoms.append({"adjacency": adjacency.tolist(), "prob": 0.2 if k == 0 else 0.04})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": n, "atoms": atoms}))
+        assert run(["pmax", "--dist", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --dist: ") and "21 atoms exceed the subset limit 20" in err
+
 
 # Small runs that exit 0, each with the float flags it reads.  "--p0[0]" names
 # component 0 of a comma-separated list.  Model flags are read by build_spec

@@ -18,10 +18,12 @@ from degrootnet import (
     p_max,
     p_max_by_cuts,
 )
+from degrootnet.engine import CHUNK
 from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit
 from degrootnet.fragmentation import _by_cuts, _by_subsets, _cuts
 from degrootnet.generators import Fixed
 from degrootnet.matrices import make_stochastic
+from test_matrices import svd_sizes
 
 
 def graph(n, edges):
@@ -295,6 +297,15 @@ class TestDecayRate:
                                   replicas=500, seed=42)
         assert rep.empirical_rate == math.inf
         assert all(c == 0 for c in rep.counts)
+
+    def test_one_svd_per_distinct_product(self):
+        # the K4 control: all 4000 replicas hold the same product, and all cross at t = 1,
+        # so each chunk hands the SVD one matrix
+        spec = metropolis_mixture(GraphDistribution(atoms=((K4, 1.0),)))
+        with svd_sizes() as sizes:
+            rep = decay_rate_estimate(spec, epsilon=0.5, t_grid=range(1, 11), replicas=4000, seed=42)
+        assert rep.empirical_rate == math.inf
+        assert 0 < sum(sizes) <= math.ceil(4000 / CHUNK)
 
     def test_full_epsilon_counts_nonincreasing(self):
         spec = self.two_atom_spec(0.5)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -20,7 +21,7 @@ from degrootnet import (
     skeleton_is_primitive,
 )
 from degrootnet import matrices
-from degrootnet.errors import DimensionMismatch, NegativeEntry, RowSumViolation
+from degrootnet.errors import DimensionMismatch, NegativeEntry, NumericalFailure, RowSumViolation
 from degrootnet.matrices import (
     SkeletonMask,
     _closure,
@@ -30,6 +31,7 @@ from degrootnet.matrices import (
     first_within,
     numeric_ranks,
     skeletons,
+    spectral_norms,
     strictly_positive,
 )
 
@@ -69,6 +71,15 @@ def bytes_recorder():
         return True
 
     return is_new, offered
+
+
+@contextlib.contextmanager
+def svd_sizes():
+    """The list of the sizes of the stacks that reach the package's SVD while the block runs."""
+    sizes = []
+    with mock.patch.object(matrices, "_singular_values", wraps=matrices._singular_values) as svd:
+        svd.side_effect = lambda stack: sizes.append(len(stack)) or mock.DEFAULT
+        yield sizes
 
 
 @st.composite
@@ -319,6 +330,42 @@ class TestRankAndGap:
             assert SkeletonMask(masks[k]) == skeleton(m)
             assert ranks[k] == numeric_rank(m).numeric_rank
         assert set(ranks[::3].tolist()) == {1} and positive.any() and not positive.all()
+
+
+class TestSpectralNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(1, 40), n=st.one_of(st.just(1), st.integers(2, 20)), seed=st.integers(0, 2**32 - 1),
+           copies=st.integers(0, 40), zeros=st.integers(0, 6))
+    def test_bitwise_the_per_matrix_norm_from_one_svd_per_distinct_matrix(self, r, n, seed, copies, zeros):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((r, n, n))
+        for _ in range(copies):  # planted duplicates
+            stack[rng.integers(r)] = stack[rng.integers(r)]
+        for _ in range(zeros):  # signed zeros: a -0.0 copy of a 0.0 matrix is another key
+            k, i, j = rng.integers(r), rng.integers(n), rng.integers(n)
+            stack[k, i, j] = 0.0
+            if r > 1 and rng.random() < 0.5:
+                stack[(k + 1) % r] = stack[k]
+                stack[(k + 1) % r, i, j] = -0.0
+        with svd_sizes() as sizes:
+            norms = spectral_norms(stack)
+        assert norms.shape == (r,)
+        assert norms.tobytes() == np.linalg.norm(stack, 2, axis=(1, 2)).tobytes()
+        assert sizes == [len({m.tobytes() for m in stack})]
+
+    def test_signed_zeros_are_distinct_matrices(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = -0.0
+        with svd_sizes() as sizes:
+            assert spectral_norms(stack).tolist() == [0.0, 0.0, 0.0]
+        assert sizes == [2]
+
+    def test_svd_failure_is_a_numerical_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        with pytest.raises(NumericalFailure, match="SVD did not converge"):
+            spectral_norms(np.eye(3)[None])
 
 
 class TestFirstWithin:
