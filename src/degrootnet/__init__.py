@@ -10,15 +10,11 @@ from .matrices import (
     RankReport,
     SkeletonMask,
     StochasticMatrix,
-    distance_to_rank_one,
     dobrushin_coefficient,
-    is_bistochastic,
     is_strictly_positive,
-    lambda2_2x2,
     make_stochastic,
     multiply,
     numeric_rank,
-    same_skeleton,
     skeleton,
     skeleton_is_primitive,
 )
@@ -74,10 +70,8 @@ from .fragmentation import (
     FragmentationReport,
     Graph,
     GraphDistribution,
-    accumulation_graph,
     bernoulli_edge_p_max,
     decay_rate_estimate,
-    is_connected,
     islands_distribution,
     lazy_metropolis,
     metropolis_mixture,

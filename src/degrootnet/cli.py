@@ -30,7 +30,7 @@ import numpy as np
 
 from . import engine, fragmentation, generators, wisdom
 from .errors import (CapHit, DegrootNetError, DimensionMismatch, ExplosionGuard, InsufficientEvents, InvalidArgument,
-                     NoConvergence, SizeLimit, Unsupported)
+                     NoConvergence, NotIid, SizeLimit, Unsupported)
 from .matrices import StochasticMatrix
 
 EXIT_OK = 0
@@ -601,12 +601,22 @@ def _cmd_skeleton(params):
     spec_a, spec_b = map(_load_spec_file, _required(params, "skeleton", ("spec_a", "spec_b")).values())
     if spec_a.n != spec_b.n:
         raise _UsageError(f"--spec-a has n = {spec_a.n} agents but --spec-b has n = {spec_b.n}")
-    rep = engine.skeleton_equivalence_test(
-        spec_a, spec_b,
-        horizon=params["horizon"],
-        replicas=params["replicas"],
-        seed=params["seed"],
-    )
+    try:
+        rep = engine.skeleton_equivalence_test(
+            spec_a, spec_b,
+            horizon=params["horizon"],
+            replicas=params["replicas"],
+            seed=params["seed"],
+        )
+    except (NotIid, Unsupported) as exc:  # raised only by the law checks, before any replica runs
+        # the test checks that both laws are iid, then reads A's support, then B's
+        at_a = not spec_a.is_iid
+        if isinstance(exc, Unsupported):
+            try:
+                spec_a.support()
+            except Unsupported:
+                at_a = True
+        raise _UsageError(f"{'--spec-a' if at_a else '--spec-b'}: {exc}") from exc
     doc = {
         "same_initial_skeleton": rep.same_initial_skeleton,
         "verdict_a": rep.verdict_a.verdict,

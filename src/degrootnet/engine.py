@@ -98,8 +98,9 @@ MAX_ATOMS = 64  # disagreement_degree reports atoms only up to this many
 # far below the distance between distinct atoms of the laws studied
 ATOM_TOL = 1e-4
 # semigroup_explore treats two products within this entrywise max distance
-# as one element of its epsilon net
+# as one element of its epsilon net, and stops past SEMIGROUP_CAP elements
 DEDUP_TOL = 1e-9
+SEMIGROUP_CAP = 4000
 # Gauss-Legendre order per dyadic panel of log_energy's Beta-marginal
 # integral: 8 nodes on each of 40 panels per axis
 QUAD_ORDER = 8
@@ -508,13 +509,14 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
     return ConditionCReport(UNDETERMINED, "contraction_integral", float((means + 3.0 * ses).min()), horizon)
 
 
-def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport:
+def semigroup_explore(support, max_len: int) -> SemigroupReport:
     """Breadth-first product generation from a finite support.
 
     Deduplicates elements by entrywise max distance DEDUP_TOL (an epsilon
     net) and reports every rank-one element found plus the minimal numeric
     rank.  A positive finding (rank-one element) is a certificate; absence is
-    only evidence, since products are truncated at max_len.
+    only evidence, since products are truncated at max_len.  Raises
+    ExplosionGuard once the net holds more than SEMIGROUP_CAP elements.
     """
     if max_len < 1:
         raise InvalidArgument("max_len must be >= 1")
@@ -538,8 +540,8 @@ def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport
         return True
 
     for _ in _closure(atoms, np.matmul, add, max_len):
-        if count > cap:
-            raise ExplosionGuard(f"semigroup exploration exceeded {cap} elements")
+        if count > SEMIGROUP_CAP:
+            raise ExplosionGuard(f"semigroup exploration exceeded {SEMIGROUP_CAP} elements")
 
     elements = held[:count]
     members = tuple(StochasticMatrix._trusted(e) for e in elements)
@@ -555,10 +557,6 @@ def semigroup_explore(support, max_len: int, cap: int = 4000) -> SemigroupReport
 # --- convergence speed -------------------------------------------------------
 
 
-def default_t_cap(phi: float) -> int:
-    return 50 * math.ceil(-math.log(phi))
-
-
 def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
                          t_cap: int | None = None, seed: int = 0) -> Speed2x2Result:
     """Periods needed for a two-agent product to come within phi of consensus.
@@ -566,7 +564,8 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
     Tracks the first-column spread x_t - y_t of X^(t), which for n = 2 is
     the running product of second eigenvalues and hence nonincreasing in
     magnitude; t_phi is the last period with |x_t - y_t| >= phi (0 when the
-    first product is already within phi).
+    first product is already within phi).  t_cap defaults to
+    50 ceil(log(1/phi)) periods.
     """
     if spec.n != 2:
         raise DimensionMismatch("convergence_time_2x2 requires n = 2")
@@ -575,7 +574,7 @@ def convergence_time_2x2(spec: GeneratorSpec, phi: float, replicas: int,
     if replicas < 1:
         raise InvalidArgument("replicas must be >= 1")
     if t_cap is None:
-        t_cap = default_t_cap(phi)
+        t_cap = 50 * math.ceil(-math.log(phi))
     if t_cap < 1:
         raise InvalidArgument("t_cap must be >= 1")
 
@@ -610,15 +609,20 @@ class BetaMarginalPair:
 
 @dataclass(frozen=True)
 class AtomicWeightPairs:
-    """Finitely many (x, y) weight atoms with masses."""
+    """Finitely many (x, y) weight atoms in [0, 1]^2, off the diagonal, with masses."""
 
     atoms: tuple  # ((x, y), mass), ...
 
     def __post_init__(self):
         total = 0.0
-        for (_xy, mass) in self.atoms:
+        for (xy, mass) in self.atoms:
             if not mass >= 0:  # NaN too
                 raise InvalidProbability("atom masses must be nonnegative")
+            x, y = float(xy[0]), float(xy[1])
+            if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):  # NaN too
+                raise InvalidProbability(f"atom weights must lie in [0, 1], got ({x}, {y})")
+            if x == y:
+                raise SingularMass(f"atom at x = y = {x} makes the energy infinite")
             total += mass
         if not abs(total - 1.0) <= PROB_TOL:
             raise InvalidProbability("atom masses must sum to 1")
@@ -652,10 +656,7 @@ def log_energy(mu_2x2) -> float:
     if isinstance(mu_2x2, AtomicWeightPairs):
         total = 0.0
         for (xy, mass) in mu_2x2.atoms:
-            x, y = float(xy[0]), float(xy[1])
-            if x == y:
-                raise SingularMass(f"atom at x = y = {x} makes the energy infinite")
-            total += mass * (-math.log(abs(x - y)))
+            total += mass * (-math.log(abs(float(xy[0]) - float(xy[1]))))
         return total
     if not isinstance(mu_2x2, BetaMarginalPair):
         raise Unsupported("log_energy needs a BetaMarginalPair or AtomicWeightPairs descriptor")

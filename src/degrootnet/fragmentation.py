@@ -149,24 +149,6 @@ _NEVER_FRAGMENTS = FragmentationReport(p_max=0.0, argmax_collection=None,
                                        pi_g_empty=True, predicted_rate=math.inf)
 
 
-def accumulation_graph(graphs) -> Graph:
-    """Edge union of a collection of graphs on a common vertex set."""
-    graphs = list(graphs)
-    if not graphs:
-        raise InvalidProbability("need at least one graph")
-    n = graphs[0].n
-    acc = np.zeros((n, n), dtype=bool)
-    for g in graphs:
-        if g.n != n:
-            raise DimensionMismatch("graphs must share a vertex set")
-        acc |= g.adjacency
-    return Graph(acc)
-
-
-def is_connected(g: Graph) -> bool:
-    return _connected(g.adjacency)
-
-
 def _rate(p):
     p = float(p)
     if p <= 0.0:

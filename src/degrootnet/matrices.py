@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NegativeEntry, NumericalFailure, RowSumViolation
+from .errors import DimensionMismatch, NegativeEntry, NumericalFailure, RowSumViolation
 
 ROW_TOL = 1e-12
 ZERO_TOL = 1e-12
@@ -146,13 +146,6 @@ def skeletons(stack: np.ndarray) -> np.ndarray:
     return stack > ZERO_TOL
 
 
-def same_skeleton(a: StochasticMatrix, b: StochasticMatrix) -> bool:
-    """True iff the two matrices have the same social topology."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"cannot compare {a.n}x{a.n} with {b.n}x{b.n}")
-    return skeleton(a) == skeleton(b)
-
-
 def is_strictly_positive(m: StochasticMatrix) -> bool:
     return bool(strictly_positive(m.entries))
 
@@ -160,11 +153,6 @@ def is_strictly_positive(m: StochasticMatrix) -> bool:
 def strictly_positive(stack: np.ndarray) -> np.ndarray:
     """is_strictly_positive of each matrix in an (..., n, n) stack."""
     return stack.min(axis=(-2, -1)) > ZERO_TOL
-
-
-def is_bistochastic(m: StochasticMatrix) -> bool:
-    """True iff every column also sums to 1 within BALANCE_TOL."""
-    return bool(np.abs(m.entries.sum(axis=0) - 1.0).max() <= BALANCE_TOL)
 
 
 def is_balanced(alpha: np.ndarray) -> bool:
@@ -201,13 +189,6 @@ def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     i, k = _row_pairs(n)
     overlap = np.minimum(stack[..., i, :], stack[..., k, :]).sum(axis=-1)
     return 1.0 - overlap.min(axis=-1)
-
-
-def lambda2_2x2(m: StochasticMatrix) -> float:
-    """Second eigenvalue a - b of a 2x2 stochastic matrix ((a,1-a),(b,1-b))."""
-    if m.n != 2:
-        raise DimensionMismatch(f"lambda2_2x2 requires n=2, got n={m.n}")
-    return float(m.entries[0, 0] - m.entries[1, 0])
 
 
 def numeric_rank(m: StochasticMatrix, rel_tol: float = RANK_REL_TOL) -> RankReport:
@@ -249,11 +230,6 @@ def _singular_values(stack: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def distance_to_rank_one(m: StochasticMatrix) -> float:
-    """Max over columns of the column spread; 0 iff all rows are identical."""
-    return float(consensus_gaps(m.entries))
-
-
 def consensus_gaps(stack: np.ndarray) -> np.ndarray:
     """The consensus gap max_j (max_i P[i,j] - min_i P[i,j]) of each matrix P in an (..., n, n) stack."""
     return (stack.max(axis=-2) - stack.min(axis=-2)).max(axis=-1)
@@ -271,18 +247,15 @@ def first_within(items, x: np.ndarray, tol: float) -> int | None:
     return k if hits[k] else None
 
 
-def skeleton_is_primitive(s: SkeletonMask, max_power: int | None = None) -> bool:
-    """True iff some boolean power s^k with k <= max_power is all-true.
+def skeleton_is_primitive(s: SkeletonMask) -> bool:
+    """True iff some boolean power s^k with k <= (n-1)^2 + 1 is all-true.
 
-    Defaults to the Wielandt bound (n-1)^2 + 1, which is exact, so the
-    default answer is a certificate in both directions.
+    That horizon is the Wielandt bound, which is exact, so the answer is a
+    certificate in both directions.
     """
-    if max_power is None:
-        max_power = (s.n - 1) ** 2 + 1
-    if max_power < 1:
-        raise InvalidArgument("max_power must be >= 1")
+    wielandt = (s.n - 1) ** 2 + 1
     # one atom adds at most one pattern per power, so this cap never binds
-    return _skeleton_closure([s], max_power, cap=max_power)[0] == HOLDS
+    return _skeleton_closure([s], wielandt, cap=wielandt)[0] == HOLDS
 
 
 def _closure(atoms, product, is_new, max_len: int):

@@ -233,8 +233,7 @@ def consensus_probability(k: int, phi_n: float) -> float:
 
 
 def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
-                       seed: int = 0, allow_no_positive: bool = False,
-                       rank_rel_tol: float | None = None) -> dict:
+                       seed: int = 0, allow_no_positive: bool = False) -> dict:
     """Rank of the replica-averaged limit product.
 
     Requires at least one strictly positive partial product to have been
@@ -242,11 +241,12 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     ``allow_no_positive`` bypasses the check for processes whose limits
     are known to have no positive atom (the two-point swap example).
 
-    The default rank threshold scales with the Monte Carlo error of the
-    average: singular values below a few multiples of 1/sqrt(replicas)
-    are statistically indistinguishable from zero.  The top singular value
-    always counts, since an average of row-stochastic matrices has one of
-    at least 1, so the rank is never 0 even where that threshold reaches 1.
+    The relative rank threshold, max(RANK_REL_TOL, 4/sqrt(replicas)),
+    scales with the Monte Carlo error of the average: singular values below
+    a few multiples of 1/sqrt(replicas) are statistically indistinguishable
+    from zero.  The top singular value always counts, since an average of
+    row-stochastic matrices has one of at least 1, so the rank is never 0
+    even where that threshold reaches 1.
     The scan reads no gap: it tests positivity until some product is
     strictly positive, and the products are _lockstep's at t_max.
     """
@@ -254,8 +254,6 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
         raise InvalidArgument("replicas must be >= 1")
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
-    if rank_rel_tol is None:
-        rank_rel_tol = max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))
     strict_seen = False
 
     def observe(t, idx, prod):
@@ -266,5 +264,5 @@ def mean_rank_one_test(spec: GeneratorSpec, replicas: int, t_max: int,
     if not strict_seen and not allow_no_positive:
         raise PreconditionUnmet("no strictly positive partial product observed")
     mean = StochasticMatrix._trusted(prods.sum(axis=0) / replicas)
-    rank = max(1, numeric_rank(mean, rel_tol=rank_rel_tol).numeric_rank)
+    rank = max(1, numeric_rank(mean, rel_tol=max(RANK_REL_TOL, 4.0 / math.sqrt(replicas))).numeric_rank)
     return {"mean_limit": mean, "rank": rank}

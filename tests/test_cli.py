@@ -25,6 +25,7 @@ from degrootnet.cli import (
     serialize_config,
 )
 from degrootnet.engine import GAP_TOL
+from degrootnet.errors import NumericalFailure
 from degrootnet.fragmentation import islands_distribution
 from degrootnet.generators import GeneratorSpec, ring_uniform_self
 from degrootnet.seeding import replica_rng
@@ -320,6 +321,64 @@ class TestExitCodes:
         path.write_text(json.dumps([{"x": 1.0, "y": 0.0, "mass": 0.5}, {"x": 0.0, "y": 1.0, "mass": 0.5 + 5e-10}]))
         assert run(["energy", "--mu", "atoms", "--atoms", str(path)]) == EXIT_USAGE
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("atom, why", [
+        ({"x": 5, "y": -3, "mass": 1}, "atom weights must lie in [0, 1], got (5.0, -3.0)"),
+        ({"x": math.nan, "y": 0.2, "mass": 1}, "atom weights must lie in [0, 1], got (nan, 0.2)"),
+        ({"x": 0.5, "y": 0.5, "mass": 1}, "atom at x = y = 0.5 makes the energy infinite"),
+    ], ids=["outside-unit-square", "nan", "diagonal"])
+    def test_bad_atom_weights_are_a_usage_error_naming_the_file(self, tmp_path, capsys, atom, why):
+        path = tmp_path / "atoms.json"
+        path.write_text(json.dumps([atom]))
+        out = tmp_path / "e.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["energy", "--mu", "atoms", "--atoms", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {path}: {why}\n"
+        assert not out.exists() and not caught
+
+    @pytest.mark.parametrize("spec_a, spec_b, flag, why", [
+        ("markov", "fixed2", "--spec-a", "defined for iid processes"),
+        ("fixed2", "ar1", "--spec-b", "defined for iid processes"),
+        ("islands5", "fixed10", "--spec-a", "limited to g <= 4"),
+        ("fixed10", "islands5", "--spec-b", "limited to g <= 4"),
+    ], ids=["markov-a", "ar1-b", "islands5-a", "islands5-b"])
+    def test_skeleton_law_outside_the_test_precondition_is_usage_error_naming_it(self, tmp_path, capsys, spec_a,
+                                                                                   spec_b, flag, why):
+        laws = {
+            "markov": {"model": "finite_mixture", "atoms": [[[0.5, 0.5], [0.5, 0.5]], np.eye(2).tolist()],
+                       "probs": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+            "ar1": {"model": "ar1_mixture", "xi": 0.5, "t0": [[0.5, 0.5], [0.5, 0.5]],
+                    "source": {"model": "dirichlet_rows", "alpha": [[1, 1], [1, 1]]}},
+            "islands5": {"model": "islands", "g": 5, "p_s": 0.5, "p_d": 0.3},
+            "fixed2": {"model": "fixed", "matrix": np.full((2, 2), 0.5).tolist()},
+            "fixed10": {"model": "fixed", "matrix": np.full((10, 10), 0.1).tolist()},
+        }
+        argv = ["skeleton"]
+        for option, name in (("--spec-a", spec_a), ("--spec-b", spec_b)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(laws[name]))
+            argv += [option, str(path)]
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--replicas", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag}: ") and why in err
+        assert not out.exists() and not caught
+
+    def test_skeleton_numerical_failure_in_the_run_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericalFailure("product lost its rows")
+        # only the square of this pattern is all-true, so at horizon 1 the closure is open and replicas run
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps({"model": "fixed", "matrix": [[0, 1], [0.5, 0.5]]}))
+        monkeypatch.setattr(cli.engine, "_lockstep", broken)
+        argv = ["skeleton", "--spec-a", str(path), "--spec-b", str(path), "--horizon", "1", "--replicas", "10"]
+        assert run(argv) == 1
+        assert "error: NumericalFailure: product lost its rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
     def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):

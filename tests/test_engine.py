@@ -446,13 +446,14 @@ class TestSemigroup:
             if len(elements) > cap:
                 guard = True
                 break
-        with mock.patch.object(engine, "first_within", mock.Mock(wraps=first_within)) as spy:
+        with mock.patch.object(engine, "SEMIGROUP_CAP", cap), \
+                mock.patch.object(engine, "first_within", mock.Mock(wraps=first_within)) as spy:
             if guard:
                 with pytest.raises(ExplosionGuard):
-                    semigroup_explore(support, max_len, cap)
+                    semigroup_explore(support, max_len)
                 assert len(spy.call_args.args[0]) == cap  # it fires on element cap + 1
             else:
-                rep = semigroup_explore(support, max_len, cap)
+                rep = semigroup_explore(support, max_len)
                 assert [m.entries.tobytes() for m in rep.members] == [
                     StochasticMatrix._trusted(e).entries.tobytes() for e in elements]
         assert spy.call_count == offered
@@ -481,8 +482,9 @@ class TestSemigroup:
         rng = np.random.default_rng(15)
         raws = rng.random((2, 3, 3)) + 0.05
         dense = [make_stochastic(r / r.sum(axis=1, keepdims=True)) for r in raws]
-        with pytest.raises(ExplosionGuard):
-            semigroup_explore(dense, max_len=12, cap=50)
+        with mock.patch.object(engine, "SEMIGROUP_CAP", 50):
+            with pytest.raises(ExplosionGuard, match="exceeded 50 elements"):
+                semigroup_explore(dense, max_len=12)
 
     def test_h_g_closure_structure(self):
         kappa = 0.3

@@ -8,10 +8,8 @@ import pytest
 from degrootnet import (
     Graph,
     GraphDistribution,
-    accumulation_graph,
     bernoulli_edge_p_max,
     decay_rate_estimate,
-    is_connected,
     islands_distribution,
     lazy_metropolis,
     metropolis_mixture,
@@ -22,7 +20,7 @@ from degrootnet.engine import CHUNK
 from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit
 from degrootnet.fragmentation import _by_cuts, _by_subsets, _cuts
 from degrootnet.generators import Fixed
-from degrootnet.matrices import make_stochastic
+from degrootnet.matrices import _connected, make_stochastic
 from test_matrices import svd_sizes
 
 
@@ -42,8 +40,7 @@ def brute_p_max(dist):
     best = None
     for r in range(1, len(dist.atoms) + 1):
         for combo in itertools.combinations(dist.atoms, r):
-            union = accumulation_graph([g for g, _p in combo])
-            if not is_connected(union):
+            if not _connected(np.logical_or.reduce([g.adjacency for g, _p in combo])):
                 total = sum(p for _g, p in combo)
                 if best is None or float(total) > float(best):
                     best = total
@@ -71,25 +68,16 @@ class TestGraphBasics:
         with pytest.raises(InvalidProbability):
             Graph([[1, 0], [0, 0]])  # self loop
 
-    def test_accumulation_single(self):
-        assert accumulation_graph([C4]) == C4
-
-    def test_accumulation_union_of_disjoint_trees(self):
-        t1 = graph(4, [(0, 1), (1, 2), (2, 3)])
-        t2 = graph(4, [(0, 2), (1, 3), (0, 3)])
-        union = accumulation_graph([t1, t2])
-        assert set(union.edges()) == set(t1.edges()) | set(t2.edges())
-
     def test_islands_union_without_cross_is_disconnected(self):
         dist = islands_distribution(2, Fraction(3, 4), Fraction(1, 4))
         no_cross = [g for g, _p in dist.atoms
                     if not any(u < 2 <= v for u, v in g.edges())]
-        assert not is_connected(accumulation_graph(no_cross))
+        assert not _connected(np.logical_or.reduce([g.adjacency for g in no_cross]))
 
     def test_connectivity(self):
-        assert is_connected(K4)
-        assert not is_connected(graph(3, []))
-        assert is_connected(graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert _connected(K4.adjacency)
+        assert not _connected(graph(3, []).adjacency)
+        assert _connected(graph(4, [(0, 1), (1, 2), (2, 3)]).adjacency)
 
 
 class TestPMax:

@@ -8,15 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degrootnet import (
-    distance_to_rank_one,
     dobrushin_coefficient,
-    is_bistochastic,
     is_strictly_positive,
-    lambda2_2x2,
     make_stochastic,
     multiply,
     numeric_rank,
-    same_skeleton,
     skeleton,
     skeleton_is_primitive,
 )
@@ -177,13 +173,13 @@ class TestSkeleton:
         for t in range(1, 6):
             x = make_stochastic([[1 - 1 / (t + 1), 1 / (t + 1)], [1, 0]])
             y = make_stochastic([[2 / 3 - 1 / (4 * t), 1 / 3 + 1 / (4 * t)], [1, 0]])
-            assert same_skeleton(x, y)
+            assert skeleton(x) == skeleton(y)
 
     def test_same_skeleton_counterexample_and_reflexive(self):
         eye = make_stochastic(np.eye(2))
         swap = make_stochastic([[0, 1], [1, 0]])
-        assert not same_skeleton(eye, swap)
-        assert same_skeleton(swap, swap)
+        assert skeleton(eye) != skeleton(swap)
+        assert skeleton(swap) == skeleton(swap)
 
     def test_equivalence_relation_on_random_triples(self):
         rng = np.random.default_rng(3)
@@ -195,10 +191,11 @@ class TestSkeleton:
                 raw += np.eye(n) * 1e-3  # keep rows nonzero
                 mats.append(make_stochastic(raw / raw.sum(axis=1, keepdims=True)))
             a, b, c = mats
-            assert same_skeleton(a, a)
-            assert same_skeleton(a, b) == same_skeleton(b, a)
-            if same_skeleton(a, b) and same_skeleton(b, c):
-                assert same_skeleton(a, c)
+            sa, sb, sc = skeleton(a), skeleton(b), skeleton(c)
+            assert sa == sa
+            assert (sa == sb) == (sb == sa)
+            if sa == sb and sb == sc:
+                assert sa == sc
 
 
 class TestPredicates:
@@ -206,12 +203,6 @@ class TestPredicates:
         assert is_strictly_positive(make_stochastic([[0.5, 0.5], [0.5, 0.5]]))
         assert not is_strictly_positive(make_stochastic(np.eye(2)))
         assert not is_strictly_positive(ring_shift(5))
-
-    def test_bistochastic(self):
-        eps = 0.2
-        assert is_bistochastic(make_stochastic([[1 - eps, eps], [eps, 1 - eps]]))
-        assert not is_bistochastic(make_stochastic([[0.9, 0.1], [1, 0]]))
-        assert is_bistochastic(make_stochastic(np.full((4, 4), 0.25)))
 
 
 class TestDobrushin:
@@ -261,29 +252,6 @@ class TestDobrushin:
         assert [index.tolist() for index in pairs] == [index.tolist() for index in np.triu_indices(n, 1)]
 
 
-class TestLambda2:
-    def test_reference_values(self):
-        assert lambda2_2x2(make_stochastic([[0.7, 0.3], [0.2, 0.8]])) == pytest.approx(0.5)
-        assert lambda2_2x2(make_stochastic([[0.4, 0.6], [0.4, 0.6]])) == 0.0
-        assert lambda2_2x2(make_stochastic(np.eye(2))) == 1.0
-
-    def test_requires_2x2(self):
-        with pytest.raises(DimensionMismatch):
-            lambda2_2x2(make_stochastic(np.eye(3)))
-
-    def test_matches_characteristic_roots(self):
-        # oracle: roots of z^2 - tr z + det, sorted by modulus
-        rng = np.random.default_rng(6)
-        for _ in range(1000):
-            a, b = rng.random(2)
-            m = make_stochastic([[a, 1 - a], [b, 1 - b]])
-            tr = a + (1 - b)
-            det = a * (1 - b) - (1 - a) * b
-            roots = np.roots([1.0, -tr, det])
-            second = min(roots, key=lambda z: abs(z))
-            assert abs(lambda2_2x2(m) - second.real) < 1e-10
-
-
 class TestRankAndGap:
     def test_rank_values(self):
         assert numeric_rank(make_stochastic([[0.3, 0.7], [0.3, 0.7]])).numeric_rank == 1
@@ -296,9 +264,9 @@ class TestRankAndGap:
         assert sorted(rep.singular_values, reverse=True) == list(rep.singular_values)
 
     def test_gap_values(self):
-        assert distance_to_rank_one(make_stochastic([[0.3, 0.7], [0.3, 0.7]])) == 0.0
-        assert distance_to_rank_one(make_stochastic(np.eye(2))) == 1.0
-        assert distance_to_rank_one(make_stochastic([[0.6, 0.4], [0.5, 0.5]])) == pytest.approx(0.1)
+        assert consensus_gaps(make_stochastic([[0.3, 0.7], [0.3, 0.7]]).entries) == 0.0
+        assert consensus_gaps(make_stochastic(np.eye(2)).entries) == 1.0
+        assert consensus_gaps(make_stochastic([[0.6, 0.4], [0.5, 0.5]]).entries) == pytest.approx(0.1)
 
     def test_gap_zero_iff_rank_one(self):
         rng = np.random.default_rng(7)
@@ -307,12 +275,12 @@ class TestRankAndGap:
             row = rng.random(n) + 0.05
             row /= row.sum()
             rank_one = make_stochastic(np.tile(row, (n, 1)))
-            assert distance_to_rank_one(rank_one) <= 1e-15
+            assert consensus_gaps(rank_one.entries) <= 1e-15
             assert numeric_rank(rank_one).numeric_rank == 1
             raw = rng.random((n, n)) + 0.05
             generic = make_stochastic(raw / raw.sum(axis=1, keepdims=True))
             if numeric_rank(generic).numeric_rank > 1:
-                assert distance_to_rank_one(generic) > 1e-9
+                assert consensus_gaps(generic.entries) > 1e-9
 
 
     def test_stack_forms_match_the_one_matrix_forms(self):
@@ -325,7 +293,7 @@ class TestRankAndGap:
         stack = np.array([m.entries for m in ms])
         gaps, positive, masks, ranks = consensus_gaps(stack), strictly_positive(stack), skeletons(stack), numeric_ranks(stack)
         for k, m in enumerate(ms):
-            assert gaps[k] == distance_to_rank_one(m)
+            assert gaps[k] == consensus_gaps(m.entries)
             assert positive[k] == is_strictly_positive(m)
             assert SkeletonMask(masks[k]) == skeleton(m)
             assert ranks[k] == numeric_rank(m).numeric_rank
@@ -453,12 +421,6 @@ class TestPrimitivity:
         n = 5
         mask = np.roll(np.eye(n, dtype=bool), 1, axis=1) | np.eye(n, dtype=bool)
         assert skeleton_is_primitive(SkeletonMask(mask))
-
-    def test_max_power_is_the_last_power_checked(self):
-        # only s^2 is all-true
-        mask = SkeletonMask([[False, True], [True, True]])
-        assert not skeleton_is_primitive(mask, max_power=1)
-        assert skeleton_is_primitive(mask, max_power=2)
 
     def test_against_boolean_power_oracle(self):
         rng = np.random.default_rng(8)
