@@ -38,7 +38,6 @@ from .generators import (
 )
 from .engine import (
     AtomicWeightPairs,
-    BeliefState,
     BetaMarginalPair,
     ConditionCReport,
     DisagreementReport,

@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import engine, fragmentation, generators, wisdom
-from .errors import (CapHit, DegrootNetError, DimensionMismatch, ExplosionGuard, InsufficientEvents, InvalidArgument,
+from .errors import (BalanceViolation, CapHit, DegrootNetError, ExplosionGuard, InsufficientEvents, InvalidArgument,
                      NoConvergence, NotIid, SizeLimit, Unsupported)
 from .matrices import StochasticMatrix
 
@@ -182,6 +182,11 @@ def build_spec(params: dict) -> generators.GeneratorSpec:
         values["matrix"] = _read_json(values["matrix"])
     with _user_input(f"--model {model}"):
         return make(*values.values())
+
+
+def _law_flag(params: dict) -> str:
+    """The flag that named the law build_spec built: --spec or --model NAME."""
+    return "--spec" if params.get("spec") is not None else f"--model {params['model']}"
 
 
 def _beta_marginals(params: dict):
@@ -385,12 +390,6 @@ def serialize_config(command: str, params: dict) -> str:
     return _json_text(doc)
 
 
-def parse_config(text: str) -> tuple:
-    doc = json.loads(text)
-    command = doc.pop("command")
-    return command, doc
-
-
 # --- subcommand bodies --------------------------------------------------------
 #
 # Every flag with a parser default is present in params, so handlers read
@@ -403,14 +402,10 @@ def _cmd_simulate(params):
         p0 = [float(v) for v in str(params.get("p0", "")).split(",") if v != ""]
         if not p0:
             raise _UsageError("simulate needs --p0")
-        if len(p0) != spec.n:
-            raise DimensionMismatch(f"{len(p0)} beliefs for n = {spec.n} agents")
-        beliefs = engine.BeliefState.from_signals(p0)
+        engine._initial_beliefs(p0, spec.n)
     if params["steps"] < 0:
         raise InvalidArgument("--steps must be >= 0")
-    path = np.empty((params["steps"] + 1, spec.n))
-    path[0] = beliefs.p_t
-    engine._walk(spec.start_state(params["seed"]), path, params["steps"])
+    path = engine.evolve(spec.start_state(params["seed"]), p0, params["steps"])
     rows = [(t, *p) for t, p in enumerate(path.tolist())]
     final = rows[-1][1:]
     header = ["t"] + [f"p_{i+1}" for i in range(spec.n)]
@@ -542,9 +537,7 @@ def _cmd_rate(params):
             seed=params["seed"],
         )
     except Unsupported as exc:  # raised only by the law checks, before any replica runs
-        law = ("--dist" if params.get("dist") else "--spec" if params.get("spec") is not None
-               else f"--model {params['model']}")
-        raise _UsageError(f"{law}: {exc}") from exc
+        raise _UsageError(f"{'--dist' if params.get('dist') else _law_flag(params)}: {exc}") from exc
     header = ["t", "count", "logprob"]
     rows = list(zip(report.t_grid, report.counts, report.per_t_logprob))
     doc = {
@@ -654,13 +647,16 @@ def _cmd_conjugacy(params):
     if isinstance(phi, str):
         with _user_input("--phi"):
             phi = [float(v) for v in phi.split(",")]
-    res = wisdom.dirichlet_conjugacy_test(
-        spec,
-        replicas=params["replicas"],
-        seed=params["seed"],
-        phi=phi,
-        t_max=params["tmax"],
-    )
+    try:
+        res = wisdom.dirichlet_conjugacy_test(
+            spec,
+            replicas=params["replicas"],
+            seed=params["seed"],
+            phi=phi,
+            t_max=params["tmax"],
+        )
+    except (Unsupported, BalanceViolation) as exc:  # raised only by the law checks, before any replica runs
+        raise _UsageError(f"{_law_flag(params)}: {exc}") from exc
     doc = dict(res)
     doc["phi"] = list(res["phi"])
     rows = [(res["pass"], res["mean_err"], res["var_err"])]

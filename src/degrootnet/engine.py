@@ -12,8 +12,9 @@ matrices.renormalized, and keeps each one's step and product at its stop
 (O(replicas n^2) memory); every Monte Carlo entry point (here, in wisdom
 and in fragmentation) keeps only its observer's own statistic and the
 aggregation.  The serial entry points run it as one replica whose state is
-the caller's: accumulate reads its products through _scan, and evolve and
-the CLI's simulate walk a belief vector through _walk.  Draws come in
+the caller's, always to their horizon, so the caller's stream ends just
+after their last draw: accumulate reads its products through _scan, and
+evolve (behind the CLI's simulate) walks a belief vector.  Draws come in
 blocks of up to BLOCK per replica; a stream's draws do not depend on the
 block size (GeneratorSpec.draw_block), so they are those that
 GeneratorState.next_array makes one at a time.
@@ -110,39 +111,10 @@ UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
-class BeliefState:
-    """Initial signals plus the current belief vector of the linear dynamics."""
-
-    p0: tuple
-    p_t: tuple
-    t: int = 0
-
-    def __post_init__(self):
-        for name, vec in (("p0", self.p0), ("p_t", self.p_t)):
-            arr = np.asarray(vec, dtype=float)
-            if arr.ndim != 1 or len(arr) < 1:
-                raise DimensionMismatch(f"{name} must be a vector")
-            if not ((arr >= 0) & (arr <= 1)).all():  # NaN too
-                raise InvalidProbability(f"{name} entries must lie in [0,1]")
-        if len(self.p0) != len(self.p_t):
-            raise DimensionMismatch("p0 and p_t must have equal length")
-
-    @property
-    def n(self):
-        return len(self.p0)
-
-    @classmethod
-    def from_signals(cls, p0):
-        vals = tuple(float(v) for v in p0)
-        return cls(p0=vals, p_t=vals, t=0)
-
-
-@dataclass(frozen=True)
 class ProductAccumulator:
-    """Running left product X^(t) with consensus diagnostics."""
+    """Left product X^(t_max) with consensus diagnostics."""
 
     product: StochasticMatrix
-    t: int
     consensus_gap: float
     strict_positive_seen: bool
     consensus_time: int | None
@@ -214,11 +186,11 @@ class SkeletonEquivalenceReport:
 # --- core dynamics -----------------------------------------------------------
 
 
-def _scan(state: GeneratorState, t_max: int, gap_tol: float, stop_when_converged: bool = False):
-    """Observe the consensus gap and positivity of every X^(t), as one replica of _lockstep on ``state``.
+def _scan(state: GeneratorState, t_max: int, gap_tol: float):
+    """Observe the consensus gap and positivity of every X^(t) up to t_max, as one replica of _lockstep on ``state``.
 
-    Returns (product, t, gap, strict_positive_seen, consensus_time): t is t_max, or the
-    consensus time with ``stop_when_converged``, and the product there is renormalized once.
+    Returns (product, gap, strict_positive_seen, consensus_time): the product and gap at t_max, the
+    product renormalized once, and the first t with gap <= gap_tol (None if none).
     """
     gap, strict_seen, consensus_time = (1.0 if state.spec.n > 1 else 0.0), False, None
 
@@ -228,23 +200,9 @@ def _scan(state: GeneratorState, t_max: int, gap_tol: float, stop_when_converged
         strict_seen = strict_seen or bool(strictly_positive(prod)[0])
         if consensus_time is None and gap <= gap_tol:
             consensus_time = t
-            return np.array([stop_when_converged])
 
-    prods, stops = _lockstep(state.spec, 1, None, t_max, observe, start=lambda i, rng: state)
-    return prods[0], min(int(stops[0]), t_max), gap, strict_seen, consensus_time
-
-
-def _walk(state: GeneratorState, path: np.ndarray, steps: int) -> None:
-    """p_t = clip(X_t p_(t-1), 0, 1) for t = 1..steps from p_0 = path[0], as one replica of _lockstep on ``state``.
-
-    The clip holds beliefs in [0,1] against roundoff.  Row t % len(path) of ``path`` receives p_t.
-    """
-    m = len(path)
-
-    def observe(t, idx, x):
-        np.clip(x[0] @ path[(t - 1) % m], 0.0, 1.0, out=path[t % m])
-
-    _lockstep(state.spec, 1, None, steps, observe, multiply=False, start=lambda i, rng: state)
+    prods, _ = _lockstep(state.spec, 1, None, t_max, observe, start=lambda i, rng: state)
+    return prods[0], gap, strict_seen, consensus_time
 
 
 def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, observe,
@@ -364,8 +322,8 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     Returns ``(stops, pis, gaps)``: replica i stops at ``stops[i]``, its
     first step with gap <= gap_tol, or t_max + 1 if it never converged;
     ``pis`` and ``gaps`` hold row 0 of the product and the gap at the stop
-    of each converged replica, in index order.  These are bitwise _scan's
-    with ``stop_when_converged``.
+    of each converged replica, in index order.  These are bitwise those of
+    a serial scan of each replica's stream stopped at its consensus time.
 
     The observer does little on a typical step.  It computes the two-row
     bound (rows 0 and n//2) of each running product and the full gap only
@@ -390,35 +348,52 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     return stops, prods[converged, 0], gaps[converged]
 
 
-def evolve(gen: GeneratorState, beliefs: BeliefState, steps: int) -> BeliefState:
-    """Apply p <- clip(X_t p, 0, 1) for ``steps`` periods, clipping every step; ``gen`` ends after the last draw."""
+def _initial_beliefs(p0, n: int) -> np.ndarray:
+    """``p0`` as a float vector of n beliefs in [0, 1] (NaN fails)."""
+    arr = np.asarray(p0, dtype=float)
+    if arr.ndim != 1 or len(arr) < 1:
+        raise DimensionMismatch("p0 must be a vector")
+    if len(arr) != n:
+        raise DimensionMismatch(f"{len(arr)} beliefs for n = {n} agents")
+    if not ((arr >= 0) & (arr <= 1)).all():  # NaN too
+        raise InvalidProbability("p0 entries must lie in [0,1]")
+    return arr
+
+
+def evolve(gen: GeneratorState, p0, steps: int) -> np.ndarray:
+    """The (steps + 1, n) belief path of p_t = clip(X_t p_(t-1), 0, 1), as one replica of _lockstep on ``gen``.
+
+    Row 0 is p0 and row t is p_t; the clip holds beliefs in [0, 1] against
+    roundoff.  p0 is checked before any draw, and ``gen`` ends just after
+    its steps-th draw, so a path taken in chunks, each from the last row of
+    the one before, is bitwise the path of one call, in O(chunk n) memory.
+    """
     if steps < 0:
         raise InvalidArgument("steps must be >= 0")
-    if gen.spec.n != beliefs.n:
-        raise DimensionMismatch("generator and belief dimensions differ")
-    path = np.array([beliefs.p_t], dtype=float)
-    _walk(gen, path, steps)
-    return BeliefState(p0=beliefs.p0, p_t=tuple(path[0].tolist()), t=beliefs.t + steps)
+    path = np.empty((steps + 1, gen.spec.n))
+    path[0] = _initial_beliefs(p0, gen.spec.n)
+
+    def observe(t, idx, x):
+        np.clip(x[0] @ path[t - 1], 0.0, 1.0, out=path[t])
+
+    _lockstep(gen.spec, 1, None, steps, observe, multiply=False, start=lambda i, rng: gen)
+    return path
 
 
-def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL,
-               stop_when_converged: bool = False) -> ProductAccumulator:
-    """Compute X^(t) by left composition up to t_max.
+def accumulate(gen: GeneratorState, t_max: int, gap_tol: float = GAP_TOL) -> ProductAccumulator:
+    """Compute X^(t_max) by left composition.
 
     Records the first time the consensus gap (max column spread) drops to
-    gap_tol, and whether any partial product was strictly positive.  With
-    ``stop_when_converged`` the scan ends at the consensus time; the
-    recorded first-crossing time is the same either way.  ``gen`` ends after
-    the t_max-th draw, or up to BLOCK - 1 draws past a consensus stop.
+    gap_tol, and whether any partial product was strictly positive.  ``gen``
+    ends just after its t_max-th draw.
     """
     if t_max < 1:
         raise InvalidArgument("t_max must be >= 1")
     if not 0 <= gap_tol < 1:  # NaN too
         raise InvalidArgument(f"gap_tol must be >= 0 and < 1 (no gap exceeds 1), got {gap_tol}")
-    prod, t, gap, strict_seen, consensus_time = _scan(gen, t_max, gap_tol, stop_when_converged)
+    prod, gap, strict_seen, consensus_time = _scan(gen, t_max, gap_tol)
     return ProductAccumulator(
         product=StochasticMatrix._trusted(prod),
-        t=t,
         consensus_gap=gap,
         strict_positive_seen=strict_seen,
         consensus_time=consensus_time,

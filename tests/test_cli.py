@@ -20,7 +20,6 @@ from degrootnet.cli import (
     _UsageError,
     build_spec,
     fmt_float,
-    parse_config,
     run,
     serialize_config,
 )
@@ -453,6 +452,36 @@ class TestExitCodes:
         assert run(["rate", "--dist", str(path), "--replicas", "20", "--tgrid", "1:3"]) == 1
         assert "error: NumericalFailure: SVD did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, why", [
+        (["--spec", "{fixed.json}"], "--spec", "spec has no alpha matrix; pass phi explicitly"),
+        (["--spec", "{unbalanced.json}"], "--spec", "alpha row sums differ from column sums"),
+        (["--config", "{dirichlet.json}"], "--model dirichlet", "alpha row sums differ from column sums"),
+    ], ids=["no-alpha-spec", "unbalanced-spec", "unbalanced-model"])
+    def test_conjugacy_law_without_a_balanced_alpha_is_usage_error_naming_it(self, tmp_path, capsys, argv, flag,
+                                                                             why):
+        docs = {
+            "fixed.json": {"model": "fixed", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+            "unbalanced.json": {"model": "dirichlet_rows", "alpha": [[1, 2], [1, 1]]},
+            "dirichlet.json": {"command": "conjugacy", "model": "dirichlet", "alpha_matrix": [[1, 2], [1, 1]]},
+        }
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["conjugacy"] + [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+                       + ["--replicas", "20", "--tmax", "100", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {flag}: {why}\n"
+        assert not out.exists() and not caught
+
+    def test_conjugacy_fault_in_the_run_is_exit_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericalFailure("product lost its rows")
+        monkeypatch.setattr(cli.wisdom, "estimate_influence", broken)
+        assert run(["conjugacy", "--model", "beta2x2", "--alpha", "1", "--replicas", "20", "--tmax", "100"]) == 1
+        assert "error: NumericalFailure: product lost its rows" in capsys.readouterr().err
+
     def test_pmax_law_past_both_enumeration_limits_is_usage_error_naming_dist(self, tmp_path, capsys):
         # 21 one-edge graphs on 17 vertices: more atoms than SUBSET_LIMIT = 20, more vertices than CUT_LIMIT = 16
         n, edges = 17, [(0, j) for j in range(1, 17)] + [(1, j) for j in range(2, 7)]
@@ -646,6 +675,14 @@ class TestSimulate:
                     "--out", str(out)]) == EXIT_OK
         values = [float(v) for line in read(out).splitlines()[1:] for v in line.split(",")[1:]]
         assert len(values) == 201 * 5 and all(0.0 <= v <= 1.0 for v in values)
+
+    def test_fault_in_the_walk_is_exit_1(self, capsys, monkeypatch):
+        # --p0 is checked before the walk; a fault in the walk itself is internal, not the user's
+        def broken(*args, **kwargs):
+            raise NumericalFailure("product lost its rows")
+        monkeypatch.setattr(cli.engine, "_lockstep", broken)
+        assert run(["simulate", "--model", "ring", "--n", "3", "--p0", "1,0,1", "--steps", "5"]) == 1
+        assert "error: NumericalFailure: product lost its rows" in capsys.readouterr().err
 
 
 # The smallest parameters each --model accepts, as flags or --config values.
@@ -848,10 +885,9 @@ class TestConfigRoundTrip:
         for _case in range(200):
             command = str(rng.choice(sorted(commands)))
             params = commands[command]()
-            text = serialize_config(command, params)
-            parsed_command, parsed = parse_config(text)
-            assert parsed_command == command
-            assert parsed == params
+            doc = json.loads(serialize_config(command, params))
+            assert doc.pop("command") == command
+            assert doc == params
 
     def test_config_file_drives_run(self, tmp_path):
         cfg = {"command": "energy", "mu": "uniform-indep", "format": "json",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from degrootnet import (
     Ar1Mixture,
     AtomicWeightPairs,
-    BeliefState,
     BetaMarginalPair,
     DirichletRows,
     FiniteMixture,
@@ -41,7 +41,7 @@ from degrootnet import (
     two_point_swap,
 )
 from degrootnet import engine, generators
-from degrootnet.engine import FAILS, HOLDS, UNDETERMINED
+from degrootnet.engine import FAILS, GAP_TOL, HOLDS, UNDETERMINED
 from degrootnet.errors import (
     CapHit,
     DimensionMismatch,
@@ -57,6 +57,7 @@ from degrootnet.generators import Islands, UndirectedDegree
 from degrootnet.matrices import StochasticMatrix, dobrushin_coefficients, first_within, numeric_rank
 from test_generators import all_models
 from test_matrices import per_pair_closure
+from test_products import stream_position
 
 
 def flat(n):
@@ -118,38 +119,36 @@ def hg_mixture(kappa=0.3, r=0.5):
 class TestEvolve:
     def test_identity_leaves_beliefs(self):
         spec = Fixed(make_stochastic(np.eye(3)))
-        b = BeliefState.from_signals([0.2, 0.5, 0.9])
-        out = evolve(spec.start_state(0), b, 10)
-        assert out.p_t == b.p0
-        assert out.t == 10
+        path = evolve(spec.start_state(0), [0.2, 0.5, 0.9], 10)
+        assert path.tolist() == [[0.2, 0.5, 0.9]] * 11
 
     def test_flat_averages_in_one_step(self):
         spec = Fixed(flat(2))
-        out = evolve(spec.start_state(0), BeliefState.from_signals([1.0, 0.0]), 1)
-        assert out.p_t == (0.5, 0.5)
+        assert evolve(spec.start_state(0), [1.0, 0.0], 1).tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
     def test_fixed_50_steps_matches_matrix_power_oracle(self):
         rng = np.random.default_rng(10)
         raw = rng.random((4, 4)) + 0.05
         t = make_stochastic(raw / raw.sum(axis=1, keepdims=True))
         p0 = rng.random(4)
-        out = evolve(Fixed(t).start_state(0), BeliefState.from_signals(p0), 50)
+        path = evolve(Fixed(t).start_state(0), p0, 50)
         oracle = np.linalg.matrix_power(t.entries, 50) @ p0
-        assert np.abs(np.asarray(out.p_t) - oracle).max() < 1e-10
+        assert np.abs(path[-1] - oracle).max() < 1e-10
 
     def test_steps_at_once_are_single_steps_clipped_every_step(self):
         # seed 6's first ring draw has a row summing to 1 + 1 ulp, which would lift a belief of 1 above 1
         for name, spec in dict(all_models(), ring5=ring_uniform_self(5)).items():
             for seed in (6, 7):
-                at_once, single = spec.start_state(seed), spec.start_state(seed)
-                b = BeliefState.from_signals([1.0] * spec.n)
-                got = evolve(at_once, b, 40)
-                for _ in range(40):
-                    b = evolve(single, b, 1)
-                    assert max(b.p_t) <= 1.0, (name, seed)
-                assert (got.p_t, got.t) == (b.p_t, b.t), (name, seed)
-                # both streams stand after the 40th draw
-                assert at_once.next_array().tobytes() == single.next_array().tobytes(), (name, seed)
+                at_once = spec.start_state(seed)
+                path = evolve(at_once, [1.0] * spec.n, 40)
+                assert path.shape == (41, spec.n) and path.max() <= 1.0, (name, seed)
+                for chunk in (1, 10):
+                    state, rows = spec.start_state(seed), [path[0]]
+                    for _ in range(40 // chunk):
+                        rows.extend(evolve(state, rows[-1], chunk)[1:])
+                    assert np.array(rows).tobytes() == path.tobytes(), (name, seed, chunk)
+                    # both streams stand after the 40th draw
+                    assert stream_position(state) == stream_position(at_once), (name, seed, chunk)
 
     def test_belief_range_contracts_on_random_trajectories(self):
         rng = np.random.default_rng(11)
@@ -159,17 +158,26 @@ class TestEvolve:
         for spec in specs:
             for k in range(200):
                 state = spec.start_state(int(rng.integers(1 << 32)))
-                b = BeliefState.from_signals(rng.random(spec.n))
-                prev_range = max(b.p_t) - min(b.p_t)
-                for _ in range(15):
-                    b = evolve(state, b, 1)
-                    cur = max(b.p_t) - min(b.p_t)
-                    assert cur <= prev_range + 1e-12
-                    assert min(b.p_t) >= min(b.p0) - 1e-12
-                    assert max(b.p_t) <= max(b.p0) + 1e-12
-                    prev_range = cur
+                p0 = rng.random(spec.n)
+                path = evolve(state, p0, 15)
+                spread = path.max(axis=1) - path.min(axis=1)
+                assert (np.diff(spread) <= 1e-12).all()
+                assert (path.min(axis=1) >= p0.min() - 1e-12).all()
+                assert (path.max(axis=1) <= p0.max() + 1e-12).all()
                 trials += 1
         assert trials == 1000
+
+    @pytest.mark.parametrize("p0, error, message", [
+        ([], DimensionMismatch, "p0 must be a vector"),
+        ([[0.5, 0.5]], DimensionMismatch, "p0 must be a vector"),
+        ([0.5, 0.5, 0.5], DimensionMismatch, "3 beliefs for n = 2 agents"),
+        ([0.5, 1.5], InvalidProbability, "p0 entries must lie in [0,1]"),
+    ])
+    def test_p0_is_checked_before_any_draw(self, p0, error, message):
+        state = ring_uniform_self(2).start_state(0)
+        with mock.patch.object(engine, "_lockstep", side_effect=AssertionError("stepped")), \
+                pytest.raises(error, match=re.escape(message)):
+            evolve(state, p0, 5)
 
 
 class TestAccumulate:
@@ -183,8 +191,8 @@ class TestAccumulate:
                 p0 = rng.random(spec.n)
                 acc = accumulate(spec.start_state(seed), t, gap_tol=0.0)
                 via_product = acc.product.entries @ p0
-                walked = evolve(spec.start_state(seed), BeliefState.from_signals(p0), t)
-                assert np.abs(via_product - np.asarray(walked.p_t)).max() < 1e-9
+                walked = evolve(spec.start_state(seed), p0, t)[-1]
+                assert np.abs(via_product - walked).max() < 1e-9
 
     def test_encounter_converges_before_200(self):
         spec = encounter_2x2(0.3, 0.5)
@@ -234,9 +242,8 @@ class TestAccumulate:
         for name, spec in positive_diagonal_iid_specs().items():
             lambda2 = np.sort(np.abs(np.linalg.eigvals(spec.mean_matrix().entries)))[-2]
             contracts = bool(lambda2 < 1.0 - 1e-9)
-            for seed in range(5):
-                acc = accumulate(spec.start_state(seed), 20000, stop_when_converged=True)
-                assert (acc.consensus_time is not None) == contracts, (name, seed)
+            stops, _, _ = engine._scan_replicas(spec, 5, 0, 20000, GAP_TOL)
+            assert (stops <= 20000).tolist() == [contracts] * 5, name
 
 
 class TestInfluence:
@@ -932,7 +939,7 @@ NAN_CONSTRUCTORS = {
     "BetaMarginalPair-b": (lambda: BetaMarginalPair(1.0, NAN), InvalidProbability),
     "UniformSignal-gamma": (lambda: UniformSignal(NAN), InvalidProbability),
     "UniformSignal-half_width": (lambda: UniformSignal(0.5, NAN), InvalidProbability),
-    "BeliefState": (lambda: BeliefState.from_signals([NAN, 0.5]), InvalidProbability),
+    "evolve-p0": (lambda: evolve(Fixed(HALVES).start_state(0), [NAN, 0.5], 1), InvalidProbability),
 }
 
 

@@ -1,18 +1,22 @@
 """Every name the package exports has a caller.
 
-Each name that src/degrootnet/__init__.py imports for export must occur as a
-whole word somewhere that uses it: a module of the package other than
-__init__.py (its own ``def`` or ``class`` statement aside, so a name in its
-own error message is no caller), perfbench/, or the acceptance criteria in
-tests/test_acceptance.py.  A unit test alone does not count.  The names in
+Each name that src/degrootnet/__init__.py imports for export must occur
+somewhere that uses it: as a Python name (a NAME token, so not in a string,
+a comment or a docstring) in a module of the package other than __init__.py
+or in the acceptance criteria in tests/test_acceptance.py, or as a whole
+word anywhere in perfbench/, whose tracer patches functions by name.  Its
+own ``def`` or ``class`` statement is no caller.  A unit test alone does
+not count.  The names in
 LIBRARY_ONLY are exported for library users with no such caller; each must
 stay exported and stay otherwise unreferenced, so the list cannot rot.
 """
 
 import ast
 import functools
+import io
 import pathlib
 import re
+import tokenize
 
 import pytest
 
@@ -54,12 +58,29 @@ def _own_lines(name, text):
     return {k for own, first, last in _definitions(text) if own == name for k in range(first, last + 1)}
 
 
+@functools.cache
+def _name_lines(text):
+    """{name: lines} of the NAME tokens in ``text``."""
+    lines = {}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            lines.setdefault(tok.string, []).append(tok.start[0])
+    return lines
+
+
+def _occurrences(name, path, text):
+    """The lines where ``name`` occurs: as a whole word in perfbench/, as a NAME token elsewhere."""
+    if path.startswith("perfbench/"):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        return [k for k, line in enumerate(text.splitlines(), 1) if word.search(line)]
+    return sorted(set(_name_lines(text).get(name, ())))
+
+
 def references(name, sources=SOURCES):
-    """(file, line) of each whole-word occurrence of ``name`` outside its own def or class statement."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
+    """(file, line) of each occurrence of ``name`` outside its own def or class statement."""
     hits = []
     for path, text in sources.items():
-        lines = [k for k, line in enumerate(text.splitlines(), 1) if word.search(line)]
+        lines = _occurrences(name, path, text)
         if lines:
             own = _own_lines(name, text)
             hits += [(path, k) for k in lines if k not in own]
@@ -83,7 +104,11 @@ def test_library_only_name_is_exported_and_has_no_other_caller(name):
     ({"a.py": "def helper(x):\n    raise ValueError('helper needs x')\n"}, []),
     ({"a.py": "y = helper_two(1)\nz = my_helper\n"}, []),
     ({"a.py": "def f():\n    return helper(1)\n"}, [("a.py", 2)]),
-    ({"a.py": "from .m import helper\n", "b.py": "'engine.helper'\n"}, [("a.py", 1), ("b.py", 1)]),
+    ({"a.py": "from .m import helper\n", "perfbench/b.py": "'engine.helper'\n"},
+     [("a.py", 1), ("perfbench/b.py", 1)]),
+    ({"a.py": "p.add_argument('--x', help='helper of x')\nq = 'x'  # a helper\n"}, []),
+    ({"a.py": "def f():\n    \"\"\"Calls helper.\"\"\"\n    return 'helper'\n"}, []),
+    ({"a.py": "x = engine.helper(\n    1)\n"}, [("a.py", 1)]),
 ])
 def test_guard_finds_what_it_names(sources, hits):
     assert references("helper", sources) == hits
