@@ -124,6 +124,16 @@ def _user_input(what):
         raise _UsageError(f"{what}: {exc}") from exc
 
 
+def _items(value) -> list:
+    """The elements of a comma-separated flag's value, as text.
+
+    The value is the flag's text, split on commas, or a config's JSON list,
+    each element read as the text it would have on the command line; so a
+    list gives the values of its comma form.
+    """
+    return [str(v) for v in value] if isinstance(value, list) else str(value).split(",")
+
+
 def _read_json(path, parse=lambda doc: doc):
     """``parse`` of the JSON document in the file ``path``."""
     with _user_input(path), open(path) as fh:
@@ -399,7 +409,7 @@ def serialize_config(command: str, params: dict) -> str:
 def _cmd_simulate(params):
     spec = build_spec(params)
     with _user_input("--p0"):
-        p0 = [float(v) for v in str(params.get("p0", "")).split(",") if v != ""]
+        p0 = [float(v) for v in _items(params.get("p0", "")) if v != ""]
         if not p0:
             raise _UsageError("simulate needs --p0")
         engine._initial_beliefs(p0, spec.n)
@@ -439,7 +449,7 @@ def _cmd_influence(params):
 
 def _cmd_wisdom(params):
     with _user_input("--sizes"):
-        sizes = tuple(int(s) for s in str(params["sizes"]).split(","))
+        sizes = tuple(int(s) for s in _items(params["sizes"]))
     with _user_input("wisdom"):
         cfg = wisdom.WisdomConfig(
             family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
@@ -498,7 +508,7 @@ def _load_distribution(params):
         return _read_json(params["dist"], fragmentation.GraphDistribution.from_dict)
     if params.get("islands"):
         with _user_input("--islands"):
-            g, ps, pd = str(params["islands"]).split(",")
+            g, ps, pd = _items(params["islands"])
             return fragmentation.islands_distribution(int(g), float(ps), float(pd))
     raise _UsageError("need --dist or --islands")
 
@@ -527,7 +537,7 @@ def _cmd_rate(params):
             lo, hi = grid.split(":")
             t_grid = list(range(int(lo), int(hi) + 1))
         else:
-            t_grid = [int(v) for v in str(grid).split(",")]
+            t_grid = [int(v) for v in _items(grid)]
     try:
         report = fragmentation.decay_rate_estimate(
             spec,
@@ -644,9 +654,9 @@ def _cmd_semigroup(params):
 def _cmd_conjugacy(params):
     spec = build_spec(params)
     phi = params.get("phi")
-    if isinstance(phi, str):
+    if phi is not None:
         with _user_input("--phi"):
-            phi = [float(v) for v in phi.split(",")]
+            phi = [float(v) for v in _items(phi)]
     try:
         res = wisdom.dirichlet_conjugacy_test(
             spec,

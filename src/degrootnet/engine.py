@@ -17,13 +17,18 @@ after their last draw: accumulate reads its products through _scan, and
 evolve (behind the CLI's simulate) walks a belief vector.  Draws come in
 blocks of up to BLOCK per replica; a stream's draws do not depend on the
 block size (GeneratorSpec.draw_block), so they are those that
-GeneratorState.next_array makes one at a time.
+GeneratorState.next_array makes one at a time.  Per-row work that a law can
+do on a whole block (GeneratorSpec._rows: Dirichlet rows are normalized
+there) runs once per block, and only the rest (_expand) once per step.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
-stops each replica at its first step with gap <= gap_tol.  It computes the
-full consensus gap of a product only where the cheap two-row bound
-max_j |P[0,j] - P[n//2,j]| is within gap_tol.  The gate is exact: the
-bound never exceeds the gap in floating point, since per column the exact
+stops each replica at its first step with gap <= gap_tol.  Three levels
+decide it: the one entry |P[0,0] - P[n//2,0]|, which ends the step where
+no product has it within gap_tol; then the two-row bound
+max_j |P[0,j] - P[n//2,j]|; then the full consensus gap, only of the
+products whose bound is within gap_tol.  The chain is exact: in floating
+point the entry never exceeds the bound, which holds it as one of its
+terms, and the bound never exceeds the gap, since per column the exact
 spread is at least the exact difference of any two rows and rounding is
 monotone.
 
@@ -219,7 +224,8 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
     tests check them against default_rng).  Each step expands one draw per
     replica from blocks of up to BLOCK draws (spec._block, from the replica's
     own stream; short first blocks keep short runs from drawing far past their
-    stop) into one (R, n, n) stack with spec._expand and, with ``multiply``,
+    stop; spec._rows readies each stacked (R, k, width) block once, in place)
+    into one (R, n, n) stack with spec._expand and, with ``multiply``,
     left-multiplies the stack of running products by it in one batched matmul,
     renormalizing rows after every RENORM_EVERY-th step (row sums drift by at
     most about RENORM_EVERY * n unit roundoffs).  ``observe(t, idx, stack)``
@@ -280,6 +286,7 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
                     block = uniforms[first - base:stop - base, :k]
                 else:
                     block = np.stack([spec._block(states[i], k) for i in idx.tolist()])
+                block = spec._rows(block)
                 j = 0
             x = spec._expand(block[:, j], draws)
             j += 1
@@ -307,10 +314,11 @@ def _two_row_bound(prod: np.ndarray) -> np.ndarray:
 
     Never above consensus_gaps, in floating point too: per column the exact
     spread is at least the exact difference of any two rows, and rounding
-    is monotone.  Row n//2 rather than row 1: in the ring and islands laws
-    agents 0 and 1 are neighbours, whose rows agree long before the rest,
-    so a bound on them would let the full gap run on many more steps.  At
-    n <= 3 the pair is rows 0 and 1.
+    is monotone.  Never below |P[0,0] - P[n//2,0]|, one of its terms.  Row
+    n//2 rather than row 1: in the ring and islands laws agents 0 and 1 are
+    neighbours, whose rows agree long before the rest, so a bound on them
+    would let the full gap run on many more steps.  At n <= 3 the pair is
+    rows 0 and 1.
     """
     return np.abs(prod[:, 0] - prod[:, prod.shape[1] // 2]).max(axis=1)
 
@@ -325,14 +333,22 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     of each converged replica, in index order.  These are bitwise those of
     a serial scan of each replica's stream stopped at its consensus time.
 
-    The observer does little on a typical step.  It computes the two-row
-    bound (rows 0 and n//2) of each running product and the full gap only
-    where the bound is <= gap_tol.  No first crossing is skipped, because
-    the bound never exceeds the gap in floating point (see _two_row_bound).
+    The observer does little on a typical step.  It compares the one entry
+    P[0,0] with P[n//2,0] across the running products, a reduction over the
+    replica axis alone, and returns at once where none is within gap_tol;
+    otherwise it computes the two-row bound (rows 0 and n//2), and the full
+    gap only of the products whose bound is.  No first
+    crossing is skipped, because entry <= bound <= gap in floating point
+    (see _two_row_bound).  The bound stays behind the entry: the entry
+    alone would send several times as many products to the full gap.
     """
     gaps = np.empty(replicas)
+    h = spec.n // 2
 
     def observe(t, idx, prod):
+        check = np.abs(prod[:, 0, 0] - prod[:, h, 0]) <= gap_tol
+        if not check.any():
+            return None
         check = _two_row_bound(prod) <= gap_tol
         if not check.any():
             return None

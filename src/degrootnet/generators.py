@@ -91,7 +91,7 @@ class GeneratorSpec:
         stream does not depend on the block size, so one block of k leaves
         the draws, the stream, ``aux`` and ``last`` where k blocks of one do.
         """
-        return self._expand(self._block(state, k), np.zeros((k, self.n, self.n)))
+        return self._expand(self._rows(self._block(state, k)), np.zeros((k, self.n, self.n)))
 
     def _block(self, state: GeneratorState, k: int) -> np.ndarray:
         """The values behind the next k draws, one row per draw (k >= 1).
@@ -106,8 +106,17 @@ class GeneratorSpec:
         """Values in one row of ``_block``."""
         return self.n * self.n
 
+    def _rows(self, block: np.ndarray) -> np.ndarray:
+        """A fresh (..., width) stack of ``_block`` rows made ready for ``_expand``, once per block.
+
+        The identity here.  A law may move per-row work from ``_expand``,
+        which runs once per step, into this, which runs once per block; it
+        may write into ``block``, which nothing else reads.
+        """
+        return block
+
     def _expand(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The draws of a stack of r ``_block`` rows, as an (r, n, n) array.
+        """The draws of a stack of r ``_rows`` rows, as an (r, n, n) array.
 
         ``out`` is an (r, n, n) buffer that was zero when first handed over
         and has since held only results of this method; the result may be
@@ -282,14 +291,17 @@ class DirichletRows(GeneratorSpec):
     same per-variate sampler, in the same C order, either way.
 
     When every row of alpha has the same number m of positive entries, and
-    m <= 2 or m = n, _expand sums each row from the m values of the block
-    rather than from the scattered (n, n) draw, with the same bits.  A row
-    of at most two values sums exactly in any order, since adding 0.0 is
-    exact and fl(a + b) = fl(b + a), so m = 2 adds its two values.  A full
-    row is the same contiguous values, summed in the same order.  Any other
-    pattern sums full rows: NumPy need not add 3 <= m < n values in the
-    order it adds them among the row's zeros (past its 8-value pairwise
-    block it does not), and then the bits differ.
+    m <= 2 or m = n, _rows normalizes each row of a whole block in place, by
+    the sum of its m values, and _expand only scatters them: the same bits
+    as summing and dividing the scattered (n, n) draw step by step, since
+    it is the same elementwise add and divide done earlier.  A row of at
+    most two values sums exactly in any order, since adding 0.0 is exact
+    and fl(a + b) = fl(b + a), so m = 2 adds its two values.  A full row is
+    the same contiguous values, summed in the same order.  Any other
+    pattern leaves _rows the identity and sums full rows in _expand: NumPy
+    need not add 3 <= m < n values in the order it adds them among the
+    row's zeros (past its 8-value pairwise block it does not), and then
+    the bits differ.
     """
 
     alpha: np.ndarray
@@ -314,7 +326,7 @@ class DirichletRows(GeneratorSpec):
         object.__setattr__(self, "_positive_alpha", positive_alpha)
         constant = (positive_alpha == positive_alpha[0]).all()
         object.__setattr__(self, "_gamma_shape", float(positive_alpha[0]) if constant else positive_alpha)
-        # positive entries per row when _expand sums rows from the block, else None
+        # positive entries per row when _rows normalizes rows in the block, else None
         counts = np.count_nonzero(arr, axis=1)
         m = int(counts[0])
         object.__setattr__(self, "_row_width", m if (counts == m).all() and (m <= 2 or m == self.n) else None)
@@ -340,17 +352,21 @@ class DirichletRows(GeneratorSpec):
     def _width(self):
         return self._positive_alpha.size
 
+    def _rows(self, block):
+        m = self._row_width
+        if m is None:
+            return block
+        by_row = block.reshape(block.shape[:-1] + (self.n, m))
+        sums = by_row[..., 0] + by_row[..., 1] if m == 2 else by_row.sum(axis=-1)
+        np.divide(by_row, sums[..., None], out=by_row)
+        return by_row.reshape(block.shape)
+
     def _expand(self, rows, out):
         # entries where alpha is zero are never written, so they stay zero
         i, j = self._positive
-        m = self._row_width
-        if m is None:
-            out[:, i, j] = rows
+        out[:, i, j] = rows
+        if self._row_width is None:
             out[:, i, j] = rows / out.sum(axis=2)[:, i]
-            return out
-        by_row = rows.reshape(len(rows), self.n, m)
-        sums = by_row[:, :, 0] + by_row[:, :, 1] if m == 2 else by_row.sum(axis=2)
-        out[:, i, j] = (by_row / sums[:, :, None]).reshape(len(rows), -1)
         return out
 
     def mean_matrix(self):

@@ -908,6 +908,40 @@ class TestConfigRoundTrip:
         assert "I_mu=1.3862943611" in capsys.readouterr().out
 
 
+# A comma-separated flag given in a config as a JSON list: the config, the flag,
+# the list and its comma form.
+LIST_CONFIGS = [
+    ({"command": "simulate", "model": "ring", "n": 2, "steps": 3}, "p0", [1, 0], "1,0"),
+    ({"command": "wisdom", "family": "ring", "replicas": 4, "tmax": 500}, "sizes", [3, 4], "3,4"),
+    ({"command": "rate", "model": "encounter2x2", "eps": 0.3, "pmeet": 0.5, "epsilon": 0.1, "replicas": 50},
+     "tgrid", [1, 2, 3], "1,2,3"),
+    ({"command": "pmax"}, "islands", [2, 0.8, 0.3], "2,0.8,0.3"),
+    ({"command": "conjugacy", "model": "ring", "n": 2, "replicas": 20, "tmax": 500}, "phi", [4, 4.5], "4,4.5"),
+]
+
+
+class TestConfigLists:
+    def run_config(self, tmp_path, cfg, name):
+        out, path = tmp_path / f"{name}.out", tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, out=str(out))))
+        return run([cfg["command"], "--config", str(path)]), out
+
+    @pytest.mark.parametrize("cfg, key, items, text", LIST_CONFIGS)
+    def test_list_gives_the_bytes_of_its_comma_form(self, tmp_path, cfg, key, items, text):
+        code, out = self.run_config(tmp_path, dict(cfg, **{key: items}), "list")
+        want_code, want = self.run_config(tmp_path, dict(cfg, **{key: text}), "text")
+        assert code == want_code == EXIT_OK
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("cfg, key, items, text", LIST_CONFIGS)
+    @pytest.mark.parametrize("bad", ["x", [1], None])
+    def test_bad_list_element_is_usage_error_naming_the_flag(self, tmp_path, capsys, cfg, key, items, text, bad):
+        code, out = self.run_config(tmp_path, dict(cfg, **{key: [*items[:-1], bad]}), "bad")
+        assert code == EXIT_USAGE
+        assert f"--{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_one_subcommand_parser_has_the_full_parsers_flags(self, command):

@@ -64,7 +64,7 @@ def block_models():
 
 
 def row_sum_models():
-    """Dirichlet laws at the sizes where _expand sums rows from the block (m = 2 and m = n)."""
+    """Dirichlet laws at the sizes where _rows normalizes rows in the block (m = 2 and m = n)."""
     return {
         "ring12": ring_uniform_self(12),
         "ring20": ring_uniform_self(20),
@@ -305,7 +305,7 @@ def _islands_recipe_draw(spec, rng):
 
 @st.composite
 def row_sum_alphas(draw):
-    """(alpha, width): an alpha and the positives per row _expand should sum from the block (None: full rows).
+    """(alpha, width): an alpha and the positives per row _rows should sum in the block (None: full rows).
 
     "block": every row holds m positive entries, m <= 2 or m = n; "partial": every
     row holds 3 <= m < n at n > 8, past NumPy's 8-value pairwise block; "mixed":
@@ -347,16 +347,18 @@ class TestDirichletDraw:
     @settings(max_examples=200, deadline=None)
     @given(case=row_sum_alphas(), replicas=st.integers(1, 20), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_rows_summed_from_the_block_match_full_rows(self, case, replicas, k, seed):
-        # the rule: rows with m <= 2 or m = n positives each sum from the block; any other
-        # pattern sums full rows.  Either way _expand gives the full-row sum's bits on the
-        # strided block[:, j] views _lockstep passes
+        # the rule: rows with m <= 2 or m = n positives are each normalized in the block by
+        # _rows; any other pattern sums full rows in _expand.  Either way _rows of the
+        # (replicas, k, width) stack, then _expand of its strided [:, j] views, as _lockstep
+        # calls them, gives the full-row sum's bits
         alpha, width = case
         spec = DirichletRows(alpha)
         assert spec._row_width == width
-        block = np.random.default_rng(seed).standard_gamma(spec._gamma_shape, size=(replicas, k, spec._width()))
+        raw = np.random.default_rng(seed).standard_gamma(spec._gamma_shape, size=(replicas, k, spec._width()))
+        block = spec._rows(raw.copy())
         for j in range(k):
             got = spec._expand(block[:, j], np.zeros((replicas, spec.n, spec.n)))
-            assert got.tobytes() == _full_row_expand(spec, block[:, j]).tobytes()
+            assert got.tobytes() == _full_row_expand(spec, raw[:, j]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), density=st.sampled_from([None, 0.1, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))

@@ -5,8 +5,8 @@ that draws one matrix at a time through GeneratorState.next_array, written
 out here rather than read from the engine.  The property tests compare
 _lockstep with it bitwise across generator kinds, on one caller's stream
 (accumulate's _scan) and on each replica's stream of a Monte Carlo run, and
-the two-row bound that gates the lockstep scan's gap with the gap itself,
-bit for bit.  The pinned values below were recorded before the scans were
+the entry and the two-row bound that gate the lockstep scan's gap with the
+gap itself, bit for bit.  The pinned values below were recorded before the scans were
 routed through one loop; they cover outputs that no benchmark hash fixes,
 so any change in the order of floating-point operations shows up here.
 """
@@ -159,9 +159,11 @@ class TestTwoRowBound:
         # the lockstep scan computes the full gap only where this bound is
         # within gap_tol, so a bound above the gap would skip a crossing
         bound, gap = _two_row_bound(stack), consensus_gaps(stack)
-        for p, b, g in zip(stack, bound, gap):
+        # the scan's gate chain: the entry |P[0,0] - P[n//2,0]|, then the bound, then the gap
+        entry = np.abs(stack[:, 0, 0] - stack[:, len(stack[0]) // 2, 0])
+        for p, e, b, g in zip(stack, entry, bound, gap):
             assert g == float((p.max(axis=0) - p.min(axis=0)).max())  # _scan's gap
-            assert b <= g
+            assert e <= b <= g
             if np.array_equal(p[0], p[len(p) // 2]):
                 assert b == 0.0
             if len(p) == 2:  # the two rows are the whole spread
@@ -317,21 +319,32 @@ class TestLockstep:
         assert no_prods is None and stops.tolist() == want_stops.tolist()
 
     @pytest.mark.parametrize("gap_tol", [0.0, 1e-8])
-    @pytest.mark.parametrize("case", ["rows_0_1_equal", "one_agent", "no_steps"])
+    @pytest.mark.parametrize("case", ["rows_0_1_equal", "column_0_equal", "column_0_zero", "one_agent", "no_steps"])
     def test_matches_serial_scans_where_the_bound_is_loose(self, case, gap_tol):
         # rows_0_1_equal: at n = 3 the bound compares rows 0 and n // 2 = 1,
-        # so it is 0 on every step and the gap stays 1
+        # so it is 0 on every step and the gap stays 1.  column_0_equal: at
+        # n = 4 the entry gate compares P[0,0] and P[2,0], both 0 on every
+        # step, while the bound and the gap stay 1.  column_0_zero: no agent
+        # weighs agent 0, so every replica passes the gate on every step and
+        # the bound and the gap decide
         spec, t_max = {
             "rows_0_1_equal": (Fixed(make_stochastic([[.5, .5, 0], [.5, .5, 0], [0, 0, 1]])), 3 * RENORM_EVERY),
+            "column_0_equal": (Fixed(make_stochastic([[0, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]])),
+                               3 * RENORM_EVERY),
+            "column_0_zero": (DirichletRows(np.where(np.arange(4) > 0, [[1.0], [1.0], [0.5], [2.0]], 0.0)), 200),
             "one_agent": (Fixed(make_stochastic([[1.0]])), 70),
             "no_steps": (ring_uniform_self(4), 0),
         }[case]
         stops, pis, gaps = _scan_replicas(spec, 5, 13, t_max, gap_tol)
         assert_matches_serial_scans(spec, 5, 13, t_max, gap_tol, stops, pis, gaps)
-        if case == "rows_0_1_equal":
+        if case in ("rows_0_1_equal", "column_0_equal"):
             prod = reference_scan(spec.start_state(replica_rng(13, 0)), t_max, gap_tol)[0]
-            assert (_two_row_bound(prod[None]).tolist(), float(consensus_gaps(prod))) == ([0.0], 1.0)
+            bound = 0.0 if case == "rows_0_1_equal" else 1.0
+            assert prod[0, 0] == prod[len(prod) // 2, 0]
+            assert (_two_row_bound(prod[None]).tolist(), float(consensus_gaps(prod))) == ([bound], 1.0)
             assert stops.tolist() == [t_max + 1] * 5
+        if case == "column_0_zero":
+            assert (pis[:, 0] == 0.0).all() and (stops <= t_max).all()
 
     def test_two_agent_spread_matches_serial_draws(self):
         spec = DirichletRows(np.array([[0.5, 0.5], [0.5, 0.5]]))
