@@ -1,10 +1,13 @@
 """Command-line simulator: deterministic experiments, plot-ready output.
 
 Every subcommand accepts flags, ``--config file.json`` holding the same
-parameters, or both: a flag on the command line beats the config value,
-which beats the default stated in ``_SUBCOMMANDS``; a config's ``command``
-key, which serialize_config writes, must name the subcommand run.  A process
-builds each subcommand's parser once, on the first run that names it.
+parameters, or both.  A config is read as flags: each key becomes one
+``--flag=text`` token ahead of the command line's own, so the one parser
+checks both and a flag on the command line beats the config value, which
+beats the default stated in ``_SUBCOMMANDS``.  A config's ``command`` key,
+which serialize_config writes, must name the subcommand run.  A process
+builds each subcommand's parser once, on the first run that names it, and a
+config run builds none of its own.
 ``_MODELS`` maps each ``--model`` name to its constructor and the flags it
 reads.  Results go to ``--out`` as CSV or JSON with floats printed at 17
 significant digits, which round-trips doubles exactly.  Replica i of master
@@ -124,16 +127,6 @@ def _user_input(what):
         raise _UsageError(f"{what}: {exc}") from exc
 
 
-def _items(value) -> list:
-    """The elements of a comma-separated flag's value, as text.
-
-    The value is the flag's text, split on commas, or a config's JSON list,
-    each element read as the text it would have on the command line; so a
-    list gives the values of its comma form.
-    """
-    return [str(v) for v in value] if isinstance(value, list) else str(value).split(",")
-
-
 def _read_json(path, parse=lambda doc: doc):
     """``parse`` of the JSON document in the file ``path``."""
     with _user_input(path), open(path) as fh:
@@ -199,13 +192,6 @@ def _law_flag(params: dict) -> str:
     return "--spec" if params.get("spec") is not None else f"--model {params['model']}"
 
 
-def _beta_marginals(params: dict):
-    name = params["mu"]
-    if name not in _BETA_MARGINALS:
-        raise _UsageError(f"--mu {name!r} names no Beta marginal pair")
-    return _BETA_MARGINALS[name](params)
-
-
 def build_energy_mu(params: dict):
     if params.get("atoms") is not None and params["mu"] != "atoms":
         raise _UsageError(f"--atoms needs --mu atoms, not --mu {params['mu']}")
@@ -213,7 +199,7 @@ def build_energy_mu(params: dict):
         path = _required(params, "--mu atoms", ("atoms",))["atoms"]
         return _read_json(path, lambda doc: engine.AtomicWeightPairs(tuple(((d["x"], d["y"]), d["mass"]) for d in doc)))
     with _user_input(f"--mu {params['mu']}"):
-        return engine.BetaMarginalPair(*_beta_marginals(params))
+        return engine.BetaMarginalPair(*_BETA_MARGINALS[params["mu"]](params))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -233,6 +219,29 @@ def _master_seed(text: str) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError(f"master seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+# The comma-separated flags.  argparse names the function in its message
+# ("invalid floats value: '1,,0'"), and an empty element is no number.
+def floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+def ints(text: str) -> list:
+    return [int(v) for v in text.split(",")]
+
+
+def time_grid(text: str) -> list:
+    """A --tgrid value: ``lo:hi``, both ends included, or comma-separated ints."""
+    if ":" not in text:
+        return ints(text)
+    lo, hi = text.split(":")
+    return list(range(int(lo), int(hi) + 1))
+
+
+def islands_triple(text: str) -> tuple:
+    g, ps, pd = text.split(",")
+    return int(g), float(ps), float(pd)
 
 
 def _add_common(p):
@@ -265,7 +274,7 @@ def _add_model_flags(p):
 # Each subcommand: its help, whether it takes the model flags, and its own flags.
 _SUBCOMMANDS = {
     "simulate": ("evolve a belief vector and write the trajectory", True, (
-        ("--p0", dict(default=None, help="comma-separated initial beliefs")),
+        ("--p0", dict(type=floats, default=None, help="comma-separated initial beliefs")),
         ("--steps", dict(type=int, default=100)),
     )),
     "influence": ("Monte Carlo influence-vector estimate", True, (
@@ -276,7 +285,7 @@ _SUBCOMMANDS = {
     "wisdom": ("consensus-error diagnostics across sizes", False, (
         ("--family", dict(choices=("fixed-ring", "leader-follower", "mix-identity", "ring"),
                           default="ring", help="a --model that takes only --n (and --zeta)")),
-        ("--sizes", dict(default="5,10,20")),
+        ("--sizes", dict(type=ints, default="5,10,20")),
         ("--gamma", dict(type=float, default=0.5)),
         ("--signal-width", dict(type=float, default=0.25)),
         ("--zeta", dict(type=float, default=0.5)),
@@ -285,7 +294,7 @@ _SUBCOMMANDS = {
         ("--gap-tol", dict(type=float, default=engine.GAP_TOL)),
     )),
     "speed2x2": ("two-agent convergence times", False, (
-        ("--mu", dict(default="uniform-indep", help="uniform-indep | arcsine-indep | beta-indep (with --a/--b)")),
+        ("--mu", dict(choices=tuple(_BETA_MARGINALS), default="uniform-indep", help="beta-indep reads --a/--b")),
         ("--a", dict(type=float, default=None)),
         ("--b", dict(type=float, default=None)),
         ("--phi", dict(type=float, default=1e-6)),
@@ -293,21 +302,21 @@ _SUBCOMMANDS = {
         ("--tcap", dict(type=int, default=None)),
     )),
     "energy": ("logarithmic energy of a 2x2 weight law", False, (
-        ("--mu", dict(default="uniform-indep")),
+        ("--mu", dict(choices=(*_BETA_MARGINALS, "atoms"), default="uniform-indep")),
         ("--a", dict(type=float, default=None)),
         ("--b", dict(type=float, default=None)),
         ("--atoms", dict(default=None, help="JSON list of {x, y, mass}")),
     )),
     "pmax": ("most likely disconnected collection", False, (
         ("--dist", dict(default=None, help="GraphDistribution JSON file")),
-        ("--islands", dict(default=None, help="g,p_s,p_d triple, e.g. 2,0.8,0.3")),
+        ("--islands", dict(type=islands_triple, default=None, help="g,p_s,p_d triple, e.g. 2,0.8,0.3")),
         ("--method", dict(choices=("subsets", "cuts"), default=None,
                           help="accepted for compatibility; the smaller exact enumeration is chosen")),
     )),
     "rate": ("decay rate of the consensus-gap tail", True, (
         ("--dist", dict(default=None, help="GraphDistribution JSON (lazy-Metropolis coupling)")),
         ("--epsilon", dict(type=float, default=0.5)),
-        ("--tgrid", dict(default="1:40")),
+        ("--tgrid", dict(type=time_grid, default="1:40")),
         ("--replicas", dict(type=int, default=20000)),
     )),
     "disagree": ("empirical law of the limiting product", True, (
@@ -331,7 +340,7 @@ _SUBCOMMANDS = {
     "conjugacy": ("Dirichlet influence-law verification", True, (
         ("--replicas", dict(type=int, default=5000)),
         ("--tmax", dict(type=int, default=4000)),
-        ("--phi", dict(default=None, help="comma-separated reference phi override")),
+        ("--phi", dict(type=floats, default=None, help="comma-separated reference phi override")),
     )),
 }
 
@@ -344,8 +353,7 @@ def make_parser(command: str | None = None) -> _Parser:
     top-level help and the invalid-choice error do not depend on
     ``command``.  The parser is built on the first call for ``command`` and
     shared by every later run, so nothing may change it after that; a run
-    with --config sets its config values as the defaults of a parser of its
-    own, ``make_parser.__wrapped__(command)``.
+    with --config reads its config values with it too, as flag tokens.
     """
     parser = _Parser(prog="degrootnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -362,36 +370,40 @@ def make_parser(command: str | None = None) -> _Parser:
 
 
 def _collect_params(argv, args) -> dict:
-    """Parameters of a run: flags given in argv, then --config values, then parser defaults."""
+    """Parameters of a run: flags given in argv, then --config values, then parser defaults.
+
+    Each config key becomes the token ``--flag=text``, a JSON list its comma
+    form, and the tokens go before argv's flags, so the parser reads both
+    and the later argv flag wins.  An inline --spec or --matrix document and
+    alpha_matrix, which has no flag, are taken as given where argv leaves
+    them unset.
+    """
+    given = {}
     if args.config:
         doc = _read_json(args.config, dict)
         if doc.get("command", args.command) != args.command:
             raise _UsageError(f"the config is for {doc['command']!r}, not {args.command!r}")
-        # the config values become defaults, so they go to a parser no other run shares
-        parser = make_parser.__wrapped__(args.command)
-        sub = parser.commands[args.command]
-        typed = {action.dest for action in sub._actions if action.type is not None}
-        values = {k.replace("-", "_"): v for k, v in doc.items() if k not in ("command", "config")}
-        # a key that names no parameter would otherwise be ignored; alpha_matrix
-        # is the one parameter with no flag, read by --model dirichlet
-        known = {action.dest for action in sub._actions if action.default is not argparse.SUPPRESS}
-        if "model" in known:
-            known.add("alpha_matrix")
-        unknown = [k for k in doc if k not in ("command", "config") and k.replace("-", "_") not in known]
+        parser = make_parser(args.command)
+        flags = {action.dest: action.option_strings[0] for action in parser.commands[args.command]._actions
+                 if action.default is not argparse.SUPPRESS}
+        doc = {k: v for k, v in doc.items() if k not in ("command", "config")}
+        # a key that names no parameter would otherwise be ignored, or read as
+        # a flag it abbreviates; alpha_matrix, read by --model dirichlet, has no flag
+        known = set(flags) | ({"alpha_matrix"} if "model" in flags else set())
+        unknown = [k for k in doc if k.replace("-", "_") not in known]
         if unknown:
             raise _UsageError(f"{args.command} takes no parameter {', '.join(map(repr, unknown))}")
-        # argparse applies a flag's type to string defaults only, so a typed
-        # value goes in as the text it would have on the command line
-        sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
-                            for k, v in values.items()})
-        args = parser.parse_args(argv)
-        # argparse checks choices only on argv; a config value becomes a default
-        for action in sub._actions:
-            value = getattr(args, action.dest, None)
-            if action.choices is not None and value is not None and value not in action.choices:
-                raise _UsageError(f"argument {'/'.join(action.option_strings)}: invalid choice: "
-                                  f"{value!r} (choose from {', '.join(map(repr, action.choices))})")
-    return {k: v for k, v in vars(args).items() if k != "config" and v is not None}
+        tokens = []
+        for key, value in doc.items():
+            dest = key.replace("-", "_")
+            if value is None:
+                continue
+            if dest == "alpha_matrix" or (dest in ("spec", "matrix") and not isinstance(value, str)):
+                given[dest] = value
+            else:
+                tokens.append(f"{flags[dest]}={','.join(map(str, value)) if isinstance(value, list) else value}")
+        args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
+    return {**given, **{k: v for k, v in vars(args).items() if k != "config" and v is not None}}
 
 
 def serialize_config(command: str, params: dict) -> str:
@@ -408,10 +420,8 @@ def serialize_config(command: str, params: dict) -> str:
 
 def _cmd_simulate(params):
     spec = build_spec(params)
+    p0 = _required(params, "simulate", ("p0",))["p0"]
     with _user_input("--p0"):
-        p0 = [float(v) for v in _items(params.get("p0", "")) if v != ""]
-        if not p0:
-            raise _UsageError("simulate needs --p0")
         engine._initial_beliefs(p0, spec.n)
     if params["steps"] < 0:
         raise InvalidArgument("--steps must be >= 0")
@@ -448,12 +458,10 @@ def _cmd_influence(params):
 
 
 def _cmd_wisdom(params):
-    with _user_input("--sizes"):
-        sizes = tuple(int(s) for s in _items(params["sizes"]))
     with _user_input("wisdom"):
         cfg = wisdom.WisdomConfig(
             family=lambda n: build_spec(dict(params, model=params["family"], n=n)),
-            sizes=sizes,
+            sizes=tuple(params["sizes"]),
             signal_law=wisdom.UniformSignal(params["gamma"], params["signal_width"]),
             replicas=params["replicas"],
             t_max=params["tmax"],
@@ -468,13 +476,13 @@ def _cmd_wisdom(params):
     ]
     doc = {"per_size": [dict(zip(header, row)) for row in rows]}
     worst = min(r.convergence_fraction for r in res.per_size)
-    summary = f"wisdom: sizes={list(sizes)} min_convergence_fraction={worst:.3f}"
+    summary = f"wisdom: sizes={params['sizes']} min_convergence_fraction={worst:.3f}"
     code = EXIT_OK if worst >= 0.5 else EXIT_NO_CONVERGENCE
     return rows, header, doc, summary, code
 
 
 def _speed_spec(params):
-    a, b = _beta_marginals(params)
+    a, b = _BETA_MARGINALS[params["mu"]](params)
     with _user_input(f"--mu {params['mu']}"):
         return generators.DirichletRows(np.array([[a, b], [a, b]], dtype=float))
 
@@ -508,8 +516,7 @@ def _load_distribution(params):
         return _read_json(params["dist"], fragmentation.GraphDistribution.from_dict)
     if params.get("islands"):
         with _user_input("--islands"):
-            g, ps, pd = _items(params["islands"])
-            return fragmentation.islands_distribution(int(g), float(ps), float(pd))
+            return fragmentation.islands_distribution(*params["islands"])
     raise _UsageError("need --dist or --islands")
 
 
@@ -531,18 +538,11 @@ def _cmd_rate(params):
         spec = fragmentation.metropolis_mixture(_load_distribution(params))
     else:
         spec = build_spec(params)
-    grid = params["tgrid"]
-    with _user_input("--tgrid"):
-        if isinstance(grid, str) and ":" in grid:
-            lo, hi = grid.split(":")
-            t_grid = list(range(int(lo), int(hi) + 1))
-        else:
-            t_grid = [int(v) for v in _items(grid)]
     try:
         report = fragmentation.decay_rate_estimate(
             spec,
             epsilon=params["epsilon"],
-            t_grid=t_grid,
+            t_grid=params["tgrid"],
             replicas=params["replicas"],
             seed=params["seed"],
         )
@@ -653,16 +653,12 @@ def _cmd_semigroup(params):
 
 def _cmd_conjugacy(params):
     spec = build_spec(params)
-    phi = params.get("phi")
-    if phi is not None:
-        with _user_input("--phi"):
-            phi = [float(v) for v in _items(phi)]
     try:
         res = wisdom.dirichlet_conjugacy_test(
             spec,
             replicas=params["replicas"],
             seed=params["seed"],
-            phi=phi,
+            phi=params.get("phi"),
             t_max=params["tmax"],
         )
     except (Unsupported, BalanceViolation) as exc:  # raised only by the law checks, before any replica runs

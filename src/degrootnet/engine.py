@@ -52,6 +52,7 @@ from .errors import (
     InvalidProbability,
     NoConvergence,
     NotIid,
+    NumericalFailure,
     SingularMass,
     Unsupported,
 )
@@ -641,7 +642,10 @@ def log_energy(mu_2x2) -> float:
     -log((Q(u)-Q(v))/(u-v)) that is smooth across the diagonal, where it
     equals log f(Q(u)).  Tensor Gauss-Legendre on dyadically refined
     panels (QUAD_ORDER nodes each) then resolves the endpoint behavior of
-    the quantile map.
+    the quantile map.  Nodes above 1/2 read the quantile from the upper
+    end, as 1 - Q(u), which keeps the precision near u = 1 that Q(u) itself
+    rounds away when b is small.  A value that is still not finite (Beta
+    parameters below about 0.02, or near 1e300) raises NumericalFailure.
     This branch is the package's one use of scipy, imported on its first call.
     """
     if isinstance(mu_2x2, AtomicWeightPairs):
@@ -655,16 +659,27 @@ def log_energy(mu_2x2) -> float:
     u, w = _gauss_panels(QUAD_ORDER)
     from scipy.special import betaincinv, betaln
 
-    q = betaincinv(a, b, u)
-    # log density at the quantile points: the diagonal limit of the correction
-    logf = (a - 1.0) * np.log(q) + (b - 1.0) * np.log1p(-q) - betaln(a, b)
+    # the nodes from k on lie above 1/2: each takes r = 1 - Q(u), the
+    # Beta(b, a) quantile at 1 - u (X -> 1 - X swaps a and b), and two of
+    # them differ by |r_i - r_j|
+    k = int(np.searchsorted(u, 0.5, side="right"))
+    r = betaincinv(b, a, 1.0 - u[k:])
+    q = np.concatenate([betaincinv(a, b, u[:k]), 1.0 - r])
     du = np.abs(u[:, None] - u[None, :])
     dq = np.abs(q[:, None] - q[None, :])
+    dq[k:, k:] = np.abs(r[:, None] - r[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
+        # log density at the quantile points: the diagonal limit of the correction
+        log_q = np.concatenate([np.log(q[:k]), np.log1p(-r)])
+        log_1mq = np.concatenate([np.log1p(-q[:k]), np.log(r)])
+        logf = (a - 1.0) * log_q + (b - 1.0) * log_1mq - betaln(a, b)
         psi = np.log(du) - np.log(dq)
-    np.fill_diagonal(psi, logf)
-    correction = float(w @ psi @ w)
-    return 1.5 + correction
+        np.fill_diagonal(psi, logf)
+        value = 1.5 + float(w @ psi @ w)
+    if not math.isfinite(value):
+        raise NumericalFailure(f"log energy of Beta({a}, {b}) marginals is not finite: "
+                               "their quantiles round to 0 or 1 at the quadrature nodes")
+    return value
 
 
 def lyapunov_exponent(spec: GeneratorSpec, t_max: int, replicas: int,

@@ -298,6 +298,23 @@ class TestExitCodes:
         assert run(argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, bad, good", [
+        (["simulate", "--model", "ring", "--n", "2", "--steps", "3"], "--p0", "1,,0,", "1,0"),
+        (["simulate", "--model", "ring", "--n", "2", "--steps", "3"], "--p0", "1,0,", "1,0"),
+        (["wisdom", "--replicas", "4", "--tmax", "500"], "--sizes", "3,,4", "3,4"),
+        (["rate", "--model", "encounter2x2", "--eps", "0.3", "--pmeet", "0.5", "--epsilon", "0.1",
+          "--replicas", "50"], "--tgrid", "1,,3", "1,3"),
+        (["conjugacy", "--model", "ring", "--n", "2", "--replicas", "20", "--tmax", "500"], "--phi", "4,,4", "4,4"),
+        (["pmax"], "--islands", "2,,0.3", "2,0.8,0.3"),
+    ])
+    def test_empty_list_element_is_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag, bad, good):
+        out = tmp_path / "out"
+        assert run(argv + [flag, bad, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: invalid ")
+        assert not out.exists()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv + [flag, good, "--out", str(out)]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["semigroup", "skeleton"])
     def test_inputs_of_different_sizes_are_a_usage_error_naming_them(self, tmp_path, capsys, command):
         eye2, eye3 = np.eye(2).tolist(), np.eye(3).tolist()
@@ -735,6 +752,21 @@ class TestSpeedAndEnergy:
         expected = -math.log(1e-6) / 1.5
         assert abs(doc["mean_t_phi"] - expected) / expected < 0.15
 
+    @pytest.mark.parametrize("a, b, want", [("0.3", "0.3", "1.4802032338"), ("1", "0.3", "2.0746914427"),
+                                             ("0.3", "1", "2.0746914427")])
+    def test_energy_of_small_beta_parameters_is_finite(self, capsys, a, b, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["energy", "--mu", "beta-indep", "--a", a, "--b", b]) == EXIT_OK
+        assert capsys.readouterr().out == f"energy: I_mu={want}\n"
+
+    @pytest.mark.parametrize("a, b", [("0.01", "0.01"), ("1e300", "1")])
+    def test_energy_past_the_float_range_is_exit_1(self, tmp_path, capsys, a, b):
+        out = tmp_path / "e.csv"
+        assert run(["energy", "--mu", "beta-indep", "--a", a, "--b", b, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: NumericalFailure: ")
+        assert not out.exists()
+
     def test_energy_values(self, tmp_path):
         out = tmp_path / "e.json"
         assert run(["energy", "--mu", "uniform-indep", "--format", "json",
@@ -907,6 +939,24 @@ class TestConfigRoundTrip:
         assert run(["energy", "--config", str(path)]) == EXIT_OK
         assert "I_mu=1.3862943611" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key, doc, argv", [
+        ("matrix", [[0.0, 1.0], [1.0, 0.0]], ["simulate", "--model", "fixed", "--p0", "1,0", "--steps", "3"]),
+        ("spec", {"model": "fixed", "matrix": [[0.0, 1.0], [1.0, 0.0]]}, ["simulate", "--p0", "1,0", "--steps", "3"]),
+    ])
+    def test_inline_document_is_taken_as_given_unless_argv_names_a_file(self, tmp_path, capsys, key, doc, argv):
+        path, config = tmp_path / "doc.json", tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        config.write_text(json.dumps({key: doc}))
+        outs = [tmp_path / f"{name}.csv" for name in ("file", "inline", "argv")]
+        assert run(argv + [f"--{key}", str(path), "--out", str(outs[0])]) == EXIT_OK
+        assert run(argv + ["--config", str(config), "--out", str(outs[1])]) == EXIT_OK
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        # a file named on the command line beats the inline document
+        identity = [[1.0, 0.0], [0.0, 1.0]]
+        path.write_text(json.dumps(identity if key == "matrix" else dict(doc, matrix=identity)))
+        assert run(argv + ["--config", str(config), f"--{key}", str(path), "--out", str(outs[2])]) == EXIT_OK
+        assert read(outs[2]).splitlines()[-1] == "3,1,0"
+
 
 # A comma-separated flag given in a config as a JSON list: the config, the flag,
 # the list and its comma form.
@@ -934,7 +984,7 @@ class TestConfigLists:
         assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("cfg, key, items, text", LIST_CONFIGS)
-    @pytest.mark.parametrize("bad", ["x", [1], None])
+    @pytest.mark.parametrize("bad", ["x", [1], None, pytest.param("", id="empty")])
     def test_bad_list_element_is_usage_error_naming_the_flag(self, tmp_path, capsys, cfg, key, items, text, bad):
         code, out = self.run_config(tmp_path, dict(cfg, **{key: [*items[:-1], bad]}), "bad")
         assert code == EXIT_USAGE
@@ -1025,6 +1075,19 @@ class TestParser:
                              capture_output=True, text=True, check=True).stdout.splitlines()
         # one make_parser call builds the top-level parser and one per subcommand name
         assert out == ["0 0", str(1 + len(cli._SUBCOMMANDS))]
+
+    def test_warm_config_run_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "wisdom", "sizes": [3, 4], "family": "mix-identity",
+                                    "replicas": 4, "tmax": 500, "format": "json"}))
+        assert run(["wisdom", "--config", str(path)]) == EXIT_OK
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+        assert run(["wisdom", "--config", str(path), "--seed", "3"]) == EXIT_OK
+        assert run(["wisdom", "--config", str(path), "--sizes", "3"]) == EXIT_OK
+        assert "sizes=[3] " in capsys.readouterr().out.splitlines()[-1]
+        assert built == []
 
     def test_config_defaults_do_not_carry_into_the_next_run(self, tmp_path, capsys):
         path = tmp_path / "c.json"

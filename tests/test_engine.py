@@ -50,6 +50,7 @@ from degrootnet.errors import (
     NegativeEntry,
     NoConvergence,
     NotIid,
+    NumericalFailure,
     SingularMass,
     Unsupported,
 )
@@ -575,9 +576,39 @@ class TestLogEnergy:
 
     def test_beta_values_pinned_bitwise(self):
         # recorded when the quadrature order was derived from a quad_points argument of 256
+        # (a = 5 moved one ulp, from ...8636p+1, when upper nodes took their quantile from the upper end)
         want = {0.5: "0x1.62e42fefa39e7p+0", 1: "0x1.8000000000000p+0",
-                2: "0x1.c000000001344p+0", 5: "0x1.147ec7ecb8636p+1"}
+                2: "0x1.c000000001344p+0", 5: "0x1.147ec7ecb8637p+1"}
         assert {a: log_energy(BetaMarginalPair(a, a)).hex() for a in want} == want
+
+    def test_symmetric_in_a_and_b_and_never_below_the_arcsine_value(self):
+        # X -> 1 - X swaps a and b and keeps |X - Y|; the arcsine law is the
+        # logarithmic equilibrium measure of [0, 1], so no law has less energy
+        # than its log 4 (which the quadrature reads 8 ulps low, 1.8e-15)
+        grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1, 2, 5]
+        values = np.array([[log_energy(BetaMarginalPair(a, b)) for b in grid] for a in grid])
+        assert np.isfinite(values).all()
+        np.testing.assert_allclose(values, values.T, rtol=1e-12, atol=0)
+        assert values.min() >= math.log(4.0) - 1e-13
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.3), (1, 0.3)])
+    def test_small_b_matches_monte_carlo(self, a, b):
+        # I = E[-log|X - Y|] for X, Y iid Beta(a, b), drawn as gamma ratios;
+        # above 1/2 the gap is taken between complements, which keep their
+        # precision there.  At 5 standard errors the normal approximation
+        # gives a false-fail rate of 5.7e-7 per case.
+        n = 1_000_000
+        g = np.random.default_rng(2).standard_gamma([a, b, a, b], size=(n, 4))
+        x, x_c = g[:, 0] / (g[:, 0] + g[:, 1]), g[:, 1] / (g[:, 0] + g[:, 1])
+        y, y_c = g[:, 2] / (g[:, 2] + g[:, 3]), g[:, 3] / (g[:, 2] + g[:, 3])
+        sample = -np.log(np.where(x + y < 1, np.abs(x - y), np.abs(x_c - y_c)))
+        se = sample.std(ddof=1) / math.sqrt(n)
+        assert abs(log_energy(BetaMarginalPair(a, b)) - sample.mean()) <= 5 * se
+
+    @pytest.mark.parametrize("a, b", [(0.01, 0.01), (1e300, 1), (1, 1e300)])
+    def test_value_past_the_float_range_is_numerical_failure(self, a, b):
+        with pytest.raises(NumericalFailure, match="not finite"):
+            log_energy(BetaMarginalPair(a, b))
 
     def test_atom_pair_boundary_case(self):
         mu = AtomicWeightPairs(atoms=(((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)))

@@ -6,7 +6,9 @@ seeds 0 and 7, through the harness's own ``worker.run_job`` and
 output bytes on purpose re-records that file in a benchmark change, and this
 test follows it.  ``PINNED`` fixes small runs of commands no benchmark job
 covers, with hashes recorded before the serial product loops were folded
-into engine._lockstep; a change that moves them says why.
+into engine._lockstep; a change that moves them says why.  Each of these
+runs also replays from its own resolved parameters, written by
+``cli.serialize_config`` and read back with ``--config``, to the same bytes.
 """
 
 import contextlib
@@ -83,3 +85,42 @@ def test_pinned_runs_match_their_hashes(tmp_path, name):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv + ["--out", str(out)]) == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def replays_from_its_config(tmp_path, monkeypatch, argv):
+    """Why the run of ``argv`` (with --out) and the run of its resolved config differ, or None."""
+    command = argv[0]
+    seen, handler = [], cli._COMMANDS[command]
+    out = argv[argv.index("--out") + 1]
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setitem(cli._COMMANDS, command, lambda params: seen.append(params) or handler(params))
+        if cli.run(argv) != cli.EXIT_OK:
+            return "the run failed"
+        params = dict(seen[0], out=str(tmp_path / "replayed"))
+        config = tmp_path / "config.json"
+        config.write_text(cli.serialize_config(command, params))
+        if cli.run([command, "--config", str(config)]) != cli.EXIT_OK:
+            return "the replay failed"
+    if seen[1] != params:
+        return f"resolved {seen[1]}, not {params}"
+    with open(out, "rb") as fh:
+        want = fh.read()
+    return None if (tmp_path / "replayed").read_bytes() == want else "output bytes differ"
+
+
+@pytest.mark.parametrize("workload", joblist.WORKLOADS)
+def test_benchmark_jobs_replay_from_their_resolved_config(tmp_path, monkeypatch, workload):
+    joblist.write_inputs(str(tmp_path))
+    failures = {}
+    for job in joblist.build_jobs(workload, 0, str(tmp_path)):
+        why = replays_from_its_config(tmp_path, monkeypatch, list(job.argv))
+        if why is not None:
+            failures[job.id] = why
+    assert failures == {}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_runs_replay_from_their_resolved_config(tmp_path, monkeypatch, name):
+    joblist.write_inputs(str(tmp_path))
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in PINNED[name][0]]
+    assert replays_from_its_config(tmp_path, monkeypatch, argv + ["--out", str(tmp_path / "out")]) is None
