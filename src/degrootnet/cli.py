@@ -7,7 +7,8 @@ checks both and a flag on the command line beats the config value, which
 beats the default stated in ``_SUBCOMMANDS``.  A config's ``command`` key,
 which serialize_config writes, must name the subcommand run.  A process
 builds each subcommand's parser once, on the first run that names it, and a
-config run builds none of its own.
+config run builds none of its own.  ``_SUBCOMMANDS`` is the one list of
+subcommands; the handler of each is the function ``_cmd_<name>``.
 ``_MODELS`` maps each ``--model`` name to its constructor and the flags it
 reads.  Results go to ``--out`` as CSV or JSON with floats printed at 17
 significant digits, which round-trips doubles exactly.  Replica i of master
@@ -15,9 +16,10 @@ seed m (an integer in [0, 2**64)) uses the stream documented in
 seeding.replica_seed and replicas run in index order; ``--workers`` is
 accepted for compatibility and changes nothing.
 
-Exit codes: 0 success, 1 internal error, 2 usage error, 3 when a run ends
-without its result for a reason of the process or of a limit the user chose
-(_RUN_OUTCOMES: reported, not crashed).
+Exit codes: 0 success, 1 internal error, 2 usage error, including a law
+outside a method's scope, named by the flag that gave it (_LAW_FAULTS), 3
+when a run ends without its result for a reason of the process or of a limit
+the user chose (_RUN_OUTCOMES: reported, not crashed).
 """
 
 from __future__ import annotations
@@ -43,29 +45,27 @@ EXIT_NO_CONVERGENCE = 3
 
 # exit 3: no result within the horizon, cap, replicas or --max-len the user chose
 _RUN_OUTCOMES = (NoConvergence, CapHit, InsufficientEvents, ExplosionGuard)
+# exit 2: a law outside a method's scope.  The library raises these only from
+# its law checks, before any replica runs, so a handler reports them with
+# _user_input(flag, _LAW_FAULTS), naming the flag that gave the law
+_LAW_FAULTS = (Unsupported, NotIid, BalanceViolation, SizeLimit)
 
 
 # --- float-exact serialization ----------------------------------------------
 
 
-def fmt_float(x) -> str:
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return format(float(x), ".17g")
+# the spellings of nan, inf and -inf: Python's, and the ones the stdlib json parser accepts
+_CSV_NONFINITE = ("nan", "inf", "-inf")
+_JSON_NONFINITE = ("NaN", "Infinity", "-Infinity")
 
 
-def _fmt_float_json(x) -> str:
-    # the spellings the stdlib json parser accepts for non-finite values
+def fmt_float(x, nonfinite=_CSV_NONFINITE) -> str:
     if x != x:
-        return "NaN"
+        return nonfinite[0]
     if x == math.inf:
-        return "Infinity"
+        return nonfinite[1]
     if x == -math.inf:
-        return "-Infinity"
+        return nonfinite[2]
     return format(float(x), ".17g")
 
 
@@ -90,7 +90,7 @@ def _json_text(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float_json(obj)
+        return fmt_float(obj, _JSON_NONFINITE)
     return json.dumps(obj)
 
 
@@ -117,14 +117,12 @@ class _UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _user_input(what):
-    """Report a fault in the user input ``what`` as a usage error that names it."""
+def _user_input(what, faults=(KeyError, OSError, ValueError, TypeError, AttributeError, DegrootNetError)):
+    """Report ``faults`` raised while reading the user input ``what`` as usage errors that name it."""
     try:
         yield
-    except KeyError as exc:
-        raise _UsageError(f"{what} lacks key {exc}") from exc
-    except (OSError, ValueError, TypeError, AttributeError, DegrootNetError) as exc:
-        raise _UsageError(f"{what}: {exc}") from exc
+    except faults as exc:
+        raise _UsageError(f"{what} lacks key {exc}" if isinstance(exc, KeyError) else f"{what}: {exc}") from exc
 
 
 def _read_json(path, parse=lambda doc: doc):
@@ -232,11 +230,15 @@ def ints(text: str) -> list:
 
 
 def time_grid(text: str) -> list:
-    """A --tgrid value: ``lo:hi``, both ends included, or comma-separated ints."""
-    if ":" not in text:
-        return ints(text)
-    lo, hi = text.split(":")
-    return list(range(int(lo), int(hi) + 1))
+    """A --tgrid value: ``lo:hi``, both ends included, or comma-separated ints; no time below 1."""
+    if ":" in text:
+        lo, hi = text.split(":")
+        grid = list(range(int(lo), int(hi) + 1))
+    else:
+        grid = ints(text)
+    if not grid or min(grid) < 1:
+        raise ValueError(text)
+    return grid
 
 
 def islands_triple(text: str) -> tuple:
@@ -522,10 +524,8 @@ def _load_distribution(params):
 
 def _cmd_pmax(params):
     dist = _load_distribution(params)
-    try:
+    with _user_input("--dist", _LAW_FAULTS):
         report = fragmentation.p_max(dist)
-    except SizeLimit as exc:  # raised before any enumeration: the law is past both limits
-        raise _UsageError(f"--dist: {exc}") from exc
     doc = report.to_dict()
     header = ["p_max", "pi_g_empty", "predicted_rate"]
     rows = [(float(report.p_max), report.pi_g_empty, report.predicted_rate)]
@@ -538,7 +538,7 @@ def _cmd_rate(params):
         spec = fragmentation.metropolis_mixture(_load_distribution(params))
     else:
         spec = build_spec(params)
-    try:
+    with _user_input("--dist" if params.get("dist") else _law_flag(params), _LAW_FAULTS):
         report = fragmentation.decay_rate_estimate(
             spec,
             epsilon=params["epsilon"],
@@ -546,8 +546,6 @@ def _cmd_rate(params):
             replicas=params["replicas"],
             seed=params["seed"],
         )
-    except Unsupported as exc:  # raised only by the law checks, before any replica runs
-        raise _UsageError(f"{'--dist' if params.get('dist') else _law_flag(params)}: {exc}") from exc
     header = ["t", "count", "logprob"]
     rows = list(zip(report.t_grid, report.counts, report.per_t_logprob))
     doc = {
@@ -604,22 +602,15 @@ def _cmd_skeleton(params):
     spec_a, spec_b = map(_load_spec_file, _required(params, "skeleton", ("spec_a", "spec_b")).values())
     if spec_a.n != spec_b.n:
         raise _UsageError(f"--spec-a has n = {spec_a.n} agents but --spec-b has n = {spec_b.n}")
-    try:
-        rep = engine.skeleton_equivalence_test(
-            spec_a, spec_b,
-            horizon=params["horizon"],
-            replicas=params["replicas"],
-            seed=params["seed"],
-        )
-    except (NotIid, Unsupported) as exc:  # raised only by the law checks, before any replica runs
-        # the test checks that both laws are iid, then reads A's support, then B's
-        at_a = not spec_a.is_iid
-        if isinstance(exc, Unsupported):
-            try:
-                spec_a.support()
-            except Unsupported:
-                at_a = True
-        raise _UsageError(f"{'--spec-a' if at_a else '--spec-b'}: {exc}") from exc
+    for flag, spec in (("--spec-a", spec_a), ("--spec-b", spec_b)):
+        with _user_input(flag, _LAW_FAULTS):
+            engine.iid_skeletons(spec)
+    rep = engine.skeleton_equivalence_test(
+        spec_a, spec_b,
+        horizon=params["horizon"],
+        replicas=params["replicas"],
+        seed=params["seed"],
+    )
     doc = {
         "same_initial_skeleton": rep.same_initial_skeleton,
         "verdict_a": rep.verdict_a.verdict,
@@ -653,7 +644,7 @@ def _cmd_semigroup(params):
 
 def _cmd_conjugacy(params):
     spec = build_spec(params)
-    try:
+    with _user_input(_law_flag(params), _LAW_FAULTS):
         res = wisdom.dirichlet_conjugacy_test(
             spec,
             replicas=params["replicas"],
@@ -661,8 +652,6 @@ def _cmd_conjugacy(params):
             phi=params.get("phi"),
             t_max=params["tmax"],
         )
-    except (Unsupported, BalanceViolation) as exc:  # raised only by the law checks, before any replica runs
-        raise _UsageError(f"{_law_flag(params)}: {exc}") from exc
     doc = dict(res)
     doc["phi"] = list(res["phi"])
     rows = [(res["pass"], res["mean_err"], res["var_err"])]
@@ -671,20 +660,8 @@ def _cmd_conjugacy(params):
     return rows, header, doc, summary, EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "influence": _cmd_influence,
-    "wisdom": _cmd_wisdom,
-    "speed2x2": _cmd_speed2x2,
-    "energy": _cmd_energy,
-    "pmax": _cmd_pmax,
-    "rate": _cmd_rate,
-    "disagree": _cmd_disagree,
-    "check-c": _cmd_check_c,
-    "skeleton": _cmd_skeleton,
-    "semigroup": _cmd_semigroup,
-    "conjugacy": _cmd_conjugacy,
-}
+# the handler of subcommand NAME is _cmd_NAME, with "-" read as "_"
+_COMMANDS = {name: globals()["_cmd_" + name.replace("-", "_")] for name in _SUBCOMMANDS}
 
 
 def run(argv) -> int:

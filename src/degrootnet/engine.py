@@ -83,7 +83,6 @@ from .matrices import (
 from .seeding import (  # noqa: F401
     first_uniforms,
     map_replicas,
-    replica_rngs,
     replica_seed,
     replica_words,
     resumed_rng,
@@ -219,14 +218,16 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
     seeding.replica_rng(seed, i), by default ``spec.start_state(rng)``; with
     seed None, ``start(i, None)``, which serial callers use to pass their state.
     Replicas run CHUNK at a time, so the running stack does not grow with the
-    replica count; seeding.replica_rngs builds the streams of a chunk in one
-    pass of array arithmetic, and they are those of replica_rng (NumPy's
-    SeedSequence and PCG64 seeding are fixed algorithms under NEP 19, and the
-    tests check them against default_rng).  Each step expands one draw per
-    replica from blocks of up to BLOCK draws (spec._block, from the replica's
-    own stream; short first blocks keep short runs from drawing far past their
-    stop; spec._rows readies each stacked (R, k, width) block once, in place)
-    into one (R, n, n) stack with spec._expand and, with ``multiply``,
+    replica count.  The PCG64 seed words of GROUP chunks at a time come from
+    seeding.replica_words in one pass of array arithmetic, and each replica's
+    Generator from seeding.resumed_rng on its words; its stream is that of
+    replica_rng (NumPy's SeedSequence and PCG64 seeding are fixed algorithms
+    under NEP 19, and the tests check them against default_rng).  Each step
+    expands one draw per replica from blocks of up to BLOCK draws
+    (spec._block, from the replica's own stream; short first blocks keep
+    short runs from drawing far past their stop; spec._rows readies each
+    stacked (R, k, width) block once, in place) into one (R, n, n) stack
+    with spec._expand and, with ``multiply``,
     left-multiplies the stack of running products by it in one batched matmul,
     renormalizing rows after every RENORM_EVERY-th step (row sums drift by at
     most about RENORM_EVERY * n unit roundoffs).  ``observe(t, idx, stack)``
@@ -237,15 +238,15 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
     (no block holds more than t_max - t + 1); one that stops earlier may draw up
     to k - 1 past its stop, from its own stream, so no other replica's output changes.
 
-    A law whose block is nothing but uniforms (``spec._uniform_block``), with
-    the default ``start``, builds no Generator for its first block: the first
-    blocks of GROUP chunks at a time come from seeding.first_uniforms, NumPy's
-    PCG64 seeding and output run on uint64 arrays, bitwise the values of
-    ``random(k)``.  Most replicas of short runs stop within that block.  A
-    replica still running when it ends gets its Generator then, advanced past
-    the block by PCG64's own jump-ahead (seeding.resumed_rng), and draws every
-    later block from it, so the blocks, their draws and the schedule are the
-    same either way.
+    A replica's Generator is built at the start of its chunk, except for a
+    law whose block is nothing but uniforms (``spec._uniform_block``) with the
+    default ``start``: the first blocks of GROUP chunks at a time come from
+    seeding.first_uniforms on the same words, NumPy's PCG64 seeding and output
+    run on uint64 arrays, bitwise the values of ``random(k)``.  Most replicas
+    of short runs stop within that block.  A replica still running when it
+    ends gets its Generator then, advanced past the block by PCG64's own
+    jump-ahead, and draws every later block from it, so the blocks, their
+    draws and the schedule are the same either way.
 
     Returns ``(products, stops)``: replica i stops at ``stops[i]``, the step
     where ``observe`` marked it finished, or t_max + 1 if it never did.
@@ -259,20 +260,21 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
         def start(i, rng):
             return spec.start_state(rng)
 
+    def started(idx, k):
+        """{i: state} of the replicas ``idx``, each started on its stream past its first k draws."""
+        return {i: start(i, None if seed is None else resumed_rng(words[i - base], k)) for i in idx.tolist()}
+
     kept = np.empty((replicas, n, n)) if multiply and keep else None
     stops = np.full(replicas, t_max + 1)
     for first in range(0, replicas, CHUNK):
         stop = min(first + CHUNK, replicas)
         idx = np.arange(first, stop)
-        if not arrays:
-            rngs = replica_rngs(seed, first, stop) if seed is not None else [None] * (stop - first)
-            states = {i: start(i, rng) for i, rng in zip(range(first, stop), rngs)}
-        else:
-            states = None  # until the first block runs out
-            if first % (GROUP * CHUNK) == 0:
-                base = first
-                words = replica_words(seed, base, min(base + GROUP * CHUNK, replicas))
+        if seed is not None and first % (GROUP * CHUNK) == 0:
+            base = first
+            words = replica_words(seed, base, min(base + GROUP * CHUNK, replicas))
+            if arrays:
                 uniforms = first_uniforms(words, min(FIRST_BLOCK, BLOCK, t_max))
+        states = None if arrays else started(idx, 0)  # with arrays, None until the first block runs out
         prod = np.broadcast_to(np.eye(n), (len(idx), n, n)).copy()
         spare = np.empty_like(prod)
         draws = np.zeros_like(prod)
@@ -280,7 +282,7 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
         for t in range(1, t_max + 1):
             if j == k:
                 if states is None and t > 1:
-                    states = {i: start(i, resumed_rng(words[i - base], k)) for i in idx.tolist()}
+                    states = started(idx, k)
                 k = max(1, min(2 * k or FIRST_BLOCK, BLOCK, t_max - t + 1,
                                BLOCK_VALUES // (len(idx) * spec._width())))
                 if states is None:
@@ -805,6 +807,13 @@ def cyclicity_check(support):
     return {"cyclic": False, "witness_partition": None}
 
 
+def iid_skeletons(spec: GeneratorSpec) -> set:
+    """The skeleton set of one draw of an iid process: skeleton_equivalence_test's law check, for one law."""
+    if not spec.is_iid:
+        raise NotIid("skeleton equivalence is defined for iid processes")
+    return set(spec.support().skeletons)
+
+
 def skeleton_equivalence_test(spec_a: GeneratorSpec, spec_b: GeneratorSpec,
                               horizon: int = 64, replicas: int = 200,
                               seed: int = 0) -> SkeletonEquivalenceReport:
@@ -814,13 +823,9 @@ def skeleton_equivalence_test(spec_a: GeneratorSpec, spec_b: GeneratorSpec,
     equality for finite supports, declared masks for continuous ones), then
     runs the condition check on both and reports whether the verdicts agree.
     """
-    if not spec_a.is_iid or not spec_b.is_iid:
-        raise NotIid("skeleton equivalence is defined for iid processes")
     if spec_a.n != spec_b.n:
         raise DimensionMismatch("societies must have equal size")
-    masks_a = set(spec_a.support().skeletons)
-    masks_b = set(spec_b.support().skeletons)
-    same = masks_a == masks_b
+    same = iid_skeletons(spec_a) == iid_skeletons(spec_b)
     va = check_condition_c(spec_a, horizon=horizon, replicas=replicas, seed=seed)
     vb = check_condition_c(spec_b, horizon=horizon, replicas=replicas, seed=replica_seed(seed, 1))
     return SkeletonEquivalenceReport(

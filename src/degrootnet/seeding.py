@@ -8,20 +8,20 @@ results depend on the replica index alone, never on the order replicas run.
 
 ``replica_rng(m, i)`` is ``np.random.default_rng(replica_seed(m, i))``, the
 definition of replica ``i``'s stream.  Every Monte Carlo entry point runs its
-replicas through engine._lockstep, which takes the streams of each chunk of
-replicas in one of two forms.  ``replica_rngs`` builds Generators: it derives
-the chunk's seeds with splitmix64 on uint64 arrays, hashes them with NumPy's
-SeedSequence algorithm on uint32 arrays (``seed_words``) and seeds each PCG64
-with its precomputed words.  For a law whose block is nothing but uniforms,
+replicas through engine._lockstep, which builds every stream one way.
+``replica_words`` derives many replicas' seeds with splitmix64 on uint64
+arrays and hashes them with NumPy's SeedSequence algorithm on uint32 arrays
+(``seed_words``); ``resumed_rng`` seeds one replica's PCG64 with its words,
+advanced past its first k draws (k = 0 at the start) by PCG64's own
+jump-ahead.  For a law whose block is nothing but uniforms,
 ``first_uniforms`` computes the first block of draws of many replicas at once
 from the same words, with PCG64's seeding, LCG step and XSL-RR output on
 uint64 arrays (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", 2014), and
-``resumed_rng`` gives a replica that outlives that block its Generator,
-advanced past it by PCG64's own jump-ahead.  SeedSequence and PCG64 seeding
-are fixed algorithms under NumPy's stream compatibility policy (NEP 19), so
-the Generators and the uniforms are those of ``replica_rng``; the tests check
-their states and draws against ``default_rng``, bit for bit.
+Statistically Good Algorithms for Random Number Generation", 2014).
+SeedSequence and PCG64 seeding are fixed algorithms under NumPy's stream
+compatibility policy (NEP 19), so the Generators and the uniforms are those
+of ``replica_rng``; the tests check their states and draws against
+``default_rng``, bit for bit.
 ``map_replicas`` runs a function on each replica's stream in index order;
 nothing in the package calls it, and it stays because perfbench/tracer.py
 wraps it.
@@ -120,14 +120,6 @@ def replica_words(master_seed: int, first: int, stop: int) -> np.ndarray:
     return seed_words(splitmix64((master_seed & _MASK64) ^ (index * GOLDEN)))
 
 
-def replica_rngs(master_seed: int, first: int, stop: int) -> list:
-    """``[replica_rng(master_seed, i) for i in range(first, stop)]``, built with array arithmetic.
-
-    The Generators hold their seed words, not a SeedSequence, so they cannot spawn.
-    """
-    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in replica_words(master_seed, first, stop)]
-
-
 # PCG64's 128-bit LCG multiplier (NumPy's PCG_DEFAULT_MULTIPLIER_128), as high and low 64-bit halves
 _PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
@@ -177,10 +169,13 @@ def resumed_rng(words: np.ndarray, k: int) -> np.random.Generator:
     """The Generator of one row of seed words, advanced past its first k draws (see first_uniforms).
 
     ``advance`` is PCG64's own jump-ahead, so its state is that of the
-    Generator after ``random(k)``.
+    Generator after ``random(k)``; at k = 0 it is the Generator of
+    ``replica_rng`` for the replica whose words these are.  The Generator
+    holds its seed words, not a SeedSequence, so it cannot spawn.
     """
     rng = np.random.Generator(np.random.PCG64(_Words(words)))
-    rng.bit_generator.advance(k)
+    if k:
+        rng.bit_generator.advance(k)
     return rng
 
 

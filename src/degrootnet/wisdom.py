@@ -22,7 +22,7 @@ from .errors import (
     PreconditionUnmet,
     Unsupported,
 )
-from .generators import GeneratorSpec
+from .generators import DirichletRows, GeneratorSpec
 from .matrices import RANK_REL_TOL, StochasticMatrix, is_balanced, numeric_rank, strictly_positive
 # replica_rng is unused here; it stays bound because perfbench/tracer.py patches wisdom.replica_rng.
 from .seeding import replica_rng, replica_seed  # noqa: F401
@@ -170,10 +170,10 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
                              phi=None, t_max: int = 4000) -> dict:
     """Monte Carlo influence moments against the Dirichlet(phi) prediction.
 
-    phi defaults to the generator's balance vector (row sums of its alpha),
-    validated against the column sums; pass phi explicitly for processes
-    such as the leader-follower network whose limit law is known to match
-    a balanced reference despite having no alpha of their own.  Each
+    phi defaults to a balanced DirichletRows law's own ``phi`` (epsilon * s
+    for PerturbedFixed); pass phi explicitly for processes such as the
+    leader-follower network whose limit law is known to match a balanced
+    reference despite having no alpha of their own.  Each
     replica runs to the consensus gap GAP_TOL.  The sample variance needs
     two replicas: fewer is InvalidArgument, and fewer than two converged
     is NoConvergence.  The test passes when each of the n means and n
@@ -185,13 +185,11 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     if replicas < 2:
         raise InvalidArgument("replicas must be >= 2: the sample variance needs two samples")
     if phi is None:
-        alpha = getattr(spec, "alpha", None)
-        if alpha is None:
+        if not isinstance(spec, DirichletRows):
             raise Unsupported("spec has no alpha matrix; pass phi explicitly")
-        alpha = np.asarray(alpha, dtype=float)
-        if not is_balanced(alpha):
+        if not spec.balanced:
             raise BalanceViolation("alpha row sums differ from column sums")
-        phi = alpha.sum(axis=1)
+        phi = spec.phi
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (spec.n,) or not ((phi > 0) & (phi < math.inf)).all():  # NaN too
         raise InvalidArgument(f"phi must be {spec.n} positive finite values, got {phi.tolist()}")
@@ -204,9 +202,8 @@ def dirichlet_conjugacy_test(spec: GeneratorSpec, replicas: int, seed: int = 0,
     r = samples.shape[0]
     if r < 2:
         raise NoConvergence(r, replicas)
-    mean = samples.mean(axis=0)
-    var = samples.var(axis=0, ddof=1)
-    se_mean = samples.std(axis=0, ddof=1) / math.sqrt(r)
+    mean, var = np.asarray(est.mean), np.asarray(est.variance)
+    se_mean = np.sqrt(var) / math.sqrt(r)
     centered = samples - mean
     m4 = (centered**4).mean(axis=0)
     se_var = np.sqrt(np.maximum(m4 - var**2, 0.0) / r)

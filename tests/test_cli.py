@@ -92,6 +92,22 @@ class TestExitCodes:
         assert run(argv + ["--replicas", replicas, "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("tgrid, text", [("5:1", "5:1"), ("0:3", "0:3"), ("0,3", "0,3"), ([0, 3], "0,3")],
+                             ids=["empty-range", "range-from-0", "list-with-0", "config-list-with-0"])
+    def test_time_grid_without_positive_times_is_usage_error_naming_the_flag(self, tmp_path, capsys, tgrid, text):
+        argv = ["rate", "--model", "encounter2x2", "--eps", "0.3", "--pmeet", "0.5", "--epsilon", "0.1",
+                "--replicas", "50"]
+        if isinstance(tgrid, list):  # a config list goes through the flag's type
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"command": "rate", "tgrid": tgrid}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--tgrid", tgrid]
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert f"argument --tgrid: invalid time_grid value: '{text}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["wisdom", "--sizes", "1,5", "--replicas", "4"],
         ["wisdom", "--gamma", "0.9", "--sizes", "5", "--replicas", "4"],  # the signal support leaves [0, 1]
@@ -359,7 +375,9 @@ class TestExitCodes:
         ("fixed2", "ar1", "--spec-b", "defined for iid processes"),
         ("islands5", "fixed10", "--spec-a", "limited to g <= 4"),
         ("fixed10", "islands5", "--spec-b", "limited to g <= 4"),
-    ], ids=["markov-a", "ar1-b", "islands5-a", "islands5-b"])
+        # both laws are faulty: the flags are checked in order, each law's iid check and then its support
+        ("islands5", "markov10", "--spec-a", "limited to g <= 4"),
+    ], ids=["markov-a", "ar1-b", "islands5-a", "islands5-b", "islands5-a-markov10-b"])
     def test_skeleton_law_outside_the_test_precondition_is_usage_error_naming_it(self, tmp_path, capsys, spec_a,
                                                                                    spec_b, flag, why):
         laws = {
@@ -370,6 +388,8 @@ class TestExitCodes:
             "islands5": {"model": "islands", "g": 5, "p_s": 0.5, "p_d": 0.3},
             "fixed2": {"model": "fixed", "matrix": np.full((2, 2), 0.5).tolist()},
             "fixed10": {"model": "fixed", "matrix": np.full((10, 10), 0.1).tolist()},
+            "markov10": {"model": "finite_mixture", "atoms": [np.full((10, 10), 0.1).tolist(), np.eye(10).tolist()],
+                         "probs": [0.5, 0.5], "transition": [[0.5, 0.5], [0.5, 0.5]]},
         }
         argv = ["skeleton"]
         for option, name in (("--spec-a", spec_a), ("--spec-b", spec_b)):

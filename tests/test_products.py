@@ -132,6 +132,80 @@ def ar1(draw):
 SPECS = st.one_of(dirichlet_rows(), markov_mixture(), islands(), ar1())
 
 
+def gap_slack(n):
+    """(per step, extra at a renormalization): how far the computed consensus gap may rise in one step.
+
+    Write u for the unit roundoff and g(k) = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).  Let P be
+    the computed X^(t-1) with column j's extremes M_j >= m_j, and a =
+    fl(M_j - m_j) at most the gap read at t - 1.
+
+    Draws.  Every row of a finite-mixture atom or a Dirichlet draw is its
+    entries divided by their computed sum (StochasticMatrix, DirichletRows).
+    A sum of at most n nonnegative terms is off by a factor within
+    1 +- g(n - 1), and each quotient by one within 1 +- u, so the row sums
+    r_i of a draw X lie in 1 +- d, d = (u + g(n - 1)) / (1 - g(n - 1)).
+    Renormalizing a product (matrices.renormalized) is the same division,
+    so its rows then sum to 1 +- d too.
+
+    Drift.  With P's true row sums in [s_lo, s_hi], row i of X P sums to
+    sum_k X_ik s_k, within r_i [s_lo, s_hi]; its computed entries are n-term
+    dot products of nonnegative terms, each off by a factor within
+    1 +- g(n).  So a step scales the row-sum range by at most (1 + d)(1 + g(n))
+    (and (1 - d)(1 - g(n)) below), and from the identity or a renormalization
+    (1 +- d) the row sums stay within 1 +- rho after up to RENORM_EVERY steps,
+    1 + rho = (1 + d)^(RENORM_EVERY + 1) (1 + g(n))^RENORM_EVERY.  Entries are
+    nonnegative, so every entry of every product is at most mu = 1 + rho.
+
+    A step.  Exactly, (X P)_ij = sum_k X_ik P_kj lies in [r_i m_j, r_i M_j],
+    and its computed value Q_ij within 1 +- g(n) of that, so column j of Q
+    spreads at most (M_j - m_j) + 2 (d + g(n)) mu.  With M_j - m_j <= a / (1 - u),
+    a <= (1 + u) mu, and the new spread read as fl(max - min) <= (1 + u)
+    (max - min), the gap rises by at most
+        step = mu (2 u (1 + u) / (1 - u) + 2 (1 + u) (d + g(n))).
+
+    A renormalization step (t a multiple of RENORM_EVERY) then divides row i
+    of Q by its computed sum, within (1 +- rho)(1 +- g(n - 1)), and rounds
+    each quotient, so each entry is Q_ij times a factor in [lo, hi],
+    hi = (1 + u) / ((1 - rho)(1 - g(n - 1))), lo = (1 - u) / ((1 + rho)(1 + g(n - 1))).
+    Column j's spread grows by at most M (hi - 1) + m (1 - lo) <= (hi - lo) mu,
+    and read in floating point the gap gains at most (1 + u)(hi - lo) mu more.
+    """
+    u = UNIT_ROUNDOFF
+
+    def g(k):
+        return k * u / (1 - k * u)
+
+    d = (u + g(n - 1)) / (1 - g(n - 1))
+    rho = (1 + d) ** (RENORM_EVERY + 1) * (1 + g(n)) ** RENORM_EVERY - 1
+    mu = 1 + rho
+    step = mu * (2 * u * (1 + u) / (1 - u) + 2 * (1 + u) * (d + g(n)))
+    hi, lo = (1 + u) / ((1 - rho) * (1 - g(n - 1))), (1 - u) / ((1 + rho) * (1 + g(n - 1)))
+    return step, (1 + u) * (hi - lo) * mu
+
+
+@st.composite
+def finite_mixtures(draw):
+    """An iid mixture of one to four random stochastic atoms with random zero patterns, n = 2..6."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.random((k, n, n)) * (rng.random((k, n, n)) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    atoms[:, np.arange(n), rng.integers(0, n, size=n)] += 0.1  # every row needs a positive entry
+    atoms /= atoms.sum(axis=2, keepdims=True)  # StochasticMatrix divides each row by its sum once more
+    probs = rng.random(k) + 0.1
+    return FiniteMixture(atoms=tuple(map(StochasticMatrix, atoms)), probs=tuple(probs / probs.sum()))
+
+
+@st.composite
+def sparse_dirichlet_rows(draw):
+    """Dirichlet rows whose alpha has a random zero pattern, n = 2..6."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = rng.choice([0.5, 1.0, 2.0, 5.0], size=(n, n)) * (rng.random((n, n)) < draw(st.sampled_from([0.3, 0.7])))
+    alpha[np.arange(n), rng.integers(0, n, size=n)] = 1.0  # every row needs a positive entry
+    return DirichletRows(alpha)
+
+
 @st.composite
 def stochastic_stacks(draw):
     """A (k, n, n) stack of row-stochastic matrices, some near or at consensus."""
@@ -211,6 +285,32 @@ class TestProducts:
                     nxt = float((prod.max(axis=0) - prod.min(axis=0)).max())
                     assert nxt <= gap + tol, (name, seed, t, nxt - gap)
                     gap = nxt
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(finite_mixtures(), sparse_dirichlet_rows()), seed=st.integers(0, 2**32 - 1))
+    def test_consensus_gap_rises_at_most_the_derived_slack(self, spec, seed):
+        # past three renormalizations; see gap_slack for the derivation
+        step, renorm = gap_slack(spec.n)
+        gap = 1.0
+        for t, prod in enumerate(lockstep_products(spec, seed, 3 * RENORM_EVERY + 5)[0], 1):
+            nxt = float((prod.max(axis=0) - prod.min(axis=0)).max())
+            assert nxt <= gap + step + (renorm if t % RENORM_EVERY == 0 else 0.0), (t, nxt - gap)
+            gap = nxt
+
+    def test_consensus_gap_rises_at_a_renormalization_within_its_slack(self):
+        # the computed gap is not monotone: 21 of these 200 replicas rise by 2^-54
+        # at t = 64, the first renormalization, 8 of them from gaps above 1e-12
+        step, renorm = gap_slack(2)
+        gaps, rises = np.ones(200), []
+
+        def observe(t, idx, prod):
+            nxt = consensus_gaps(prod)
+            rises.extend((t, rise) for rise in (nxt - gaps)[nxt > gaps].tolist())
+            gaps[:] = nxt
+
+        engine._lockstep(encounter_2x2(0.3, 0.5), 200, 0, RENORM_EVERY, observe, keep=False)
+        assert rises == [(RENORM_EVERY, 2.0**-54)] * 21
+        assert 2.0**-54 <= step + renorm
 
     def test_row_sum_drift_stays_within_one_renormalization_period(self):
         # Between renormalizations each step moves a row sum by at most n unit

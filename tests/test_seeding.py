@@ -11,7 +11,6 @@ from degrootnet.seeding import (
     first_uniforms,
     map_replicas,
     replica_rng,
-    replica_rngs,
     replica_seed,
     replica_words,
     resumed_rng,
@@ -41,7 +40,7 @@ def test_map_replicas_hands_replica_i_its_own_stream_in_index_order():
 def test_chunk_streams_equal_replica_rng(master, first, length, straddle):
     if straddle:  # a range across a chunk boundary
         first = CHUNK * (1 + first % 3) - length // 2
-    got = replica_rngs(master, first, first + length)
+    got = [resumed_rng(words, 0) for words in replica_words(master, first, first + length)]
     assert len(got) == length
     for i, rng in zip(range(first, first + length), got):
         want = replica_rng(master, i)

@@ -165,6 +165,13 @@ class TestConjugacy:
         assert res["mean_err"] < 0.02
         assert res["var_err"] < 0.005
 
+    def test_default_phi_is_the_laws_own_phi_bitwise(self):
+        # here the row sums of alpha = eps s_i T_i miss eps s by one ulp: 2.9999999999999134 against 2.999999999999913
+        spec = PerturbedFixed(make_stochastic([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]), 8.0)
+        assert spec.alpha.sum(axis=1).tobytes() != spec.phi.tobytes()
+        res = dirichlet_conjugacy_test(spec, replicas=20, seed=0, t_max=500)
+        assert np.array(res["phi"]).tobytes() == spec.phi.tobytes()
+
     def test_perturbed_fixed_matches_dirichlet_eps_s(self):
         spec = PerturbedFixed(flat(2), 8.0)
         res = dirichlet_conjugacy_test(spec, replicas=4000, seed=10)
