@@ -13,7 +13,6 @@ from .matrices import (
     dobrushin_coefficient,
     is_strictly_positive,
     make_stochastic,
-    multiply,
     numeric_rank,
     skeleton,
     skeleton_is_primitive,

@@ -140,8 +140,7 @@ _MODELS = {
     "ring": (generators.ring_uniform_self, ("n",)),
     "leader-follower": (generators.LeaderFollower, ("n",)),
     "beta2x2": (lambda alpha: generators.DirichletRows(np.full((2, 2), float(alpha))), ("alpha",)),
-    "dirichlet": (lambda alpha_matrix: generators.DirichletRows(np.asarray(alpha_matrix, dtype=float)),
-                  ("alpha_matrix",)),
+    "dirichlet": (generators.DirichletRows, ("matrix",)),
     "perturbed": (lambda matrix, eps: generators.PerturbedFixed(StochasticMatrix(matrix), eps),
                   ("matrix", "eps")),
     "islands": (generators.Islands, ("g", "ps", "pd")),
@@ -162,9 +161,7 @@ def _required(params: dict, what: str, names) -> dict:
     """The named parameters; a usage error names every one that is missing."""
     missing = [name for name in names if params.get(name) is None]
     if missing:
-        # alpha_matrix has no flag: it comes from --config only
-        flags = [f"{name} in --config" if name == "alpha_matrix" else "--" + name.replace("_", "-") for name in missing]
-        raise _UsageError(f"{what} needs {', '.join(flags)}")
+        raise _UsageError(f"{what} needs {', '.join('--' + name.replace('_', '-') for name in missing)}")
     return {name: params[name] for name in names}
 
 
@@ -376,9 +373,8 @@ def _collect_params(argv, args) -> dict:
 
     Each config key becomes the token ``--flag=text``, a JSON list its comma
     form, and the tokens go before argv's flags, so the parser reads both
-    and the later argv flag wins.  An inline --spec or --matrix document and
-    alpha_matrix, which has no flag, are taken as given where argv leaves
-    them unset.
+    and the later argv flag wins.  An inline --spec or --matrix document is
+    taken as given where argv leaves it unset.
     """
     given = {}
     if args.config:
@@ -389,10 +385,8 @@ def _collect_params(argv, args) -> dict:
         flags = {action.dest: action.option_strings[0] for action in parser.commands[args.command]._actions
                  if action.default is not argparse.SUPPRESS}
         doc = {k: v for k, v in doc.items() if k not in ("command", "config")}
-        # a key that names no parameter would otherwise be ignored, or read as
-        # a flag it abbreviates; alpha_matrix, read by --model dirichlet, has no flag
-        known = set(flags) | ({"alpha_matrix"} if "model" in flags else set())
-        unknown = [k for k in doc if k.replace("-", "_") not in known]
+        # a key that names no parameter would otherwise be ignored, or read as a flag it abbreviates
+        unknown = [k for k in doc if k.replace("-", "_") not in flags]
         if unknown:
             raise _UsageError(f"{args.command} takes no parameter {', '.join(map(repr, unknown))}")
         tokens = []
@@ -400,7 +394,7 @@ def _collect_params(argv, args) -> dict:
             dest = key.replace("-", "_")
             if value is None:
                 continue
-            if dest == "alpha_matrix" or (dest in ("spec", "matrix") and not isinstance(value, str)):
+            if dest in ("spec", "matrix") and not isinstance(value, str):
                 given[dest] = value
             else:
                 tokens.append(f"{flags[dest]}={','.join(map(str, value)) if isinstance(value, list) else value}")

@@ -22,15 +22,8 @@ do on a whole block (GeneratorSpec._rows: Dirichlet rows are normalized
 there) runs once per block, and only the rest (_expand) once per step.
 
 _scan_replicas, the lockstep form of _scan behind the influence samples,
-stops each replica at its first step with gap <= gap_tol.  Three levels
-decide it: the one entry |P[0,0] - P[n//2,0]|, which ends the step where
-no product has it within gap_tol; then the two-row bound
-max_j |P[0,j] - P[n//2,j]|; then the full consensus gap, only of the
-products whose bound is within gap_tol.  The chain is exact: in floating
-point the entry never exceeds the bound, which holds it as one of its
-terms, and the bound never exceeds the gap, since per column the exact
-spread is at least the exact difference of any two rows and rounding is
-monotone.
+stops each replica at its first step with gap <= gap_tol, through a
+three-level gate that skips no first crossing (argued there).
 
 Support products come from matrices._closure: check_condition_c reads it
 through matrices._skeleton_closure, semigroup_explore with an epsilon net.
@@ -92,7 +85,7 @@ GAP_TOL = 1e-8
 RENORM_EVERY = 64
 # _lockstep runs CHUNK replicas at a time; their first block holds
 # FIRST_BLOCK draws per replica, each later one twice as many up to BLOCK,
-# and no block more than BLOCK_VALUES values (16 MiB)
+# and no block of two or more draws more than BLOCK_VALUES values (16 MiB)
 CHUNK = 256
 FIRST_BLOCK = 8
 BLOCK = 32
@@ -237,6 +230,9 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
     copies what it keeps.  A replica run to t_max makes exactly t_max draws
     (no block holds more than t_max - t + 1); one that stops earlier may draw up
     to k - 1 past its stop, from its own stream, so no other replica's output changes.
+    The budget of BLOCK_VALUES values caps k by the width of a block row: n * n
+    for the first block, the bound of every law's rows (GeneratorSpec), and
+    then that of the block just drawn.  The draws do not depend on k.
 
     A replica's Generator is built at the start of its chunk, except for a
     law whose block is nothing but uniforms (``spec._uniform_block``) with the
@@ -266,6 +262,7 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
 
     kept = np.empty((replicas, n, n)) if multiply and keep else None
     stops = np.full(replicas, t_max + 1)
+    width = n * n  # values per draw: a bound for the first block, then that of the block just drawn
     for first in range(0, replicas, CHUNK):
         stop = min(first + CHUNK, replicas)
         idx = np.arange(first, stop)
@@ -283,13 +280,13 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
             if j == k:
                 if states is None and t > 1:
                     states = started(idx, k)
-                k = max(1, min(2 * k or FIRST_BLOCK, BLOCK, t_max - t + 1,
-                               BLOCK_VALUES // (len(idx) * spec._width())))
+                k = max(1, min(2 * k or FIRST_BLOCK, BLOCK, t_max - t + 1, BLOCK_VALUES // (len(idx) * width)))
                 if states is None:
                     block = uniforms[first - base:stop - base, :k]
                 else:
                     block = np.stack([spec._block(states[i], k) for i in idx.tolist()])
                 block = spec._rows(block)
+                width = block[0, 0].size
                 j = 0
             x = spec._expand(block[:, j], draws)
             j += 1
@@ -315,13 +312,11 @@ def _lockstep(spec: GeneratorSpec, replicas: int, seed: int | None, t_max: int, 
 def _two_row_bound(prod: np.ndarray) -> np.ndarray:
     """max_j |P[0,j] - P[n//2,j]| of each product in the (R, n, n) stack (0 when n = 1).
 
-    Never above consensus_gaps, in floating point too: per column the exact
-    spread is at least the exact difference of any two rows, and rounding
-    is monotone.  Never below |P[0,0] - P[n//2,0]|, one of its terms.  Row
-    n//2 rather than row 1: in the ring and islands laws agents 0 and 1 are
-    neighbours, whose rows agree long before the rest, so a bound on them
-    would let the full gap run on many more steps.  At n <= 3 the pair is
-    rows 0 and 1.
+    The middle level of _scan_replicas' gate, which argues why it lies
+    between the gate's entry and the consensus gap.  Row n//2 rather than
+    row 1: in the ring and islands laws agents 0 and 1 are neighbours,
+    whose rows agree long before the rest, so a bound on them would let the
+    full gap run on many more steps.  At n <= 3 the pair is rows 0 and 1.
     """
     return np.abs(prod[:, 0] - prod[:, prod.shape[1] // 2]).max(axis=1)
 
@@ -339,11 +334,13 @@ def _scan_replicas(spec: GeneratorSpec, replicas: int, seed: int, t_max: int, ga
     The observer does little on a typical step.  It compares the one entry
     P[0,0] with P[n//2,0] across the running products, a reduction over the
     replica axis alone, and returns at once where none is within gap_tol;
-    otherwise it computes the two-row bound (rows 0 and n//2), and the full
-    gap only of the products whose bound is.  No first
-    crossing is skipped, because entry <= bound <= gap in floating point
-    (see _two_row_bound).  The bound stays behind the entry: the entry
-    alone would send several times as many products to the full gap.
+    otherwise it computes the two-row bound max_j |P[0,j] - P[n//2,j]|
+    (_two_row_bound), and the full gap only of the products whose bound is.
+    No first crossing is skipped, because entry <= bound <= gap in floating
+    point: the entry is one of the bound's terms, and per column the exact
+    spread is at least the exact difference of any two rows, and rounding
+    is monotone.  The bound stays behind the entry: the entry alone would
+    send several times as many products to the full gap.
     """
     gaps = np.empty(replicas)
     h = spec.n // 2
@@ -482,16 +479,17 @@ def check_condition_c(spec: GeneratorSpec, horizon: int = 64, replicas: int = 20
         if verdict in (HOLDS, FAILS):
             return ConditionCReport(verdict, "skeleton_semigroup", float(evidence), horizon)
 
-    # Monte Carlo branches share one pass: each replica records the
-    # contraction coefficient of every partial product until one turns
-    # strictly positive, and then leaves the pass.  The coefficients are
-    # read only when no replica turned positive, so when all ran to the horizon.
+    # Monte Carlo branches share one pass: a replica leaves it once its
+    # partial product turns strictly positive.  The contraction coefficients
+    # are read only when no replica turned positive, so when all ran to the
+    # horizon; they are recorded only until the first one does.
     positive = np.zeros(replicas, dtype=bool)
     coefficients = np.empty((replicas, horizon))
 
     def observe(t, idx, prod):
         positive[idx] = strictly_positive(prod)
-        coefficients[idx, t - 1] = dobrushin_coefficients(renormalized(prod))
+        if not positive.any():
+            coefficients[idx, t - 1] = dobrushin_coefficients(renormalized(prod))
         return positive[idx]
 
     _lockstep(spec, replicas, seed, horizon, observe, keep=False)

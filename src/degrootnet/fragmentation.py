@@ -25,7 +25,6 @@ from .errors import (
 )
 from .generators import FiniteMixture, GeneratorSpec, islands_graph_atoms
 from .matrices import PROB_TOL, ZERO_TOL, StochasticMatrix, _connected, spectral_norms
-from .seeding import replica_rng
 
 MIN_EVENTS = 20
 # p_max enumerates at most 2^SUBSET_LIMIT atom subsets or 2^(CUT_LIMIT - 1) cuts.
@@ -206,12 +205,17 @@ def _by_subsets(dist: GraphDistribution) -> FragmentationReport:
     )
 
 
-def _cuts(n: int):
-    """Every vertex cut (S, S^c) of 0..n-1, as the side S that holds vertex 0."""
-    for s_bits in range(0, 1 << (n - 1)):
-        members = {0} | {v + 1 for v in range(n - 1) if s_bits >> v & 1}
-        if len(members) < n:
-            yield members
+def _cut_sides(n: int) -> np.ndarray:
+    """Every vertex cut (S, S^c) of 0..n-1, as a (2^(n-1) - 1, n) boolean table of the side S that holds vertex 0.
+
+    Row c is the cut whose S holds vertex v + 1 iff bit v of c is set; the
+    row of all ones, S = every vertex, is no cut and is left out.
+    """
+    rows = np.arange((1 << (n - 1)) - 1)
+    side = np.ones((len(rows), n), dtype=bool)
+    for v in range(n - 1):
+        side[:, v + 1] = rows >> v & 1
+    return side
 
 
 def p_max_by_cuts(dist: GraphDistribution) -> FragmentationReport:
@@ -225,35 +229,36 @@ def _by_cuts(dist: GraphDistribution) -> FragmentationReport:
     """For every cut (S, S^c) the best disconnected collection avoiding it is
     exactly the set of atoms with no edge across, so p_max is the maximum
     over cuts of that set's total probability.
+
+    The cuts are the rows of _cut_sides, in order; the first cut of the
+    largest total wins, and each total adds its atoms' probabilities in atom
+    order, so Fractions stay exact.
     """
     if all(_connected(g.adjacency) for g, _p in dist.atoms):
         return _NEVER_FRAGMENTS
     n = dist.n
-    cuts = list(_cuts(n))
-    side = np.zeros((len(cuts), n), dtype=bool)
-    for c, members in enumerate(cuts):
-        side[c, list(members)] = True
-    crossing = (side[:, :, None] != side[:, None, :]).reshape(len(cuts), n * n)
+    side = _cut_sides(n)
+    crossing = (side[:, :, None] != side[:, None, :]).reshape(len(side), n * n)
     adjacency = np.array([g.adjacency for g, _p in dist.atoms]).reshape(-1, n * n)
     # avoids[k, c]: no edge of atom k crosses cut c
     avoids = adjacency.astype(np.int32) @ crossing.T.astype(np.int32) == 0
     zero = dist.atoms[0][1] * 0
     best_p = zero
     best = None
-    for members, avoiding in zip(cuts, avoids.T):
+    for c, avoiding in enumerate(avoids.T):
         kept = np.flatnonzero(avoiding).tolist()
         total = zero
         for k in kept:
             total = total + dist.atoms[k][1]
         if kept and float(total) > float(best_p):
             best_p = total
-            best = members, kept
+            best = c, kept
     if best is None:
         return _NEVER_FRAGMENTS
-    members, kept = best
+    c, kept = best
     return FragmentationReport(
         p_max=best_p, argmax_collection=tuple(dist.atoms[k][0] for k in kept), pi_g_empty=False,
-        predicted_rate=_rate(best_p), argmax_cut=tuple(sorted(members)),
+        predicted_rate=_rate(best_p), argmax_cut=tuple(np.flatnonzero(side[c]).tolist()),
     )
 
 
@@ -271,21 +276,21 @@ def bernoulli_edge_p_max(base: Graph, p) -> FragmentationReport:
     if n > 20:
         raise SizeLimit("cut enumeration limited to n <= 20")
     one = p * 0 + 1
-    edges = base.edges()
     if float(p) == 1.0 or n == 1:  # the base graph is the only atom, or it has no cut
         if _connected(base.adjacency):
             return _NEVER_FRAGMENTS
         return FragmentationReport(p_max=one, argmax_collection=(base,),
                                    pi_g_empty=False, predicted_rate=0.0)
     # the first cut with the fewest edges across
-    best_count, best_cut = min(
-        ((sum((u in members) != (v in members) for (u, v) in edges), members)
-         for members in _cuts(n)),
-        key=lambda cut: cut[0])
-    value = (one - p) ** best_count
+    side = _cut_sides(n)
+    across = np.zeros(len(side), dtype=np.int64)
+    for u, v in base.edges():
+        across += side[:, u] != side[:, v]
+    c = int(across.argmin())
+    value = (one - p) ** int(across[c])
     return FragmentationReport(
         p_max=value, argmax_collection=None, pi_g_empty=False,
-        predicted_rate=_rate(value), argmax_cut=tuple(sorted(best_cut)),
+        predicted_rate=_rate(value), argmax_cut=tuple(np.flatnonzero(side[c]).tolist()),
     )
 
 
@@ -338,7 +343,9 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
                         seed: int = 0) -> RateReport:
     """Empirical decay rate of P(||X^(t) - (1/n)11'|| >= epsilon).
 
-    Requires an iid process of symmetric positive-diagonal matrices; the
+    Requires an iid process whose support is finite and made of symmetric
+    atoms with positive diagonals, each checked to ZERO_TOL absolutely (no
+    draw of a continuous law can be shown symmetric from finitely many).  The
     spectral norm of X^(t) - J is then nonincreasing in t, so each replica
     is scanned once up to its crossing time.  Each step takes one SVD per
     distinct product (matrices.spectral_norms): a law of k atoms has at most
@@ -358,14 +365,9 @@ def decay_rate_estimate(spec: GeneratorSpec, epsilon: float, t_grid, replicas: i
     if not spec.is_iid:
         raise Unsupported("decay_rate_estimate requires an iid process")
     desc = spec.support()
-    if desc.kind == "finite":
-        probes = [atom.entries for atom in desc.atoms]
-    else:
-        # probe with the first three draws of replica 0's stream
-        probes = spec.draw_block(spec.start_state(replica_rng(seed, 0)), 3)
-    for e in probes:
-        if not np.allclose(e, e.T, atol=ZERO_TOL) or (np.diag(e) <= 0).any():
-            raise Unsupported("draws must be symmetric with positive diagonals")
+    if desc.kind != "finite" or any(not np.allclose(e, e.T, rtol=0, atol=ZERO_TOL) or (np.diag(e) <= 0).any()
+                                    for e in (atom.entries for atom in desc.atoms)):
+        raise Unsupported("draws must be symmetric with positive diagonals, from a finite support")
     n = spec.n
     flat = np.full((n, n), 1.0 / n)
     t_max = t_grid[-1]

@@ -66,7 +66,14 @@ class GeneratorState:
 
 
 class GeneratorSpec:
-    """Base class for network generating processes."""
+    """Base class for network generating processes.
+
+    A law draws through three hooks: ``_block`` gives the values behind the
+    next k draws, one row per draw; ``_rows`` readies a stack of those rows
+    once per block; ``_expand`` turns them into matrices once per step.  A
+    row holds at most n * n values (the draw itself), the bound
+    engine._lockstep sizes a first block by.
+    """
 
     kind = "abstract"
     # True when _block(state, k) is state.rng.random(k) and touches nothing else of
@@ -101,10 +108,6 @@ class GeneratorSpec:
         at once.
         """
         raise NotImplementedError
-
-    def _width(self) -> int:
-        """Values in one row of ``_block``."""
-        return self.n * self.n
 
     def _rows(self, block: np.ndarray) -> np.ndarray:
         """A fresh (..., width) stack of ``_block`` rows made ready for ``_expand``, once per block.
@@ -242,9 +245,6 @@ class FiniteMixture(GeneratorSpec):
         state.aux = i
         return np.array(idx)
 
-    def _width(self):
-        return 1
-
     def _expand(self, rows, out):
         if self.transition is None:
             rows = self._index(self._cum, rows)
@@ -348,9 +348,6 @@ class DirichletRows(GeneratorSpec):
     def _block(self, state, k):
         # one gamma variate per positive alpha entry, in row-major order
         return state.rng.standard_gamma(self._gamma_shape, size=(k, self._positive_alpha.size))
-
-    def _width(self):
-        return self._positive_alpha.size
 
     def _rows(self, block):
         m = self._row_width
@@ -457,9 +454,6 @@ class LeaderFollower(GeneratorSpec):
     def _block(self, state, k):
         return state.rng.random(k)
 
-    def _width(self):
-        return 1
-
     def _expand(self, rows, out):
         return self._branch(rows)
 
@@ -513,10 +507,6 @@ class Islands(GeneratorSpec):
     def n(self):
         return 2 * self.g
 
-    @property
-    def homophily(self) -> bool:
-        return self.p_s > self.p_d
-
     def _block(self, state, k):
         # one call for the block's 3g - 2 words per draw, read as the calls of _calls would read them
         bitgen = state.rng.bit_generator
@@ -553,9 +543,6 @@ class Islands(GeneratorSpec):
     @functools.cached_property
     def _keep_below(self):
         return np.array([p for bounded, p in _calls(self.g, self.p_s, self.p_d) if not bounded])
-
-    def _width(self):
-        return 4 * self.g - 3
 
     def _expand(self, rows, out):
         # rows: both Pruefer codes, the cross pair (i, j), then the keep bit of each tree edge and the cross link
@@ -613,10 +600,6 @@ class UndirectedDegree(FiniteMixture):
         object.__setattr__(self, "graphs", adjs)
         super().__init__(atoms=tuple(map(StochasticMatrix._trusted, _graph_to_row_weights(np.array(adjs)))),
                          probs=tuple(probs))
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.graphs[0].sum(axis=1).astype(float)
 
     def to_dict(self):
         return {

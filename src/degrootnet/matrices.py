@@ -79,9 +79,6 @@ class StochasticMatrix:
     def __repr__(self):
         return f"StochasticMatrix(n={self.n})"
 
-    def __matmul__(self, other):
-        return multiply(self, other)
-
 
 class SkeletonMask:
     """Boolean zero-pattern of an interaction matrix (the social topology)."""
@@ -122,13 +119,6 @@ class RankReport:
 def make_stochastic(entries) -> StochasticMatrix:
     """Validate and renormalize a raw array into a StochasticMatrix."""
     return StochasticMatrix(entries)
-
-
-def multiply(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    """Matrix product a.b; the engine composes left products as X_{t+1}.X^(t)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
-    return StochasticMatrix._trusted(a.entries @ b.entries)
 
 
 def renormalized(stack: np.ndarray) -> np.ndarray:

@@ -480,6 +480,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {flag}: ") and why in err
 
+    def test_rate_atom_asymmetric_by_less_than_a_relative_tolerance_is_usage_error_naming_it(self, tmp_path,
+                                                                                            capsys):
+        near = {"model": "finite_mixture", "atoms": [[[0.5, 0.5], [0.5000004, 0.4999996]], [[1, 0], [0, 1]]],
+                "probs": [0.5, 0.5]}
+        (tmp_path / "near.json").write_text(json.dumps(near))
+        out = tmp_path / "out.csv"
+        argv = ["rate", "--spec", str(tmp_path / "near.json"), "--replicas", "200", "--tgrid", "1:4"]
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        want = "usage error: --spec: draws must be symmetric with positive diagonals, from a finite support\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     def test_rate_numerical_failure_in_the_run_is_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -499,7 +511,7 @@ class TestExitCodes:
         docs = {
             "fixed.json": {"model": "fixed", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
             "unbalanced.json": {"model": "dirichlet_rows", "alpha": [[1, 2], [1, 1]]},
-            "dirichlet.json": {"command": "conjugacy", "model": "dirichlet", "alpha_matrix": [[1, 2], [1, 1]]},
+            "dirichlet.json": {"command": "conjugacy", "model": "dirichlet", "matrix": [[1, 2], [1, 1]]},
         }
         for name, doc in docs.items():
             (tmp_path / name).write_text(json.dumps(doc))
@@ -730,7 +742,7 @@ MINIMAL_MODEL_PARAMS = {
     "ring": {"n": 3},
     "leader-follower": {"n": 3},
     "beta2x2": {"alpha": 1.0},
-    "dirichlet": {"alpha_matrix": [[1.0, 2.0], [2.0, 1.0]]},
+    "dirichlet": {"matrix": [[1.0, 2.0], [2.0, 1.0]]},
     "perturbed": {"matrix": [[0.5, 0.5], [0.5, 0.5]], "eps": 8.0},
     "islands": {"g": 2, "ps": 0.8, "pd": 0.3},
     "fixed": {"matrix": [[0.5, 0.5], [0.0, 1.0]]},
@@ -820,6 +832,29 @@ class TestPmaxCommand:
         code = run(["pmax", "--islands", "2,0.8,0.25", "--format", "json", "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(read(out))["p_max"] == pytest.approx(0.75)
+
+
+class TestDirichletMatrix:
+    def test_matrix_flag_file_and_config_document_run_the_spec_law(self, tmp_path):
+        alpha = [[1.0, 2.0], [2.0, 1.0]]
+        (tmp_path / "alpha.json").write_text(json.dumps(alpha))
+        (tmp_path / "spec.json").write_text(json.dumps({"model": "dirichlet_rows", "alpha": alpha}))
+        (tmp_path / "config.json").write_text(json.dumps({"model": "dirichlet", "matrix": alpha}))
+        runs = {
+            "flag": ["--model", "dirichlet", "--matrix", str(tmp_path / "alpha.json")],
+            "config": ["--config", str(tmp_path / "config.json")],
+            "spec": ["--spec", str(tmp_path / "spec.json")],
+        }
+        for name, argv in runs.items():
+            assert run(["influence", *argv, "--replicas", "20", "--tmax", "200",
+                        "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+        texts = {read(tmp_path / f"{name}.csv") for name in runs}
+        assert len(texts) == 1
+
+    def test_config_key_alpha_matrix_is_usage_error_naming_it(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text(json.dumps({"model": "dirichlet", "alpha_matrix": [[1, 1], [1, 1]]}))
+        assert run(["influence", "--config", str(tmp_path / "config.json"), "--replicas", "20"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: bad config: influence takes no parameter 'alpha_matrix'\n"
 
 
 class TestOtherCommands:

@@ -34,7 +34,6 @@ from degrootnet import (
     make_stochastic,
     mean_rank_one_test,
     mixing_identity_mixture,
-    multiply,
     ring_uniform_self,
     semigroup_explore,
     skeleton_equivalence_test,
@@ -55,7 +54,7 @@ from degrootnet.errors import (
     Unsupported,
 )
 from degrootnet.generators import Islands, UndirectedDegree
-from degrootnet.matrices import StochasticMatrix, dobrushin_coefficients, first_within, numeric_rank
+from degrootnet.matrices import StochasticMatrix, dobrushin_coefficients, first_within, numeric_rank, strictly_positive
 from test_generators import all_models
 from test_matrices import per_pair_closure
 from test_products import stream_position
@@ -226,7 +225,7 @@ class TestAccumulate:
             prod = mats[0]
             bound = dobrushin_coefficient(mats[0])
             for m in mats[1:]:
-                prod = multiply(m, prod)
+                prod = StochasticMatrix._trusted(m.entries @ prod.entries)
                 bound *= dobrushin_coefficient(m)
             gap = float((prod.entries.max(axis=0) - prod.entries.min(axis=0)).max())
             assert gap <= bound + 1e-9
@@ -281,7 +280,8 @@ class TestInfluence:
             crossed[u, v] = crossed[v, u] = True
         spec = UndirectedDegree(graphs=(c4, crossed), probs=(0.5, 0.5))
         est = estimate_influence(spec, replicas=200, t_max=2000, seed=9)
-        target = spec.degrees / spec.degrees.sum()
+        degrees = spec.graphs[0].sum(axis=1)
+        target = degrees / degrees.sum()
         for s in est.samples:
             assert np.abs(np.asarray(s) - target).max() <= 1e-3
 
@@ -405,6 +405,26 @@ class TestConditionC:
         means = sums / 200
         ses = np.sqrt(np.maximum(sqsums / 200 - means**2, 0.0) / 200)
         assert rep.evidence == float((means + 3.0 * ses).min())
+
+    def test_no_contraction_coefficient_once_a_replica_turns_positive(self, monkeypatch):
+        # not iid, so the Monte Carlo pass decides; the meeting atom is strictly positive, so
+        # replicas turn positive from the first step on
+        spec = encounter_2x2(0.3, 0.5, transition=((0.5, 0.5), (0.5, 0.5)))
+        events = []
+
+        def positivity(stack):
+            positive = strictly_positive(stack)
+            events.append(bool(positive.any()))
+            return positive
+
+        def coefficients(stack):
+            events.append("coefficients")
+            return dobrushin_coefficients(stack)
+        monkeypatch.setattr(engine, "strictly_positive", positivity)
+        monkeypatch.setattr(engine, "dobrushin_coefficients", coefficients)
+        rep = check_condition_c(spec)
+        assert (rep.verdict, rep.method, rep.evidence) == (HOLDS, "monte_carlo_positivity", 1.0)
+        assert True in events and "coefficients" not in events[events.index(True):]
 
     def test_positive_diagonals_hold_iff_union_graph_is_strongly_connected(self):
         # With every skeleton's diagonal positive, a product of all atoms in turn

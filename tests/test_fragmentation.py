@@ -17,9 +17,9 @@ from degrootnet import (
     p_max_by_cuts,
 )
 from degrootnet.engine import CHUNK
-from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit
-from degrootnet.fragmentation import _by_cuts, _by_subsets, _cuts
-from degrootnet.generators import Fixed
+from degrootnet.errors import InsufficientEvents, InvalidProbability, SizeLimit, Unsupported
+from degrootnet.fragmentation import _by_cuts, _by_subsets
+from degrootnet.generators import DirichletRows, FiniteMixture, Fixed, ring_uniform_self
 from degrootnet.matrices import _connected, make_stochastic
 from test_matrices import svd_sizes
 
@@ -33,6 +33,7 @@ TWO_EDGES = graph(4, [(0, 1), (2, 3)])
 C4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K33 = graph(6, [(u, v + 3) for u in range(3) for v in range(3)])
 CIRC8 = graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, (i + 2) % 8) for i in range(8)])
+CIRC20 = graph(20, [(i, (i + 1) % 20) for i in range(20)] + [(i, (i + 2) % 20) for i in range(20)])
 
 
 def brute_p_max(dist):
@@ -48,9 +49,16 @@ def brute_p_max(dist):
 
 
 def edge_scan_by_cuts(dist):
-    """Oracle: p_max, its collection and its cut, testing every edge of every atom against every cut."""
+    """Oracle: p_max, its collection and its cut, testing every edge of every atom against every cut.
+
+    The cuts are the sides S that hold vertex 0, in the order of the binary number whose bit v says
+    whether vertex v + 1 is in S; the first cut of the largest total wins.
+    """
     best_p, best = dist.atoms[0][1] * 0, None
-    for members in _cuts(dist.n):
+    for bits in itertools.product((False, True), repeat=dist.n - 1):
+        members = {0} | {v + 1 for v, bit in enumerate(reversed(bits)) if bit}
+        if len(members) == dist.n:
+            continue
         kept = [k for k, (g, _p) in enumerate(dist.atoms)
                 if not any((u in members) != (v in members) for u, v in g.edges())]
         total = dist.atoms[0][1] * 0
@@ -220,6 +228,12 @@ class TestRegularGraphs:
         assert bernoulli_edge_p_max(K33, p).p_max == (1 - p) ** 3
         assert bernoulli_edge_p_max(CIRC8, p).p_max == (1 - p) ** 4
 
+    def test_circulant_on_twenty_vertices_exact(self):
+        # C20(1, 2) is 4-regular with edge connectivity 4; a single vertex is the first cut of 4 edges
+        rep = bernoulli_edge_p_max(CIRC20, Fraction(3, 10))
+        assert rep.p_max == Fraction(7, 10) ** 4
+        assert rep.argmax_cut == (0,)
+
     def test_single_vertex_never_fragments(self):
         rep = bernoulli_edge_p_max(graph(1, []), 0.5)
         assert (rep.p_max, rep.pi_g_empty, rep.predicted_rate) == (0.0, True, math.inf)
@@ -314,6 +328,18 @@ class TestDecayRate:
         asym = Fixed(make_stochastic([[0.9, 0.1], [0.4, 0.6]]))
         with pytest.raises(Unsupported):
             decay_rate_estimate(asym, epsilon=0.5, t_grid=[1, 2], replicas=10, seed=0)
+
+    def test_rejects_an_atom_asymmetric_by_less_than_a_relative_tolerance(self):
+        # entries 4e-7 apart: np.allclose's default rtol of 1e-5 would call the atom symmetric
+        near = make_stochastic([[0.5, 0.5], [0.5000004, 0.4999996]])
+        spec = FiniteMixture(atoms=(near, make_stochastic(np.eye(2))), probs=(0.5, 0.5))
+        with pytest.raises(Unsupported, match="symmetric with positive diagonals"):
+            decay_rate_estimate(spec, epsilon=0.5, t_grid=range(1, 5), replicas=200)
+
+    @pytest.mark.parametrize("spec", [ring_uniform_self(3), DirichletRows(np.ones((1, 1)))], ids=["ring3", "n1"])
+    def test_rejects_a_support_that_is_not_finite(self, spec):
+        with pytest.raises(Unsupported, match="symmetric with positive diagonals"):
+            decay_rate_estimate(spec, epsilon=0.5, t_grid=range(1, 5), replicas=20)
 
 
 class TestSerialization:

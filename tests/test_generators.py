@@ -354,7 +354,8 @@ class TestDirichletDraw:
         alpha, width = case
         spec = DirichletRows(alpha)
         assert spec._row_width == width
-        raw = np.random.default_rng(seed).standard_gamma(spec._gamma_shape, size=(replicas, k, spec._width()))
+        raw = np.random.default_rng(seed).standard_gamma(spec._gamma_shape,
+                                                         size=(replicas, k, spec._positive_alpha.size))
         block = spec._rows(raw.copy())
         for j in range(k):
             got = spec._expand(block[:, j], np.zeros((replicas, spec.n, spec.n)))
@@ -580,10 +581,6 @@ class TestIslands:
             x = state.next_array()
             assert x[:3, cross].sum() == 0.0
             assert x[cross, :3].sum() == 0.0
-
-    def test_homophily_flag(self):
-        assert Islands(2, 0.8, 0.3).homophily
-        assert not Islands(2, 0.3, 0.8).homophily
 
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbability):

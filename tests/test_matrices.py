@@ -11,13 +11,12 @@ from degrootnet import (
     dobrushin_coefficient,
     is_strictly_positive,
     make_stochastic,
-    multiply,
     numeric_rank,
     skeleton,
     skeleton_is_primitive,
 )
 from degrootnet import matrices
-from degrootnet.errors import DimensionMismatch, NegativeEntry, NumericalFailure, RowSumViolation
+from degrootnet.errors import NegativeEntry, NumericalFailure, RowSumViolation
 from degrootnet.matrices import (
     SkeletonMask,
     _closure,
@@ -126,38 +125,6 @@ class TestMakeStochastic:
             m.entries[0, 0] = 0.9
 
 
-class TestMultiply:
-    def test_identity_neutral(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            raw = rng.random((3, 3))
-            m = make_stochastic(raw / raw.sum(axis=1, keepdims=True))
-            eye = make_stochastic(np.eye(3))
-            assert np.allclose(multiply(eye, m).entries, m.entries)
-
-    def test_swap_involution(self):
-        swap = make_stochastic([[0, 1], [1, 0]])
-        assert np.array_equal(multiply(swap, swap).entries, np.eye(2))
-
-    def test_2x2_product_value(self):
-        a = make_stochastic([[1, 0], [0, 1]])
-        b = make_stochastic([[0.5, 0.5], [0.5, 0.5]])
-        assert np.allclose(multiply(a, b).entries, [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            multiply(make_stochastic(np.eye(2)), make_stochastic(np.eye(3)))
-
-    def test_row_sums_on_random_products(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            raws = rng.random((2, n, n)) + 1e-12
-            a = make_stochastic(raws[0] / raws[0].sum(axis=1, keepdims=True))
-            b = make_stochastic(raws[1] / raws[1].sum(axis=1, keepdims=True))
-            assert np.abs(multiply(a, b).entries.sum(axis=1) - 1.0).max() <= 1e-9
-
-
 class TestSkeleton:
     def test_example_pair_masks(self):
         m = make_stochastic([[0.9, 0.1], [1, 0]])
@@ -218,7 +185,7 @@ class TestDobrushin:
             raws = rng.random((2, n, n)) + 1e-9
             a = make_stochastic(raws[0] / raws[0].sum(axis=1, keepdims=True))
             b = make_stochastic(raws[1] / raws[1].sum(axis=1, keepdims=True))
-            assert dobrushin_coefficient(multiply(a, b)) <= (
+            assert dobrushin_coefficient(make_stochastic(a.entries @ b.entries)) <= (
                 dobrushin_coefficient(a) * dobrushin_coefficient(b) + 1e-12
             )
 

@@ -365,6 +365,10 @@ class TestLockstep:
     @example(name="ring12", replicas=17, t_max=260, gap_tol=1e-3, small=True, seed=11)
     @example(name="ring12", replicas=17, t_max=260, gap_tol=1e-3, small=True, seed=12)
     @example(name="dense12", replicas=17, t_max=80, gap_tol=1e-8, small=True, seed=13)
+    # a block row of each other width under the small budget: 4g - 3 (islands) and n^2 (ar1, fixed)
+    @example(name="islands", replicas=17, t_max=60, gap_tol=1e-8, small=True, seed=14)
+    @example(name="ar1", replicas=17, t_max=60, gap_tol=1e-8, small=True, seed=15)
+    @example(name="fixed", replicas=17, t_max=60, gap_tol=1e-8, small=True, seed=16)
     def test_matches_serial_scans_bytewise(self, name, replicas, t_max, gap_tol, small, seed):
         # small: chunks of 7 replicas, first blocks of 3 draws and a block budget that cuts
         # blocks to a few draws, down to one
@@ -374,6 +378,25 @@ class TestLockstep:
                                  BLOCK_VALUES=60 if small else engine.BLOCK_VALUES):
             got = _scan_replicas(spec, replicas, seed, t_max, gap_tol)
         assert_matches_serial_scans(spec, replicas, seed, t_max, gap_tol, *got)
+
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    @pytest.mark.parametrize("name", sorted(block_models()))
+    def test_no_block_holds_more_than_the_value_budget(self, name, budget):
+        # small: 60 values, which one draw of each of 5 replicas fits (the widest row, the ring's
+        # at n = 5, holds 10 values), and which keeps every law's blocks below BLOCK draws
+        spec = block_models()[name]
+        rows, blocks = spec._rows, []
+
+        def spy(block):
+            blocks.append((block.shape[1], block.size))
+            return rows(block)
+        object.__setattr__(spec, "_rows", spy)
+        limit, replicas = (60, 5) if budget == "small" else (engine.BLOCK_VALUES, engine.CHUNK + 5)
+        with mock.patch.object(engine, "BLOCK_VALUES", limit):
+            engine._lockstep(spec, replicas, 3, 100, lambda t, idx, prod: None, keep=False)
+        assert blocks and max(size for _k, size in blocks) <= limit
+        if budget == "small":
+            assert max(k for k, _size in blocks) < engine.BLOCK
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted({**block_models(), **row_sum_models()})), replicas=st.integers(1, 30),

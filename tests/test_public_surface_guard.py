@@ -24,7 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "degrootnet"
 
 LIBRARY_ONLY = {
-    "lyapunov_exponent": "the almost-sure contraction rate, to be checked against ROADMAP item 4's exact bound",
+    "lyapunov_exponent": "the almost-sure contraction rate, to be checked against ROADMAP item 2's exact bound",
     "check_mic3_rates": "the paper's balance-growth condition on a family of Dirichlet weights",
     "skeleton_is_primitive": "the exact (Wielandt-bound) consensus criterion for a static network",
 }
